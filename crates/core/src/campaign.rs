@@ -54,10 +54,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sgx_dfp::PredictorKind;
 use sgx_kernel::{
-    ChaosSchedule, ChromeTraceSink, CountingSink, EventCounts, JsonlWriterSink, SeriesFormat,
-    TenantPolicy, TimeSeriesSink, TraceSink,
+    ChromeTraceSink, CountingSink, EventCounts, JsonlWriterSink, SeriesFormat, TimeSeriesSink,
+    TraceSink,
 };
 use sgx_observer::{LeakageReport, ObserverSink, OramModel};
 use sgx_workloads::{AccessIter, Benchmark, PageRange, SecretBit, SecretPair};
@@ -356,85 +355,29 @@ impl Campaign {
         c
     }
 
-    /// The `benches × schemes × chaos` cross-product: [`Campaign::grid`]
-    /// extended with a third axis of named [`ChaosSchedule`]s. Cells are
-    /// labeled `bench/scheme/chaos=<name>` and enumerated
-    /// benchmark-major, then scheme, then schedule — so a schedule's
-    /// cells for one bench/scheme pair are adjacent and A/B comparisons
-    /// against a `("none", ChaosSchedule::none())` column line up.
-    pub fn chaos_grid(
+    /// The `benches × schemes × points` sweep: [`Campaign::grid`]
+    /// extended with a third axis of named configs — chaos schedules,
+    /// tenant policies, predictors. Cells are labeled
+    /// `bench/scheme/<axis>=<label>` and enumerated benchmark-major, then
+    /// scheme, then point, so one bench/scheme pair's points are adjacent
+    /// and A/B comparisons against a reference point (e.g. `chaos=none`)
+    /// line up. Schemes a point does not affect (e.g.
+    /// [`Scheme::Baseline`] on a predictor axis) still get one cell per
+    /// point, so every comparison column is complete.
+    pub fn sweep(
         name: impl Into<String>,
         seed: u64,
         benches: &[Benchmark],
         schemes: &[Scheme],
-        cfg: SimConfig,
-        chaos: &[(&str, ChaosSchedule)],
+        axis: &str,
+        points: &[(&str, SimConfig)],
     ) -> Self {
         let mut c = Campaign::new(name, seed);
         for &bench in benches {
             for &scheme in schemes {
-                for (label, sched) in chaos {
-                    let cell = Cell::new(bench, scheme, cfg.with_chaos(*sched))
-                        .with_label(format!("{}/{}/chaos={label}", bench.name(), scheme.name()));
-                    c.push(cell);
-                }
-            }
-        }
-        c
-    }
-
-    /// The `benches × schemes × tenant-policy` cross-product:
-    /// [`Campaign::grid`] extended with a third axis of named
-    /// [`TenantPolicy`]s. Cells are labeled `bench/scheme/tenant=<name>`
-    /// and enumerated benchmark-major, then scheme, then policy — so a
-    /// policy's cells for one bench/scheme pair are adjacent and A/B
-    /// comparisons against a `("none", TenantPolicy::none())` column line
-    /// up.
-    pub fn tenant_grid(
-        name: impl Into<String>,
-        seed: u64,
-        benches: &[Benchmark],
-        schemes: &[Scheme],
-        cfg: SimConfig,
-        tenants: &[(&str, TenantPolicy)],
-    ) -> Self {
-        let mut c = Campaign::new(name, seed);
-        for &bench in benches {
-            for &scheme in schemes {
-                for (label, policy) in tenants {
-                    let cell = Cell::new(bench, scheme, cfg.with_tenant_policy(*policy))
-                        .with_label(format!("{}/{}/tenant={label}", bench.name(), scheme.name()));
-                    c.push(cell);
-                }
-            }
-        }
-        c
-    }
-
-    /// The `benches × schemes × predictor` cross-product:
-    /// [`Campaign::grid`] extended with a third axis of
-    /// [`PredictorKind`]s — the predictor-zoo ablation. Cells are labeled
-    /// `bench/scheme/pred=<kind>` and enumerated benchmark-major, then
-    /// scheme, then predictor — so one bench/scheme pair's predictors are
-    /// adjacent and rows line up across schemes. Schemes that run no
-    /// predictor (e.g. [`Scheme::Baseline`]) still get one cell per kind,
-    /// so every comparison column is complete; those cells simply ignore
-    /// the predictor.
-    pub fn predictor_grid(
-        name: impl Into<String>,
-        seed: u64,
-        benches: &[Benchmark],
-        schemes: &[Scheme],
-        cfg: SimConfig,
-        predictors: &[PredictorKind],
-    ) -> Self {
-        let mut c = Campaign::new(name, seed);
-        for &bench in benches {
-            for &scheme in schemes {
-                for &kind in predictors {
-                    let cell = Cell::new(bench, scheme, cfg.with_predictor(kind))
-                        .with_label(format!("{}/{}/pred={kind}", bench.name(), scheme.name()));
-                    c.push(cell);
+                for &(label, cfg) in points {
+                    let label = format!("{}/{}/{axis}={label}", bench.name(), scheme.name());
+                    c.push(Cell::new(bench, scheme, cfg).with_label(label));
                 }
             }
         }
@@ -988,6 +931,7 @@ impl fmt::Display for CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgx_kernel::{ChaosSchedule, TenantPolicy};
     use sgx_workloads::Scale;
 
     fn tiny_cfg() -> SimConfig {
@@ -1092,16 +1036,17 @@ mod tests {
     }
 
     #[test]
-    fn chaos_grid_adds_a_schedule_axis() {
-        let c = Campaign::chaos_grid(
-            "chaos",
+    fn sweep_adds_a_labelled_config_axis() {
+        let cfg = tiny_cfg();
+        let c = Campaign::sweep(
+            "sweep",
             13,
             &[Benchmark::Microbenchmark],
             &[Scheme::Dfp],
-            tiny_cfg(),
+            "chaos",
             &[
-                ("none", ChaosSchedule::none()),
-                ("light", ChaosSchedule::light(1)),
+                ("none", cfg),
+                ("light", cfg.with_chaos(ChaosSchedule::light(1))),
             ],
         );
         let labels: Vec<&str> = c.cells().iter().map(|c| c.label.as_str()).collect();
@@ -1117,20 +1062,19 @@ mod tests {
         let r = c.with_seed_mode(SeedMode::Shared).run_serial().unwrap();
         // Same workload either way; chaos only perturbs the kernel.
         assert_eq!(r.cells[0].report.accesses, r.cells[1].report.accesses);
-    }
 
-    #[test]
-    fn tenant_grid_adds_a_policy_axis() {
-        let cfg = tiny_cfg();
-        let c = Campaign::tenant_grid(
+        let c = Campaign::sweep(
             "tenancy",
             17,
             &[Benchmark::Microbenchmark],
             &[Scheme::Dfp],
-            cfg,
+            "tenant",
             &[
-                ("none", TenantPolicy::none()),
-                ("fair2", TenantPolicy::fair(2, cfg.epc_pages)),
+                ("none", cfg),
+                (
+                    "fair2",
+                    cfg.with_tenant_policy(TenantPolicy::fair(2, cfg.epc_pages)),
+                ),
             ],
         );
         let labels: Vec<&str> = c.cells().iter().map(|c| c.label.as_str()).collect();

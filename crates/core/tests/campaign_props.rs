@@ -9,7 +9,7 @@ use sgx_workloads::{Benchmark, Scale};
 /// The cheap benchmarks the random campaigns draw from; large-footprint
 /// programs would dominate the property-test budget without exercising
 /// any additional engine behavior.
-const BENCH_POOL: [Benchmark; 4] = [
+const BENCHMARK_POOL: [Benchmark; 4] = [
     Benchmark::Microbenchmark,
     Benchmark::Leela,
     Benchmark::Exchange2,
@@ -19,9 +19,9 @@ const BENCH_POOL: [Benchmark; 4] = [
 const SCHEME_POOL: [Scheme; 4] = [Scheme::Baseline, Scheme::Dfp, Scheme::DfpStop, Scheme::Sip];
 
 fn arb_cell() -> impl Strategy<Value = Cell> {
-    (0usize..BENCH_POOL.len(), 0usize..SCHEME_POOL.len()).prop_map(|(b, s)| {
+    (0usize..BENCHMARK_POOL.len(), 0usize..SCHEME_POOL.len()).prop_map(|(b, s)| {
         Cell::new(
-            BENCH_POOL[b],
+            BENCHMARK_POOL[b],
             SCHEME_POOL[s],
             SimConfig::at_scale(Scale::new(64)),
         )

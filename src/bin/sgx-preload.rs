@@ -3,14 +3,13 @@
 //! ```text
 //! sgx-preload list
 //! sgx-preload run --bench lbm --scheme dfp --scale dev
+//! sgx-preload run --bench lbm --scheme dfp --jsonl lbm.jsonl --hist
 //! sgx-preload suite --scale dev --jobs 4
 //! sgx-preload campaign --benches lbm,mcf --schemes baseline,dfp --json-out out.json
 //! sgx-preload profile --bench deepsjeng --scale dev
-//! sgx-preload trace --bench lbm -n 5000 --out lbm.csv
 //! sgx-preload trace record --bench kvstore --out kv.sgxt
 //! sgx-preload trace convert --in kv.sgxt --out kv.csv
 //! sgx-preload trace replay --trace kv.sgxt --scheme dfp --source-bench kvstore --diff
-//! sgx-preload replay --trace lbm.csv --scheme dfp
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
@@ -20,9 +19,9 @@ use sgx_preloading::kernel::EventKind;
 use sgx_preloading::prelude::*;
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
-    build_plan, effective_jobs, profile_stream, render_chrome_trace, ChromeTraceSink,
-    CollectingSink, CountingSink, EpcSizing, HistogramSink, NotifyPlacement, RecordedTrace,
-    SeriesFormat, StreamConfig, DEFAULT_TIMELINE_SERIES_INTERVAL,
+    build_plan, effective_jobs, profile_stream, render_chrome_trace, CollectingSink, CountingSink,
+    EpcSizing, HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
+    DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
 
 const USAGE: &str = "\
@@ -37,21 +36,15 @@ COMMANDS:
     suite                      run every benchmark under every scheme (parallel)
     campaign                   run a benchmark × scheme campaign, JSON telemetry
     profile                    profile a benchmark and show the SIP plan
-    trace                      record a benchmark's access trace to CSV
     trace record               record a full access trace to the compact
                                binary .sgxt format (or CSV by extension)
     trace convert              convert a trace between .sgxt and CSV
     trace replay               replay a recorded trace file through the
                                simulator, optionally diffing the report
                                against the source generator's
-    replay                     run a recorded trace through the simulator
     timeline                   run one benchmark and export its causal span
                                timeline (event table, Chrome trace, gauge
                                series, cycle attribution)
-    throughput                 run the timeline pipeline repeatedly and
-                               report wall-clock events/sec and
-                               simulated-pages/sec vs the pre-rewrite
-                               baseline
     chaos                      run a benchmark under fault injection and
                                check the graceful-degradation invariants
     contend                    co-run a victim with an aggressor enclave and
@@ -99,7 +92,7 @@ campaign OPTIONS:
                                    schemes: baseline,dfp,dfp-stop,sip,hybrid;
                                    also: edmm, edmm+dfp-stop, user-level)
 
-run/replay OPTIONS:
+run OPTIONS:
     --bench <name>                 benchmark name (see `list`)
     --scheme <name>                baseline | dfp | dfp-stop | sip | hybrid |
                                    user-level | edmm | edmm+dfp-stop
@@ -108,16 +101,11 @@ run/replay OPTIONS:
     --list-len <N>                 DFP stream_list length (default 30)
     --threshold <F>                SIP irregular-ratio threshold (default 0.05)
     --early <N>                    SIP early-notify distance (default: conservative)
-
-trace OPTIONS:
-    --bench <name>  -n <N>         accesses to record (default 10000)
-    --out <file>                   output CSV (default <bench>.trace.csv)
-    --jsonl <file>                 instead of recording accesses, simulate the
-                                   benchmark under --scheme and stream kernel
-                                   paging events to <file> as JSON lines
-    --hist                         simulate under --scheme and print cycle
-                                   histograms (fault latency, preload lead,
-                                   stream length, eviction scan cost)
+    --jsonl <file>                 stream the --scheme run's kernel paging
+                                   events to <file> as JSON lines
+    --hist                         print the --scheme run's cycle histograms
+                                   (fault latency, preload lead, stream
+                                   length, eviction scan cost)
 
 trace record OPTIONS:
     --bench <name>                 benchmark to record (full Ref stream)
@@ -139,11 +127,6 @@ trace replay OPTIONS:
                                    the report byte-identical to a direct run
     --diff                         re-run the source generator and exit 1
                                    unless the replayed report matches exactly
-    --bench-out <file>             write replay throughput JSON
-                                   (replayed-pages/sec, trace bytes/access)
-
-replay OPTIONS:
-    --trace <file>                 trace CSV recorded by `trace`
 
 timeline OPTIONS:
     --bench <name> --scheme <s>    workload and scheme (scheme default: baseline)
@@ -202,8 +185,6 @@ fleet OPTIONS:
     --json-out <file>              write the canonical fleet report JSON
                                    (excludes jobs/wall time, so it is
                                    byte-identical across --jobs)
-    --bench-out <file>             write wall-clock throughput JSON
-                                   (hosts/sec, requests/sec, p99 latency)
 
 leakage OPTIONS:
     --pairs <a,b,..>               secret pairs (default: all —
@@ -221,8 +202,6 @@ leakage OPTIONS:
     --campaign-seed <N>            campaign master seed (default 42)
     --json-out <file>              write the canonical campaign report JSON
                                    (excludes jobs/wall time)
-    --bench-out <file>             write observer throughput JSON
-                                   (observed-events/sec, per-scheme scores)
 
 contend OPTIONS:
     --victim <name>                victim benchmark (default: microbenchmark)
@@ -421,23 +400,56 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let cfg = args.config()?;
     let bench = args.bench()?;
     let scheme = args.scheme()?;
-    let run = |s: Scheme| {
-        SimRun::new(&cfg)
-            .scheme(s)
-            .bench(bench)
-            .run_one()
-            .map_err(|e| e.to_string())
+    let jsonl = args.get("jsonl");
+    if (jsonl.is_some() || args.flag("hist")) && scheme.is_user_level() {
+        return Err("event tracing needs a kernel scheme; the user-level runtime has none".into());
+    }
+    // Streaming sinks attach to the --scheme run only, never to the
+    // baseline reference run.
+    let mut run = SimRun::new(&cfg).scheme(scheme).bench(bench);
+    if let Some(path) = jsonl {
+        let sink =
+            JsonlWriterSink::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+        run = run.sink(Box::new(sink));
+    }
+    let hist = if args.flag("hist") {
+        let (sink, h) = HistogramSink::new();
+        run = run.sink(Box::new(sink));
+        Some(h)
+    } else {
+        None
     };
-    let r = run(scheme)?;
+    let r = run.run_one().map_err(|e| e.to_string())?;
     println!("{r}");
     if scheme != Scheme::Baseline {
-        let base = run(Scheme::Baseline)?;
+        let base = SimRun::new(&cfg)
+            .scheme(Scheme::Baseline)
+            .bench(bench)
+            .run_one()
+            .map_err(|e| e.to_string())?;
         println!(
             "\nimprovement over baseline: {:+.2}% ({} -> {} cycles)",
             r.improvement_over(&base) * 100.0,
             base.total_cycles,
             r.total_cycles
         );
+    }
+    if let Some(path) = jsonl {
+        println!("streamed paging events -> {path}");
+    }
+    if let Some(h) = hist {
+        let h = h.borrow();
+        for (name, hist) in [
+            ("fault service cycles", &h.fault_service),
+            ("preload lead cycles", &h.preload_lead),
+            ("predicted stream length", &h.stream_len),
+            ("eviction scan length", &h.evict_scan),
+        ] {
+            println!("\n{name}: {}", hist.summary());
+            for (lo, count) in hist.nonzero_buckets() {
+                println!("  >= {lo:>12}: {count}");
+            }
+        }
     }
     Ok(())
 }
@@ -615,104 +627,6 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    let bench = args.bench()?;
-    if args.get("jsonl").is_some() || args.flag("hist") {
-        return cmd_trace_events(args, &cfg, bench);
-    }
-    let n = args.parsed::<usize>("n")?.unwrap_or(10_000);
-    let out = args
-        .get("out")
-        .map(String::from)
-        .unwrap_or_else(|| format!("{}.trace.csv", bench.name()));
-    let trace = RecordedTrace::record(bench.build(InputSet::Ref, cfg.scale, cfg.seed), n);
-    trace
-        .write_csv(&out)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "recorded {} accesses over {} distinct pages -> {out}",
-        trace.len(),
-        trace.footprint_pages()
-    );
-    Ok(())
-}
-
-/// The event-stream side of `trace`: simulate the benchmark under the
-/// selected scheme with streaming sinks attached (`--jsonl` and/or
-/// `--hist`).
-fn cmd_trace_events(args: &Args, cfg: &SimConfig, bench: Benchmark) -> Result<(), String> {
-    let scheme = args.scheme()?;
-    if scheme.is_user_level() {
-        return Err("event tracing needs a kernel scheme; the user-level runtime has none".into());
-    }
-    let mut run = SimRun::new(cfg).scheme(scheme).bench(bench);
-    let jsonl_path = args.get("jsonl").map(String::from);
-    if let Some(path) = &jsonl_path {
-        let sink =
-            JsonlWriterSink::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        run = run.sink(Box::new(sink));
-    }
-    let hist = if args.flag("hist") {
-        let (sink, h) = HistogramSink::new();
-        run = run.sink(Box::new(sink));
-        Some(h)
-    } else {
-        None
-    };
-    let report = run.run_one().map_err(|e| e.to_string())?;
-    println!("{report}");
-    if let Some(path) = jsonl_path {
-        println!("streamed paging events -> {path}");
-    }
-    if let Some(h) = hist {
-        let h = h.borrow();
-        for (name, hist) in [
-            ("fault service cycles", &h.fault_service),
-            ("preload lead cycles", &h.preload_lead),
-            ("predicted stream length", &h.stream_len),
-            ("eviction scan length", &h.evict_scan),
-        ] {
-            println!("\n{name}: {}", hist.summary());
-            for (lo, count) in hist.nonzero_buckets() {
-                println!("  >= {lo:>12}: {count}");
-            }
-        }
-    }
-    Ok(())
-}
-
-fn cmd_replay(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    let scheme = args.scheme()?;
-    let path = args.get("trace").ok_or("missing --trace")?;
-    let trace = RecordedTrace::read_csv(path).map_err(|e| e.to_string())?;
-    if trace.is_empty() {
-        return Err("trace is empty".into());
-    }
-    let elrange = trace.elrange_pages();
-    let run = |s: Scheme| {
-        let app = AppSpec::new(path.to_string(), elrange, trace.clone().into_stream())
-            .build()
-            .map_err(|e| e.to_string())?;
-        SimRun::new(&cfg)
-            .scheme(s)
-            .app(app)
-            .run_one()
-            .map_err(|e| e.to_string())
-    };
-    let r = run(scheme)?;
-    println!("{r}");
-    if scheme != Scheme::Baseline {
-        let base = run(Scheme::Baseline)?;
-        println!(
-            "\nimprovement over baseline: {:+.2}%",
-            r.improvement_over(&base) * 100.0
-        );
-    }
-    Ok(())
-}
-
 /// Writes a trace in the format the path's extension selects: `.csv`
 /// writes the text format, anything else the compact binary `.sgxt`.
 fn write_trace(trace: &RecordedTrace, path: &str) -> Result<(), String> {
@@ -772,7 +686,7 @@ fn cmd_trace_convert(args: &Args) -> Result<(), String> {
 
 /// `trace replay`: run a trace file through the simulator as a
 /// first-class workload, optionally diffing against the generator run
-/// it was recorded from and reporting replay throughput.
+/// it was recorded from.
 fn cmd_trace_replay(args: &Args) -> Result<(), String> {
     let cfg = args.config()?;
     let scheme = args.scheme()?;
@@ -781,9 +695,6 @@ fn cmd_trace_replay(args: &Args) -> Result<(), String> {
     if trace.is_empty() {
         return Err(format!("trace {path} is empty"));
     }
-    let file_bytes = std::fs::metadata(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))?
-        .len();
     let replay = match args.get("source-bench") {
         Some(name) => {
             let bench = Benchmark::from_name(name)
@@ -792,20 +703,17 @@ fn cmd_trace_replay(args: &Args) -> Result<(), String> {
         }
         None => TraceReplay::new(path.to_string(), trace),
     };
-    let accesses = replay.len();
-    let t0 = std::time::Instant::now();
+    let source = replay.source();
     let report = SimRun::new(&cfg)
         .scheme(scheme)
-        .replay(replay.clone())
+        .replay(replay)
         .run_one()
         .map_err(|e| e.to_string())?;
-    let wall = t0.elapsed();
     println!("{report}");
 
     if args.flag("diff") {
-        let bench = replay
-            .source()
-            .ok_or("--diff needs --source-bench so the generator run can be reproduced")?;
+        let bench =
+            source.ok_or("--diff needs --source-bench so the generator run can be reproduced")?;
         let direct = SimRun::new(&cfg)
             .scheme(scheme)
             .bench(bench)
@@ -826,23 +734,6 @@ fn cmd_trace_replay(args: &Args) -> Result<(), String> {
             bench.name(),
             scheme.name()
         );
-    }
-
-    if let Some(out) = args.get("bench-out") {
-        let secs = wall.as_secs_f64().max(1e-9);
-        let json = format!(
-            "{{\"trace\":\"{}\",\"scheme\":\"{}\",\"accesses\":{},\"trace_bytes\":{},\
-             \"wall_nanos\":{},\"replayed_pages_per_sec\":{:.1},\"bytes_per_access\":{:.3}}}\n",
-            path,
-            scheme.name(),
-            accesses,
-            file_bytes,
-            wall.as_nanos() as u64,
-            accesses as f64 / secs,
-            file_bytes as f64 / accesses.max(1) as f64,
-        );
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("wrote {out}");
     }
     Ok(())
 }
@@ -1156,7 +1047,6 @@ const LEAKAGE_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Dfp, Scheme::Sip
 /// past the untrusted-OS observer, print the distinguishability table,
 /// and gate on "no scheme leaks more than baseline + tolerance".
 fn cmd_leakage(args: &Args) -> Result<(), String> {
-    let t0 = std::time::Instant::now();
     let cfg = args.config()?;
     let pairs: Vec<SecretPair> = match args.get("pairs") {
         None => SecretPair::ALL.to_vec(),
@@ -1206,14 +1096,12 @@ fn cmd_leakage(args: &Args) -> Result<(), String> {
         "{:<28} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "pair/scheme", "faults", "H_fault", "H_win", "H_trans", "f_edit", "c_edit", "D"
     );
-    let mut obs_events = 0u64;
     for c in &report.cells {
         let l = c
             .leakage
             .as_ref()
             .expect("every leakage-grid cell carries a report");
         let a = &l.variants[0];
-        obs_events += l.variants.iter().map(|v| v.observed_events).sum::<u64>();
         println!(
             "{:<28} {:>8} {:>8.3} {:>8.3} {:>8.3} {:>8.4} {:>8.4} {:>8.4}",
             c.label,
@@ -1263,37 +1151,6 @@ fn cmd_leakage(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("json-out") {
         std::fs::write(path, report.to_canonical_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = args.get("bench-out") {
-        let wall = t0.elapsed();
-        let secs = wall.as_secs_f64().max(1e-9);
-        let mut json = format!(
-            "{{\"pairs\":{},\"schemes\":{},\"cells\":{},\"window\":{window},\
-             \"tolerance\":{tolerance},\"obs_events\":{obs_events},\
-             \"wall_nanos\":{},\"obs_events_per_sec\":{:.1},\"rows\":[",
-            pairs.len(),
-            schemes.len(),
-            report.cells.len(),
-            wall.as_nanos() as u64,
-            obs_events as f64 / secs,
-        );
-        for (i, c) in report.cells.iter().enumerate() {
-            let l = c.leakage.as_ref().expect("leakage cell carries a report");
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"label\":{:?},\"fault_entropy\":{},\"fault_edit\":{},\
-                 \"distinguishability\":{}}}",
-                c.label,
-                l.variants[0].fault_entropy,
-                l.fault_edit_distance,
-                l.distinguishability(),
-            ));
-        }
-        json.push_str("]}\n");
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
 
@@ -1478,92 +1335,6 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Pre-rewrite events/sec on the timeline microbenchmark cell (DFP,
-/// scale 48, Chrome-trace sink attached, best of three), measured on the
-/// commit before the hot-path engine rewrite. The throughput stage
-/// reports its speedup against this anchor.
-const PRE_REWRITE_EVENTS_PER_SEC: f64 = 48_243.0;
-
-fn cmd_throughput(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    let bench = args.bench()?;
-    let scheme = args.scheme()?;
-    if scheme.is_user_level() {
-        return Err(
-            "throughput measures the kernel pipeline; the user-level runtime has none".into(),
-        );
-    }
-    let iters = args.parsed::<u32>("iters")?.unwrap_or(5).max(1);
-    let baseline = args
-        .parsed::<f64>("baseline-events-per-sec")?
-        .unwrap_or(PRE_REWRITE_EVENTS_PER_SEC);
-
-    // The timeline pipeline end to end: simulate the cell with the
-    // Chrome-trace sink subscribed (buffer + render, output discarded)
-    // while a counting sink tallies the stream.
-    let mut events = 0u64;
-    let mut pages = 0u64;
-    let mut accesses = 0u64;
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        let (counter, counts) = CountingSink::new();
-        let report = SimRun::new(&cfg)
-            .scheme(scheme)
-            .bench(bench)
-            .sink(Box::new(ChromeTraceSink::new(std::io::sink())))
-            .sink(Box::new(counter))
-            .run_one()
-            .map_err(|e| e.to_string())?;
-        let c = counts.get();
-        events += c.total();
-        // Pages actually moved over the load channel: demand loads,
-        // completed background loads (DFP + SIP prefetch), and blocking
-        // SIP loads.
-        pages += c.demand_loads + c.preload_dones + c.sip_loads;
-        accesses += report.accesses;
-    }
-    let wall = t0.elapsed();
-    let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    let events_per_sec = events as f64 / secs;
-    let pages_per_sec = pages as f64 / secs;
-    let speedup = events_per_sec / baseline;
-
-    println!(
-        "{}/{} x{}: {} events, {} pages, {} accesses in {:.3}s",
-        bench.name(),
-        scheme.name(),
-        iters,
-        events,
-        pages,
-        accesses,
-        secs
-    );
-    println!(
-        "{events_per_sec:.0} events/sec, {pages_per_sec:.0} simulated-pages/sec \
-         ({speedup:.1}x the pre-rewrite baseline of {baseline:.0})"
-    );
-
-    let json = format!(
-        "{{\"bench\":\"{}\",\"scheme\":\"{}\",\"iters\":{},\"events\":{},\"pages\":{},\
-         \"accesses\":{},\"wall_nanos\":{},\"events_per_sec\":{:.1},\
-         \"simulated_pages_per_sec\":{:.1},\"baseline_events_per_sec\":{:.1},\
-         \"speedup_vs_baseline\":{:.2}}}",
-        bench.name(),
-        scheme.name(),
-        iters,
-        events,
-        pages,
-        accesses,
-        wall.as_nanos() as u64,
-        events_per_sec,
-        pages_per_sec,
-        baseline,
-        speedup,
-    );
-    write_json_out(args, &json)?;
-    Ok(())
-}
-
 fn cmd_fleet(args: &Args) -> Result<(), String> {
     let cfg = args.config()?;
     let hosts = args.parsed::<usize>("hosts")?.unwrap_or(8);
@@ -1604,10 +1375,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         builder = builder.series_dir(dir);
     }
     let spec = builder.build().map_err(|e| e.to_string())?;
-    let jobs = args.jobs()?;
-    let t0 = std::time::Instant::now();
-    let report = spec.run(jobs).map_err(|e| e.to_string())?;
-    let wall = t0.elapsed();
+    let report = spec.run(args.jobs()?).map_err(|e| e.to_string())?;
     print!("{report}");
 
     if let Some(path) = args.get("json-out") {
@@ -1615,84 +1383,57 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    if let Some(path) = args.get("bench-out") {
-        let secs = wall.as_secs_f64().max(1e-9);
-        let json = format!(
-            "{{\"hosts\":{},\"enclaves_per_host\":{},\"jobs\":{},\"wall_nanos\":{},\
-             \"hosts_per_sec\":{:.2},\"requests_per_sec\":{:.1},\"requests\":{},\
-             \"shed\":{},\"slo_violations\":{},\"p99_latency_cycles\":{},\
-             \"accounting_residual\":{}}}\n",
-            report.hosts,
-            report.enclaves_per_host,
-            jobs,
-            wall.as_nanos() as u64,
-            report.hosts as f64 / secs,
-            report.requests as f64 / secs,
-            report.requests,
-            report.shed,
-            report.slo_violations,
-            report.latency.p99,
-            report.accounting_residual,
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
     Ok(())
+}
+
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Resolves a command name — for `trace`, the name plus its subcommand
+/// (`trace record`) — to its handler.
+fn handler(command: &str) -> Result<Handler, String> {
+    let handler: Handler = match command {
+        "list" => |_| {
+            cmd_list();
+            Ok(())
+        },
+        "run" => cmd_run,
+        "suite" => cmd_suite,
+        "campaign" => cmd_campaign,
+        "profile" => cmd_profile,
+        "trace record" => cmd_trace_record,
+        "trace convert" => cmd_trace_convert,
+        "trace replay" => cmd_trace_replay,
+        "timeline" => cmd_timeline,
+        "chaos" => cmd_chaos,
+        "contend" => cmd_contend,
+        "fleet" => cmd_fleet,
+        "leakage" => cmd_leakage,
+        "help" | "--help" | "-h" => |_| {
+            print!("{USAGE}");
+            Ok(())
+        },
+        trace if trace == "trace" || trace.starts_with("trace ") => {
+            return Err("trace needs a subcommand: record | convert | replay".into())
+        }
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    Ok(handler)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().map(String::as_str) else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    // `trace` grew subcommands (record/convert/replay); a bare `trace
-    // --bench ...` still records CSV as it always did.
-    let subcommand = (command == "trace")
-        .then(|| argv.get(1).map(String::as_str))
-        .flatten()
-        .filter(|s| ["record", "convert", "replay"].contains(s));
-    let flag_argv = if subcommand.is_some() {
-        &argv[2..]
-    } else {
-        &argv[1..]
-    };
-    let args = match Args::parse(flag_argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
+    let (command, flags) = match argv.as_slice() {
+        [] => {
             eprint!("{USAGE}");
             return ExitCode::FAILURE;
         }
+        [trace, sub, flags @ ..] if trace == "trace" => (format!("trace {sub}"), flags),
+        [command, flags @ ..] => (command.clone(), flags),
     };
-    let result = match (command, subcommand) {
-        ("trace", Some("record")) => cmd_trace_record(&args),
-        ("trace", Some("convert")) => cmd_trace_convert(&args),
-        ("trace", Some("replay")) => cmd_trace_replay(&args),
-        (command, _) => match command {
-            "list" => {
-                cmd_list();
-                Ok(())
-            }
-            "run" => cmd_run(&args),
-            "suite" => cmd_suite(&args),
-            "campaign" => cmd_campaign(&args),
-            "profile" => cmd_profile(&args),
-            "trace" => cmd_trace(&args),
-            "replay" => cmd_replay(&args),
-            "timeline" => cmd_timeline(&args),
-            "throughput" => cmd_throughput(&args),
-            "chaos" => cmd_chaos(&args),
-            "contend" => cmd_contend(&args),
-            "fleet" => cmd_fleet(&args),
-            "leakage" => cmd_leakage(&args),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command {other:?}")),
-        },
-    };
+    let result = handler(&command).and_then(|run| {
+        let args = Args::parse(flags).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+        run(&args)
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

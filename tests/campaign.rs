@@ -54,8 +54,12 @@ fn diverse_campaign() -> Campaign {
 /// file. The EPC is provisioned growth-friendly — the phase-shift
 /// footprint *nearly* fits — so deferred reclamation has room to pay off.
 fn predictor_zoo_campaign() -> Campaign {
-    let base = SimConfig::at_scale(Scale::new(32));
-    Campaign::predictor_grid(
+    let base = SimConfig::at_scale(Scale::new(32)).with_epc_pages(2900);
+    let predictors: Vec<(&str, SimConfig)> = PredictorKind::ALL
+        .iter()
+        .map(|&kind| (kind.name(), base.with_predictor(kind)))
+        .collect();
+    Campaign::sweep(
         "golden_predictor_zoo",
         2020,
         &Benchmark::DIVERSE,
@@ -65,8 +69,8 @@ fn predictor_zoo_campaign() -> Campaign {
             Scheme::Edmm,
             Scheme::EdmmDfpStop,
         ],
-        base.with_epc_pages(2900),
-        &PredictorKind::ALL,
+        "pred",
+        &predictors,
     )
 }
 

@@ -226,16 +226,17 @@ fn valve_latch_admits_no_preload_after_stopping() {
 /// `SGX_GOLDEN_UPDATE=1 cargo test --test chaos`.
 #[test]
 fn chaos_campaign_matches_golden_report() {
-    let campaign = Campaign::chaos_grid(
+    let cfg = SimConfig::at_scale(Scale::new(64));
+    let campaign = Campaign::sweep(
         "chaos_small",
         2021,
         &[Benchmark::Microbenchmark, Benchmark::Deepsjeng],
         &[Scheme::Dfp, Scheme::DfpStop],
-        SimConfig::at_scale(Scale::new(64)),
+        "chaos",
         &[
-            ("none", ChaosSchedule::none()),
-            ("light", ChaosSchedule::light(9)),
-            ("heavy", ChaosSchedule::heavy(9)),
+            ("none", cfg.with_chaos(ChaosSchedule::none())),
+            ("light", cfg.with_chaos(ChaosSchedule::light(9))),
+            ("heavy", cfg.with_chaos(ChaosSchedule::heavy(9))),
         ],
     );
     let serial = campaign

@@ -25,6 +25,21 @@ fn run_err(args: &[&str]) -> String {
     String::from_utf8(out.stderr).expect("utf8 stderr")
 }
 
+/// The number that follows `"key":` in a flat JSON document.
+fn json_number(json: &str, key: &str) -> f64 {
+    let pat = format!("\"{key}\":");
+    let at = json
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {pat} in:\n{json}"))
+        + pat.len();
+    let end = json[at..]
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .map_or(json.len(), |n| at + n);
+    json[at..end]
+        .parse()
+        .unwrap_or_else(|e| panic!("{pat} is not a number ({e})"))
+}
+
 #[test]
 fn list_names_all_benchmarks_and_schemes() {
     let out = run_ok(&["list"]);
@@ -37,9 +52,37 @@ fn list_names_all_benchmarks_and_schemes() {
 
 #[test]
 fn run_reports_improvement() {
-    let out = run_ok(&["run", "--bench", "lbm", "--scheme", "dfp", "--scale", "dev"]);
+    let dir = std::env::temp_dir().join("sgx_preload_cli_run_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let jsonl = dir.join("lbm.jsonl");
+    let out = run_ok(&[
+        "run",
+        "--bench",
+        "lbm",
+        "--scheme",
+        "dfp",
+        "--scale",
+        "dev",
+        "--jsonl",
+        jsonl.to_str().unwrap(),
+        "--hist",
+    ]);
     assert!(out.contains("lbm [DFP]"));
     assert!(out.contains("improvement over baseline: +"));
+    assert!(out.contains("streamed paging events"), "{out}");
+    for hist in [
+        "fault service cycles:",
+        "preload lead cycles:",
+        "predicted stream length:",
+        "eviction scan length:",
+    ] {
+        assert!(out.contains(hist), "missing {hist} in:\n{out}");
+    }
+    let events = std::fs::read_to_string(&jsonl).expect("JSONL written");
+    assert!(events.lines().count() > 1000 && events.lines().all(|l| l.starts_with('{')));
+    let err = run_err(&["run", "--bench", "lbm", "--scheme", "user-level", "--hist"]);
+    assert!(err.contains("needs a kernel scheme"), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -84,6 +127,7 @@ fn trace_then_replay_roundtrip() {
     let path = dir.join("lbm.csv");
     let out = run_ok(&[
         "trace",
+        "record",
         "--bench",
         "lbm",
         "--scale",
@@ -95,6 +139,7 @@ fn trace_then_replay_roundtrip() {
     ]);
     assert!(out.contains("recorded 800 accesses"));
     let out = run_ok(&[
+        "trace",
         "replay",
         "--trace",
         path.to_str().unwrap(),
@@ -103,7 +148,11 @@ fn trace_then_replay_roundtrip() {
         "--scale",
         "dev",
     ]);
-    assert!(out.contains("improvement over baseline"));
+    assert!(out.contains("[DFP]"), "{out}");
+    // `trace` without a subcommand names the three it has.
+    let err = run_err(&["trace", "--bench", "lbm", "--out", path.to_str().unwrap()]);
+    assert!(err.contains("record | convert | replay"), "{err}");
+    assert!(run_err(&["trace"]).contains("record | convert | replay"));
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -114,7 +163,6 @@ fn trace_record_convert_replay_roundtrip() {
     let sgxt = dir.join("kv.sgxt");
     let csv = dir.join("kv.csv");
     let sgxt2 = dir.join("kv2.sgxt");
-    let bench_json = dir.join("replay_bench.json");
 
     // Record the full kvstore stream in the binary format.
     let out = run_ok(&[
@@ -127,7 +175,11 @@ fn trace_record_convert_replay_roundtrip() {
         "--out",
         sgxt.to_str().unwrap(),
     ]);
-    assert!(out.contains("recorded"), "{out}");
+    let accesses: u64 = out
+        .split_whitespace()
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no access count in {out:?}"));
 
     // Convert .sgxt -> CSV -> .sgxt; the binary files must be identical.
     run_ok(&[
@@ -158,6 +210,10 @@ fn trace_record_convert_replay_roundtrip() {
         bin_len * 2 < csv_len,
         ".sgxt ({bin_len} B) should be well under half the CSV ({csv_len} B)"
     );
+    assert!(
+        bin_len < 8 * accesses,
+        ".sgxt should stay under 8 B/access: {bin_len} B for {accesses} accesses"
+    );
 
     // Replay with the source declared and --diff: the replayed report
     // must match the generator run exactly.
@@ -173,17 +229,11 @@ fn trace_record_convert_replay_roundtrip() {
         "--source-bench",
         "kvstore",
         "--diff",
-        "--bench-out",
-        bench_json.to_str().unwrap(),
     ]);
     assert!(
         out.contains("replay matches the kvstore/DFP generator run exactly"),
         "{out}"
     );
-    let json = std::fs::read_to_string(&bench_json).unwrap();
-    for key in ["\"replayed_pages_per_sec\":", "\"bytes_per_access\":"] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -274,6 +324,10 @@ fn trace_replay_rejects_corrupt_inputs_with_structured_errors() {
 
 #[test]
 fn timeline_streams_kernel_events() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_timeline_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let summary = dir.join("timeline.json");
+    let chrome = dir.join("timeline.chrome.json");
     let out = run_ok(&[
         "timeline",
         "--bench",
@@ -284,10 +338,178 @@ fn timeline_streams_kernel_events() {
         "dev",
         "-n",
         "20",
+        "--json-out",
+        summary.to_str().unwrap(),
+        "--chrome-out",
+        chrome.to_str().unwrap(),
     ]);
     assert!(out.contains("fault"));
     assert!(out.contains("demand-loaded"));
     assert!(out.contains("preload-start"), "DFP should preload:\n{out}");
+
+    // The summary reports a reconciled attribution and clean lineage.
+    let json = std::fs::read_to_string(&summary).expect("timeline summary written");
+    assert!(json.contains("\"reconciles\":true"), "{json}");
+    assert!(json.contains("\"violations\":[]"), "{json}");
+    assert_eq!(json_number(&json, "run_ends"), 1.0);
+    let attribution = json
+        .split("\"attribution\":{")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("attribution object");
+    let buckets: u64 = attribution
+        .split(',')
+        .map(|kv| kv.rsplit(':').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(buckets as f64, json_number(&json, "total_cycles"));
+    let trace = std::fs::read_to_string(&chrome).expect("chrome trace written");
+    assert!(trace.contains("\"traceEvents\":[\n{"), "empty chrome trace");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn fleet_json_matches_the_golden_at_any_worker_count() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_fleet_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_small.json"),
+    )
+    .unwrap();
+    for jobs in ["1", "4"] {
+        let path = dir.join(format!("fleet_j{jobs}.json"));
+        run_ok(&[
+            "fleet",
+            "--hosts",
+            "4",
+            "--enclaves",
+            "3",
+            "--fleet-seed",
+            "2020",
+            "--scale",
+            "64",
+            "--arrival",
+            "bursty:262144x4",
+            "--placement",
+            "least-loaded",
+            "--duration",
+            "8388608",
+            "--idle-timeout",
+            "1048576",
+            "--jobs",
+            jobs,
+            "--json-out",
+            path.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            golden,
+            "fleet --jobs {jobs} drifted from tests/golden/fleet_small.json"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn campaign_runs_the_diverse_families_and_honours_predictor() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_campaign_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("diverse.json");
+    let diverse = "kvstore,phase-shift,graph-frontier,ml-inference";
+    run_ok(&[
+        "campaign",
+        "--scale",
+        "32",
+        "--benches",
+        diverse,
+        "--json-out",
+        json_path.to_str().unwrap(),
+    ]);
+    let json = std::fs::read_to_string(&json_path).unwrap();
+    assert_eq!(
+        json.matches("{\"index\":").count(),
+        20,
+        "4 families x 5 kernel schemes"
+    );
+    for family in diverse.split(',') {
+        assert!(json.contains(&format!("\"label\":\"{family}/")), "{family}");
+    }
+
+    // The cell table (everything after the timed header line) must move
+    // when the predictor does.
+    let cells = |predictor: &str| {
+        let out = run_ok(&[
+            "campaign",
+            "--scale",
+            "32",
+            "--benches",
+            "kvstore,phase-shift",
+            "--schemes",
+            "dfp-stop",
+            "--predictor",
+            predictor,
+        ]);
+        out.lines().skip(1).collect::<Vec<_>>().join("\n")
+    };
+    assert_ne!(cells("multi-stream"), cells("markov"));
+    let err = run_err(&["campaign", "--scale", "32", "--predictor", "bogus"]);
+    assert!(err.contains("bogus"), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn leakage_gate_trips_on_exactly_the_sip_and_dfp_rows() {
+    let panel = [
+        "leakage",
+        "--scale",
+        "64",
+        "--campaign-seed",
+        "2020",
+        "--window",
+        "64",
+    ];
+    let err = run_err(&panel);
+    let tripped: Vec<&str> = err
+        .trim()
+        .strip_prefix("error: leakage gate failed: ")
+        .unwrap_or_else(|| panic!("not a gate failure: {err}"))
+        .split("; ")
+        .map(|v| v.split(':').next().unwrap())
+        .collect();
+    assert_eq!(tripped, ["branch-halves/SIP", "dfp-echo/DFP"], "{err}");
+    let mut lenient = panel.to_vec();
+    lenient.extend(["--tolerance", "0.2"]);
+    assert!(run_ok(&lenient).contains("leakage gate holds"));
+}
+
+#[test]
+fn contend_reports_per_tenant_slowdown() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_contend_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("contend.json");
+    let out = run_ok(&[
+        "contend",
+        "--scale",
+        "32",
+        "--scheme",
+        "dfp",
+        "--json-out",
+        json_path.to_str().unwrap(),
+    ]);
+    assert!(out.contains("victim slowdown"), "{out}");
+    let json = std::fs::read_to_string(&json_path).expect("contend JSON written");
+    for key in [
+        "\"victim_solo\":{",
+        "\"victim\":{",
+        "\"aggressor\":{",
+        "\"policy_active\":true",
+    ] {
+        assert!(json.contains(key), "missing {key} in:\n{json}");
+    }
+    let slowdown = json_number(&json, "victim_slowdown");
+    assert!(slowdown >= 1.0, "co-running sped the victim up: {slowdown}");
+    let err = run_err(&["contend", "--scale", "32", "--policy", "bogus"]);
+    assert!(err.contains("unknown --policy"), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -400,6 +622,9 @@ fn helpful_errors() {
     assert!(run_err(&["run", "--bench", "nope"]).contains("unknown benchmark"));
     assert!(run_err(&["run", "--bench", "lbm", "--scheme", "warp"]).contains("unknown scheme"));
     assert!(run_err(&["frobnicate"]).contains("unknown command"));
+    for removed in ["throughput", "replay"] {
+        assert!(run_err(&[removed]).contains("unknown command"), "{removed}");
+    }
     assert!(run_err(&[]).contains("USAGE"));
     assert!(run_err(&["run", "--bench", "lbm", "--threshold", "7"]).contains("must be in [0, 1]"));
 }

@@ -34,16 +34,17 @@ fn small_campaign() -> Campaign {
 
 /// The exact campaign `tests/golden/campaign_chaos_small.json` pins.
 fn small_chaos_campaign() -> Campaign {
-    Campaign::chaos_grid(
+    let cfg = SimConfig::at_scale(Scale::new(64));
+    Campaign::sweep(
         "chaos_small",
         2021,
         &[Benchmark::Microbenchmark, Benchmark::Deepsjeng],
         &[Scheme::Dfp, Scheme::DfpStop],
-        SimConfig::at_scale(Scale::new(64)),
+        "chaos",
         &[
-            ("none", ChaosSchedule::none()),
-            ("light", ChaosSchedule::light(9)),
-            ("heavy", ChaosSchedule::heavy(9)),
+            ("none", cfg.with_chaos(ChaosSchedule::none())),
+            ("light", cfg.with_chaos(ChaosSchedule::light(9))),
+            ("heavy", cfg.with_chaos(ChaosSchedule::heavy(9))),
         ],
     )
 }
@@ -113,23 +114,23 @@ fn full_grid_is_byte_identical_serial_vs_parallel() {
         Scheme::Sip,
         Scheme::Hybrid,
     ];
-    let chaos = [
-        ("none", ChaosSchedule::none()),
-        ("light", ChaosSchedule::light(7)),
-        ("heavy", ChaosSchedule::heavy(7)),
-    ];
     let tenants = [
         ("none", TenantPolicy::none()),
         ("fair2", TenantPolicy::fair(2, cfg.epc_pages)),
     ];
     for (tlabel, policy) in tenants {
-        let campaign = Campaign::chaos_grid(
+        let cfg = cfg.with_tenant_policy(policy);
+        let campaign = Campaign::sweep(
             "equivalence_full",
             2026,
             &Benchmark::ALL,
             &schemes,
-            cfg.with_tenant_policy(policy),
-            &chaos,
+            "chaos",
+            &[
+                ("none", cfg.with_chaos(ChaosSchedule::none())),
+                ("light", cfg.with_chaos(ChaosSchedule::light(7))),
+                ("heavy", cfg.with_chaos(ChaosSchedule::heavy(7))),
+            ],
         );
         let serial = campaign
             .run_with_jobs(1)
