@@ -55,8 +55,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use sgx_kernel::{
-    ChromeTraceSink, CountingSink, EventCounts, JsonlWriterSink, SeriesFormat, TimeSeriesSink,
-    TraceSink,
+    ChromeTraceSink, EventCounts, JsonlWriterSink, SeriesFormat, TimeSeriesSink, TraceSink,
 };
 use sgx_observer::{LeakageReport, ObserverSink, OramModel};
 use sgx_sim::json;
@@ -650,14 +649,12 @@ fn run_cell(
         return run_leakage_cell(cell, *spec, &cfg, index, seed, trace_dir, timeline_dir);
     }
     let t0 = Instant::now();
-    let (counting, counts) = CountingSink::new();
     let mut run = SimRun::new(&cfg).scheme(cell.scheme);
     run = match &cell.work {
         CellWork::Bench(bench) => run.bench(*bench),
         CellWork::Replay(replay) => run.replay(replay.clone()),
         CellWork::Leakage(_) => unreachable!("dispatched above"),
     };
-    run = run.sink(Box::new(counting));
     if let Some(dir) = trace_dir {
         if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
             run = run.sink(Box::new(sink) as Box<dyn TraceSink>);
@@ -668,20 +665,18 @@ fn run_cell(
             run = run.sink(sink);
         }
     }
-    // A user-level cell bypasses the kernel, so its sinks see no events
-    // and the tallies stay zero — same behavior the event log had.
+    // A user-level cell bypasses the kernel: its report carries no events.
     let report = run.run_one().map_err(|e| CampaignError {
         index,
         label: cell.label.clone(),
         source: e,
     })?;
-    let events = counts.get();
     Ok(CellReport {
         index,
         label: cell.label.clone(),
         seed,
+        events: report.events,
         report,
-        events,
         leakage: None,
         wall_nanos: t0.elapsed().as_nanos() as u64,
     })
@@ -717,7 +712,7 @@ fn run_leakage_cell(
     } else {
         spec.pair.elrange_pages(cfg.scale)
     };
-    let mut first: Option<(RunReport, EventCounts)> = None;
+    let mut first: Option<RunReport> = None;
     let mut observations = Vec::with_capacity(2);
     for secret in SecretBit::BOTH {
         // The ORAM row feeds the *same* padded stream to both labels:
@@ -740,7 +735,6 @@ fn run_leakage_cell(
         };
         let (observer, obs) = ObserverSink::new();
         let observer = observer.with_enclave(cell.work.name(), PageRange::new(0, elrange.max(1)));
-        let (counting, counts) = CountingSink::new();
         let app = AppSpec::new(cell.work.name(), elrange, stream)
             .plan(plan)
             .build()
@@ -748,8 +742,7 @@ fn run_leakage_cell(
         let mut run = SimRun::new(cfg)
             .scheme(cell.scheme)
             .app(app)
-            .sink(Box::new(observer))
-            .sink(Box::new(counting));
+            .sink(Box::new(observer));
         if secret == SecretBit::A {
             if let Some(dir) = trace_dir {
                 if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
@@ -763,9 +756,7 @@ fn run_leakage_cell(
             }
         }
         let report = run.run_one().map_err(fail)?;
-        if first.is_none() {
-            first = Some((report, counts.get()));
-        }
+        first.get_or_insert(report);
         observations.push(obs.borrow().clone());
     }
     let leakage = LeakageReport::from_observations(
@@ -775,13 +766,13 @@ fn run_leakage_cell(
         &observations[0],
         &observations[1],
     );
-    let (report, events) = first.expect("variant A ran");
+    let report = first.expect("variant A ran");
     Ok(CellReport {
         index,
         label: cell.label.clone(),
         seed,
+        events: report.events,
         report,
-        events,
         leakage: Some(leakage),
         wall_nanos: t0.elapsed().as_nanos() as u64,
     })
@@ -799,8 +790,8 @@ pub struct CellReport {
     /// The simulator's measurements. For a leakage cell, variant A's run
     /// (both variants are structurally identical; A is the reference).
     pub report: RunReport,
-    /// Per-kind paging-event tallies drained from the kernel event log.
-    /// For a leakage cell, variant A's tallies.
+    /// Per-kind paging-event tallies: the report's kernel-derived
+    /// [`RunReport::events`] (for a leakage cell, variant A's).
     pub events: EventCounts,
     /// What the untrusted-OS observer learned — present on leakage cells
     /// only, `null` in the JSON otherwise.

@@ -60,7 +60,7 @@ pub use sgx_epc::{EpcSizing, TenantQuota};
 pub use sgx_kernel::{
     render_chrome_trace, ChaosPreset, ChaosSchedule, ChaosStats, ChromeTraceSink, CycleAttribution,
     EventCounts, FaultInjector, GaugeSample, ParseChaosPresetError, SeriesFormat, SpanId,
-    TenantPolicy, TenantShare, TenantStats, TimeSeriesSink, MAX_TENANTS,
+    TenantPolicy, TenantShare, TimeSeriesSink, MAX_TENANTS,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,

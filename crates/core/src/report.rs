@@ -2,13 +2,15 @@
 
 use std::fmt;
 
-use sgx_kernel::CycleAttribution;
+use sgx_kernel::{CycleAttribution, EventCounts};
 use sgx_sim::{json, Cycles};
 
 use crate::Scheme;
 
 /// The outcome of one simulated run (one application under one scheme).
-#[derive(Debug, Clone, PartialEq)]
+/// In a co-run, each kernel counter is this application's enclave's own
+/// (threads share their enclave's) unless marked kernel-wide.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Human label (benchmark name or custom).
     pub label: String,
@@ -34,11 +36,12 @@ pub struct RunReport {
     pub sip_notifies: u64,
     /// Instrumentation points active during the run (paper Table 2).
     pub instrumentation_points: usize,
-    /// Preloads started on the channel (whole-kernel).
+    /// Preloads started on the channel.
     pub preloads_started: u64,
-    /// Preloaded pages later touched (`AccPreloadCounter`).
+    /// Preloaded pages later touched (`AccPreloadCounter`; kernel-wide).
     pub preloads_touched: u64,
-    /// Preloaded pages evicted untouched — confirmed wasted work.
+    /// Preloaded pages evicted untouched — confirmed wasted work
+    /// (kernel-wide).
     pub preloads_wasted: u64,
     /// Queued preloads cancelled by the abort path.
     pub preloads_aborted: u64,
@@ -48,7 +51,8 @@ pub struct RunReport {
     pub foreground_evictions: u64,
     /// When the DFP-stop valve fired, if it did.
     pub dfp_stopped_at: Option<Cycles>,
-    /// Load-channel utilization over the run.
+    /// Load-channel utilization over the run (kernel-wide: every enclave
+    /// shares the channel).
     pub channel_utilization: f64,
     /// Mean end-to-end fault service time.
     pub fault_service_mean: Cycles,
@@ -80,10 +84,12 @@ pub struct RunReport {
     /// 99th-percentile EPC residency (pages) at this application's faults.
     pub residency_p99: u64,
     /// Per-subsystem cycle attribution: the run's `total_cycles` split into
-    /// named buckets (`sum(buckets) == total_cycles`). In multi-app runs
-    /// the whole-kernel overhead is clipped against this application's own
-    /// total.
+    /// named buckets (`sum(buckets) == total_cycles`).
     pub attribution: CycleAttribution,
+    /// Per-kind paging-event tallies: on a single-enclave run, exactly
+    /// what a `CountingSink` counts. Not written by
+    /// [`RunReport::write_json`] (campaign cells serialize them).
+    pub events: EventCounts,
 }
 
 impl RunReport {
@@ -234,24 +240,15 @@ mod tests {
     fn report(cycles: u64) -> RunReport {
         RunReport {
             label: "t".into(),
-            scheme: Scheme::Baseline,
             total_cycles: Cycles::new(cycles),
             accesses: 100,
             executions: 100,
             epc_hits: 50,
             faults: 50,
-            faults_waited_inflight: 0,
-            faults_found_resident: 0,
-            sip_checks: 0,
-            sip_notifies: 0,
-            instrumentation_points: 0,
             preloads_started: 10,
             preloads_touched: 8,
             preloads_wasted: 2,
             preloads_aborted: 1,
-            background_evictions: 0,
-            foreground_evictions: 0,
-            dfp_stopped_at: None,
             channel_utilization: 0.5,
             fault_service_mean: Cycles::new(64_000),
             fault_service_p50: Cycles::new(32_768),
@@ -271,6 +268,7 @@ mod tests {
                 aex_eresume: 100,
                 ..CycleAttribution::default()
             },
+            ..RunReport::default()
         }
     }
 

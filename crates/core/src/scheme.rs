@@ -5,9 +5,10 @@ use std::str::FromStr;
 
 /// Which preloading machinery a run enables — the paper's experimental
 /// arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scheme {
     /// No preloading: the vanilla SGX driver (every figure's baseline).
+    #[default]
     Baseline,
     /// Dynamic fault-history-based preloading without the safety valve
     /// (plain "DFP" in Fig. 8).

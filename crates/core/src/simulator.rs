@@ -349,66 +349,56 @@ pub(crate) fn run_kernel_apps(
     // sample. Deliberately does not advance the channel — trailing
     // in-flight work stays unaccounted, exactly as before spans existed.
     kernel.finish(end);
-    let ks = kernel.stats().clone();
     let epc = kernel.epc();
     let (touched, wasted) = (epc.preloads_touched(), epc.preloads_evicted_untouched());
     let util = kernel.channel_utilization(end);
-    let fs = ks.fault_service.summary();
-    let pl = ks.preload_lead.summary();
-    // Per-app fairness telemetry: threads share their enclave's tenant.
-    let tenancy: Vec<(Cycles, u64, u64, u64)> = (0..states.len())
-        .map(|i| match kernel.tenant_index(ProcessId(i as u32)) {
-            Some(t) => {
-                let ts = kernel.tenant_stats(t);
-                let rs = ts.residency.summary();
-                (
-                    ts.channel_wait,
-                    ts.preloads_shed,
-                    rs.p50.raw(),
-                    rs.p99.raw(),
-                )
-            }
-            None => (Cycles::ZERO, 0, 0, 0),
-        })
-        .collect();
-
     Ok(states
         .into_iter()
-        .zip(tenancy)
-        .map(|(s, (wait, shed, res_p50, res_p99))| RunReport {
-            label: s.label,
-            scheme,
-            total_cycles: s.now,
-            accesses: s.accesses,
-            executions: s.executions,
-            epc_hits: s.epc_hits,
-            faults: s.faults,
-            faults_waited_inflight: s.faults_waited,
-            faults_found_resident: s.faults_raced,
-            sip_checks: s.sip_checks,
-            sip_notifies: s.sip_notifies,
-            instrumentation_points: s.plan.len(),
-            preloads_started: ks.preloads_started,
-            preloads_touched: touched,
-            preloads_wasted: wasted,
-            preloads_aborted: ks.preloads_aborted,
-            background_evictions: ks.background_evictions,
-            foreground_evictions: ks.foreground_evictions,
-            dfp_stopped_at: ks.dfp_stopped_at,
-            channel_utilization: util,
-            fault_service_mean: fs.mean,
-            fault_service_p50: fs.p50,
-            fault_service_p90: fs.p90,
-            fault_service_p99: fs.p99,
-            preload_lead_mean: pl.mean,
-            preload_lead_p50: pl.p50,
-            preload_lead_p90: pl.p90,
-            preload_lead_p99: pl.p99,
-            channel_wait_cycles: wait,
-            preloads_shed: shed,
-            residency_p50: res_p50,
-            residency_p99: res_p99,
-            attribution: kernel.attribution(s.now),
+        .map(|s| {
+            // Each app reads its own enclave's ledger; threads share it.
+            let t = kernel.tenant_index(s.pid).expect("every app registered");
+            let ks = kernel.tenant_stats(t);
+            let (fs, pl, rs) = (
+                ks.fault_service.summary(),
+                ks.preload_lead.summary(),
+                ks.residency.summary(),
+            );
+            RunReport {
+                label: s.label,
+                scheme,
+                total_cycles: s.now,
+                accesses: s.accesses,
+                executions: s.executions,
+                epc_hits: s.epc_hits,
+                faults: s.faults,
+                faults_waited_inflight: s.faults_waited,
+                faults_found_resident: s.faults_raced,
+                sip_checks: s.sip_checks,
+                sip_notifies: s.sip_notifies,
+                instrumentation_points: s.plan.len(),
+                preloads_started: ks.preloads_started,
+                preloads_touched: touched,
+                preloads_wasted: wasted,
+                preloads_aborted: ks.preloads_aborted,
+                background_evictions: ks.background_evictions,
+                foreground_evictions: ks.foreground_evictions,
+                dfp_stopped_at: ks.dfp_stopped_at,
+                channel_utilization: util,
+                fault_service_mean: fs.mean,
+                fault_service_p50: fs.p50,
+                fault_service_p90: fs.p90,
+                fault_service_p99: fs.p99,
+                preload_lead_mean: pl.mean,
+                preload_lead_p50: pl.p50,
+                preload_lead_p90: pl.p90,
+                preload_lead_p99: pl.p99,
+                channel_wait_cycles: ks.channel_wait_cycles,
+                preloads_shed: ks.preloads_shed,
+                residency_p50: rs.p50.raw(),
+                residency_p99: rs.p99.raw(),
+                attribution: kernel.tenant_attribution(t, s.now),
+                events: kernel.tenant_events(t),
+            }
         })
         .collect())
 }
@@ -457,43 +447,18 @@ pub(crate) fn run_outside_model(
     }
     RunReport {
         label: label.into(),
-        scheme: Scheme::Baseline,
         total_cycles: now,
         accesses,
         executions,
         epc_hits: accesses - faults,
         faults,
-        faults_waited_inflight: 0,
-        faults_found_resident: 0,
-        sip_checks: 0,
-        sip_notifies: 0,
-        instrumentation_points: 0,
-        preloads_started: 0,
-        preloads_touched: 0,
-        preloads_wasted: 0,
-        preloads_aborted: 0,
-        background_evictions: 0,
-        foreground_evictions: 0,
-        dfp_stopped_at: None,
-        channel_utilization: 0.0,
-        fault_service_mean: Cycles::ZERO,
-        fault_service_p50: Cycles::ZERO,
-        fault_service_p90: Cycles::ZERO,
-        fault_service_p99: Cycles::ZERO,
-        preload_lead_mean: Cycles::ZERO,
-        preload_lead_p50: Cycles::ZERO,
-        preload_lead_p90: Cycles::ZERO,
-        preload_lead_p99: Cycles::ZERO,
-        channel_wait_cycles: Cycles::ZERO,
-        preloads_shed: 0,
-        residency_p50: 0,
-        residency_p99: 0,
         // Outside the enclave there is no paging machinery: the regular
         // first-touch faults are part of ordinary execution.
         attribution: CycleAttribution {
             app_compute: now.raw(),
             ..CycleAttribution::default()
         },
+        ..RunReport::default()
     }
 }
 

@@ -105,7 +105,6 @@ pub fn run_userspace_paging(
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut swap_outs = 0u64;
-    let mut check_cycles = Cycles::ZERO;
 
     // Deterministic sTLB model: a hash of (page, executions) lands below
     // the hit-rate threshold.
@@ -119,13 +118,11 @@ pub fn run_userspace_paging(
         for k in 0..a.repeats as u64 {
             let h = (a.page.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (executions + k))
                 .wrapping_mul(0xBF58_476D_1CE4_E5B9) as u32;
-            let check = if h < threshold {
+            now += if h < threshold {
                 cfg.check_hit
             } else {
                 cfg.check_miss
             };
-            now += check;
-            check_cycles += check;
         }
         if cache.touch(a.page).resident {
             hits += 1;
@@ -143,7 +140,6 @@ pub fn run_userspace_paging(
         }
     }
 
-    let _ = check_cycles; // folded into total_cycles; kept for debugging
     RunReport {
         label: label.into(),
         scheme: Scheme::UserLevel,
@@ -152,34 +148,12 @@ pub fn run_userspace_paging(
         executions,
         epc_hits: hits,
         faults: misses, // software "page faults": swaps, not AEX events
-        faults_waited_inflight: 0,
-        faults_found_resident: 0,
         sip_checks: executions,
-        sip_notifies: 0,
-        instrumentation_points: 0,
-        preloads_started: 0,
-        preloads_touched: 0,
-        preloads_wasted: 0,
-        preloads_aborted: 0,
-        background_evictions: 0,
         foreground_evictions: swap_outs,
-        dfp_stopped_at: None,
-        channel_utilization: 0.0,
         fault_service_mean: match (swap_outs * cfg.swap_out.raw()).checked_div(misses) {
             None => Cycles::ZERO,
             Some(amortized_ewb) => cfg.swap_in + Cycles::new(amortized_ewb),
         },
-        fault_service_p50: Cycles::ZERO,
-        fault_service_p90: Cycles::ZERO,
-        fault_service_p99: Cycles::ZERO,
-        preload_lead_mean: Cycles::ZERO,
-        preload_lead_p50: Cycles::ZERO,
-        preload_lead_p90: Cycles::ZERO,
-        preload_lead_p99: Cycles::ZERO,
-        channel_wait_cycles: Cycles::ZERO,
-        preloads_shed: 0,
-        residency_p50: 0,
-        residency_p99: 0,
         // The runtime's swaps are its only paging overhead; the per-access
         // checks are instrumentation compiled into the application.
         attribution: {
@@ -190,6 +164,7 @@ pub fn run_userspace_paging(
                 ..Default::default()
             }
         },
+        ..RunReport::default()
     }
 }
 

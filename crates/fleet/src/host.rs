@@ -250,7 +250,7 @@ pub(crate) fn simulate_host(
 
     let end = states.iter().map(|s| s.now).max().unwrap_or(Cycles::ZERO);
     kernel.finish(end);
-    let ks = kernel.stats().clone();
+    let ks = kernel.stats();
     let epc = kernel.epc();
     out.end_cycles = end.raw();
     out.faults = ks.faults;

@@ -27,8 +27,8 @@ use sgx_sim::{Cycles, FastMap, Histogram};
 
 use crate::span::SpanAlloc;
 use crate::{
-    ChaosSchedule, ChaosStats, CycleAttribution, FaultInjector, GaugeSample, PreloadQueue, SpanId,
-    TenantPolicy, TenantStats, Watermarks,
+    ChaosSchedule, ChaosStats, CycleAttribution, EventCounts, FaultInjector, GaugeSample,
+    PreloadQueue, SpanId, TenantPolicy, Watermarks,
 };
 
 /// Virtual-page gap between consecutive enclaves' ELRANGEs, so that no
@@ -279,7 +279,15 @@ pub struct FaultResolution {
     pub kind: FaultServicing,
 }
 
-/// Aggregate kernel statistics, exposed to reports.
+/// One enclave's paging ledger: event counters, distributions, fairness
+/// signals and overhead-cycle buckets.
+///
+/// The kernel keeps one per enclave ([`Kernel::tenant_stats`]; threads
+/// share their enclave's) and bumps each counter once, billing the
+/// *faulter* (or SIP caller) for its critical path — faults, demand
+/// loads and aborts, stall buckets, foreground EWB cycles — and the
+/// *page's owner* for work on its pages: preloads, evictions, leads and
+/// the background buckets. [`Kernel::stats`] sums every enclave's.
 #[derive(Debug, Clone)]
 pub struct KernelStats {
     /// Enclave page faults observed.
@@ -313,6 +321,18 @@ pub struct KernelStats {
     pub background_evictions: u64,
     /// EWB jobs paid for inside a demand/SIP load (free pool exhausted).
     pub foreground_evictions: u64,
+    /// Background loads (DFP preloads or SIP prefetches) completed.
+    pub preload_dones: u64,
+    /// Preload pages shed by tenant admission control or a hard cap.
+    pub preloads_shed: u64,
+    /// DFP-stop valve latches of this enclave's own valve (the
+    /// kernel-global latch names no enclave; [`Kernel::stats`] adds it).
+    pub valve_stops: u64,
+    /// Cycles demand faults spent waiting for the load channel (another
+    /// requester's in-flight job).
+    pub channel_wait_cycles: Cycles,
+    /// EPC residency (the enclave's pages) sampled at each fault.
+    pub residency: Histogram,
     /// End-to-end fault service times (access to post-ERESUME).
     pub fault_service: Histogram,
     /// Preload-completion-to-first-touch lead times (DFP preloads only:
@@ -322,12 +342,80 @@ pub struct KernelStats {
     pub evict_scan: Histogram,
     /// Lengths of the DFP's non-empty stream predictions.
     pub stream_len: Histogram,
-    /// When the DFP-stop valve fired, if it did.
+    /// When preloading stopped: the earlier of this enclave's own valve
+    /// and the kernel-global latch.
     pub dfp_stopped_at: Option<Cycles>,
+    /// The [`CycleAttribution`] buckets settled so far, one field each
+    /// ([`Kernel::attribution`] adds unsettled channel work and the
+    /// residual). This one: the OS fault path plus demand/SIP ELDU and
+    /// EAUG cycles.
+    pub demand_fault: u64,
+    /// AEX + ERESUME cycles, per fault.
+    pub aex_eresume: u64,
+    /// Cycles blocked requesters waited on the channel: demand and SIP
+    /// loads and in-flight completions (a superset of
+    /// `channel_wait_cycles`).
+    pub channel_wait: u64,
+    /// Channel cycles of background loads whose page was touched.
+    pub preload_work: u64,
+    /// Channel cycles of background loads evicted or torn down untouched.
+    pub wasted_preload: u64,
+    /// Replacement-scan stall cycles.
+    pub clock_scan: u64,
+    /// EWB write-back cycles.
+    pub eviction: u64,
 }
 
 impl KernelStats {
-    fn new() -> Self {
+    /// Adds `o` into `self`: counters and buckets sum, histograms merge,
+    /// and the stop instant is the earlier one.
+    fn merge(&mut self, o: &KernelStats) {
+        self.faults += o.faults;
+        self.faults_found_resident += o.faults_found_resident;
+        self.faults_waited_inflight += o.faults_waited_inflight;
+        self.demand_loads += o.demand_loads;
+        self.sip_loads += o.sip_loads;
+        self.sip_prefetches += o.sip_prefetches;
+        self.sip_prefetches_started += o.sip_prefetches_started;
+        self.sip_raced += o.sip_raced;
+        self.preloads_enqueued += o.preloads_enqueued;
+        self.preloads_started += o.preloads_started;
+        self.preloads_skipped_resident += o.preloads_skipped_resident;
+        self.preloads_aborted += o.preloads_aborted;
+        self.preloads_rejected_range += o.preloads_rejected_range;
+        self.background_evictions += o.background_evictions;
+        self.foreground_evictions += o.foreground_evictions;
+        self.preload_dones += o.preload_dones;
+        self.preloads_shed += o.preloads_shed;
+        self.valve_stops += o.valve_stops;
+        self.channel_wait_cycles += o.channel_wait_cycles;
+        self.residency.merge(&o.residency);
+        self.fault_service.merge(&o.fault_service);
+        self.preload_lead.merge(&o.preload_lead);
+        self.evict_scan.merge(&o.evict_scan);
+        self.stream_len.merge(&o.stream_len);
+        self.dfp_stopped_at = self
+            .dfp_stopped_at
+            .into_iter()
+            .chain(o.dfp_stopped_at)
+            .min();
+        self.demand_fault += o.demand_fault;
+        self.aex_eresume += o.aex_eresume;
+        self.channel_wait += o.channel_wait;
+        self.preload_work += o.preload_work;
+        self.wasted_preload += o.wasted_preload;
+        self.clock_scan += o.clock_scan;
+        self.eviction += o.eviction;
+    }
+
+    /// Records that preloading stopped at `now`, keeping an earlier stop.
+    fn stop_at(&mut self, now: Cycles) {
+        self.dfp_stopped_at = Some(self.dfp_stopped_at.map_or(now, |s| s.min(now)));
+    }
+}
+
+impl Default for KernelStats {
+    fn default() -> Self {
         KernelStats {
             faults: 0,
             faults_found_resident: 0,
@@ -344,18 +432,24 @@ impl KernelStats {
             preloads_rejected_range: 0,
             background_evictions: 0,
             foreground_evictions: 0,
+            preload_dones: 0,
+            preloads_shed: 0,
+            valve_stops: 0,
+            channel_wait_cycles: Cycles::ZERO,
+            residency: Histogram::new("residency"),
             fault_service: Histogram::new("fault_service"),
             preload_lead: Histogram::new("preload_lead"),
             evict_scan: Histogram::new("evict_scan"),
             stream_len: Histogram::new("stream_len"),
             dfp_stopped_at: None,
+            demand_fault: 0,
+            aex_eresume: 0,
+            channel_wait: 0,
+            preload_work: 0,
+            wasted_preload: 0,
+            clock_scan: 0,
+            eviction: 0,
         }
-    }
-}
-
-impl Default for KernelStats {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -383,8 +477,8 @@ enum Job {
     /// A background ELDU; the page becomes resident at completion.
     Load { page: VirtPage, origin: LoadOrigin },
     /// A background EWB; state already changed at start, this only holds
-    /// the channel.
-    Evict,
+    /// the channel. `owner` is the victim's enclave, billed its cycles.
+    Evict { owner: usize },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -408,28 +502,28 @@ impl InFlight {
     fn is_load_of(&self, page: VirtPage) -> bool {
         matches!(self.job, Job::Load { page: p, .. } if p == page)
     }
+
+    /// An eviction's billed cycles as `(clock_scan, eviction)`.
+    fn evict_split(&self) -> (u64, u64) {
+        let scan = self.billed.min(self.scan_extra);
+        (scan, self.billed - scan)
+    }
 }
 
+/// One registered enclave, by registration order (the same index as the
+/// EPC's tenant extents).
 #[derive(Debug)]
 struct EnclaveSlot {
     pid: ProcessId,
     base: u64,
     pages: u64,
     bitmap: PresenceBitmap,
-}
-
-/// Per-enclave scheduler runtime, indexed by registration order (the same
-/// index as the EPC's tenant extents).
-#[derive(Debug)]
-struct TenantRt {
-    /// First global page of this enclave's ELRANGE (event attribution).
-    base: u64,
     /// This enclave's DFP-stop valve, when valves are per-enclave.
     valve: Option<AbortValve>,
     /// Whether this enclave's valve has latched.
     stopped: bool,
-    /// Fairness telemetry, collected policy or not.
-    stats: TenantStats,
+    /// Everything billed to this enclave.
+    stats: KernelStats,
 }
 
 /// A preload batch entry dropped by the chaos injector, waiting out its
@@ -442,19 +536,6 @@ struct RetryEntry {
     /// none), preserved across the backoff so the retried load still
     /// parents the original batch.
     batch: u64,
-}
-
-/// Running overhead-cycle ledger; [`Kernel::attribution`] turns it into a
-/// [`crate::CycleAttribution`] with `app_compute` as the residual.
-#[derive(Debug, Default, Clone, Copy)]
-struct AttrLedger {
-    demand_fault: u64,
-    aex_eresume: u64,
-    channel_wait: u64,
-    preload_work: u64,
-    wasted_preload: u64,
-    clock_scan: u64,
-    eviction: u64,
 }
 
 /// The untrusted operating system: SGX driver, reclaimer, preload worker.
@@ -485,6 +566,7 @@ pub struct Kernel {
     /// Registered enclaves in registration order — the same index space as
     /// the EPC's tenant extents, and recoverable from any global page as
     /// `page >> ENCLAVE_SHIFT` because bases sit at guard-page strides.
+    /// The tenant index *is* the enclave index.
     enclaves: Vec<EnclaveSlot>,
     /// Enclave-owner pid → index into `enclaves`.
     pid_index: FastMap,
@@ -505,9 +587,6 @@ pub struct Kernel {
     /// The abort policy as configured (kept to build per-enclave valves at
     /// registration when the policy scopes valves per enclave).
     abort_cfg: Option<AbortPolicy>,
-    /// Per-enclave runtime (valve, latch, telemetry), by registration
-    /// order. The tenant index *is* the enclave index.
-    tenants: Vec<TenantRt>,
     /// Per-enclave preload queues, used instead of `preload_q` when the
     /// tenant policy is active; drained by weighted deficit round-robin.
     per_q: Vec<PreloadQueue>,
@@ -562,8 +641,6 @@ pub struct Kernel {
     /// order, at public entry-point boundaries and before gauge samples,
     /// so sinks observe exactly the unbatched call sequence.
     pending: Vec<LoggedEvent>,
-    /// Overhead-cycle ledger behind [`Kernel::attribution`].
-    attr: AttrLedger,
     /// Start of the app stall currently being serviced, if any; channel
     /// completions inside it deduct the overlap from their billed cost.
     stall_from: Option<Cycles>,
@@ -592,7 +669,6 @@ pub struct Kernel {
     sample_every: u64,
     /// When the last gauge sample was emitted.
     last_sample_at: Cycles,
-    stats: KernelStats,
 }
 
 impl fmt::Debug for Kernel {
@@ -642,7 +718,6 @@ impl Kernel {
             tenant_policy,
             tenant_active,
             abort_cfg: cfg.abort_policy,
-            tenants: Vec::new(),
             per_q: Vec::new(),
             drr_deficit: Vec::new(),
             drr_cursor: 0,
@@ -668,7 +743,6 @@ impl Kernel {
             pred_buf: Vec::new(),
             due_buf: Vec::new(),
             pending: Vec::new(),
-            attr: AttrLedger::default(),
             stall_from: None,
             last_stall: None,
             edmm: cfg.edmm,
@@ -680,7 +754,6 @@ impl Kernel {
             finished: false,
             sample_every: 0,
             last_sample_at: Cycles::ZERO,
-            stats: KernelStats::new(),
         }
     }
 
@@ -752,21 +825,11 @@ impl Kernel {
         self.next_base += ENCLAVE_GUARD_PAGES;
         self.pid_index
             .insert(pid.0 as u64, self.enclaves.len() as u64);
-        self.enclaves.push(EnclaveSlot {
-            pid,
-            base,
-            pages,
-            bitmap: PresenceBitmap::new(pages),
-        });
         // Every enclave becomes an EPC tenant extent (telemetry is
-        // unconditional); quotas, per-enclave valves and a DRR queue slot
-        // only when the policy is active.
+        // unconditional); quotas and per-enclave valves only when the
+        // policy is active.
         let ten = self.epc.register_extent(VirtPage::new(base), pages);
-        debug_assert_eq!(
-            ten,
-            self.enclaves.len() - 1,
-            "tenant index == enclave index"
-        );
+        debug_assert_eq!(ten, self.enclaves.len(), "tenant index == enclave index");
         if self.tenant_active {
             self.epc.set_quota(ten, self.tenant_policy.quota(ten));
         }
@@ -775,11 +838,14 @@ impl Kernel {
         } else {
             None
         };
-        self.tenants.push(TenantRt {
+        self.enclaves.push(EnclaveSlot {
+            pid,
             base,
+            pages,
+            bitmap: PresenceBitmap::new(pages),
             valve,
             stopped: false,
-            stats: TenantStats::new(),
+            stats: KernelStats::default(),
         });
         self.per_q.push(PreloadQueue::new());
         self.drr_deficit.push(0);
@@ -829,7 +895,7 @@ impl Kernel {
             // A staged page torn down before its first touch was wasted
             // speculation, same as the eviction path.
             if self.staged_span[slot] != 0 {
-                self.attr.wasted_preload += self.staged_cost[slot];
+                self.enclaves[idx].stats.wasted_preload += self.staged_cost[slot];
                 self.staged_span[slot] = 0;
                 self.staged_cost[slot] = 0;
             }
@@ -884,6 +950,14 @@ impl Kernel {
             Some(s) if g - s.base < s.pages => Some(idx),
             _ => None,
         }
+    }
+
+    /// The enclave billed for work on `page`: every page the kernel
+    /// loads, queues or evicts lies inside a registered ELRANGE.
+    #[inline]
+    fn owner(&self, page: VirtPage) -> usize {
+        self.enclave_of_page(page)
+            .expect("kernel pages lie in a registered ELRANGE")
     }
 
     fn owner_of(&self, page: VirtPage) -> Option<(ProcessId, u64)> {
@@ -980,7 +1054,7 @@ impl Kernel {
             self.per_q
                 .iter()
                 .enumerate()
-                .any(|(i, q)| !q.is_empty() && !self.tenants[i].stopped)
+                .any(|(i, q)| !q.is_empty() && !self.enclaves[i].stopped)
         } else {
             !self.preload_q.is_empty()
         }
@@ -998,7 +1072,7 @@ impl Kernel {
         let n = self.per_q.len();
         for _ in 0..n {
             let i = self.drr_cursor;
-            if self.tenants[i].stopped || self.per_q[i].is_empty() {
+            if self.enclaves[i].stopped || self.per_q[i].is_empty() {
                 self.drr_deficit[i] = 0;
                 self.drr_cursor = (self.drr_cursor + 1) % n;
                 continue;
@@ -1034,7 +1108,7 @@ impl Kernel {
     /// Whether DFP preloading is off for `ten` (the kernel-global latch,
     /// or the tenant's own when valves are per-enclave).
     fn preloading_stopped_for(&self, ten: usize) -> bool {
-        self.preload_stopped || self.tenants.get(ten).is_some_and(|t| t.stopped)
+        self.preload_stopped || self.enclaves.get(ten).is_some_and(|e| e.stopped)
     }
 
     /// Applies the state change of a completed channel job and frees the
@@ -1061,9 +1135,8 @@ impl Kernel {
                 if matches!(origin, LoadOrigin::Preload) {
                     self.preload_done[slot] = f.done_at.raw();
                 }
-                if let Some(t) = self.enclave_of_page(page) {
-                    self.tenants[t].stats.preload_dones += 1;
-                }
+                let t = self.owner(page);
+                self.enclaves[t].stats.preload_dones += 1;
                 self.staged_span[slot] = f.span.raw();
                 self.staged_cost[slot] = f.billed;
                 self.log(
@@ -1075,10 +1148,11 @@ impl Kernel {
                     f.parent,
                 );
             }
-            Job::Evict => {
-                let scan = f.billed.min(f.scan_extra);
-                self.attr.clock_scan += scan;
-                self.attr.eviction += f.billed - scan;
+            Job::Evict { owner } => {
+                let (scan, ewb) = f.evict_split();
+                let st = &mut self.enclaves[owner].stats;
+                st.clock_scan += scan;
+                st.eviction += ewb;
             }
         }
     }
@@ -1088,13 +1162,17 @@ impl Kernel {
         self.set_bitmap(ev.page, false);
         let slot = ev.slot as usize;
         self.preload_done[slot] = u64::MAX;
+        let t = self.owner(ev.page);
         // A staged page evicted before its first touch was wasted work.
         if self.staged_span[slot] != 0 {
-            self.attr.wasted_preload += self.staged_cost[slot];
+            self.enclaves[t].stats.wasted_preload += self.staged_cost[slot];
             self.staged_span[slot] = 0;
             self.staged_cost[slot] = 0;
         }
-        self.stats.evict_scan.record(Cycles::new(ev.scanned));
+        self.enclaves[t]
+            .stats
+            .evict_scan
+            .record(Cycles::new(ev.scanned));
     }
 
     /// Evicts one victim *now* (state change at job start); returns it for
@@ -1125,7 +1203,8 @@ impl Kernel {
         let mut staged = None;
         if self.staged_span[slot] != 0 {
             staged = Some(SpanId::new(self.staged_span[slot]));
-            self.attr.preload_work += self.staged_cost[slot];
+            let owner = self.owner(g);
+            self.enclaves[owner].stats.preload_work += self.staged_cost[slot];
             self.staged_span[slot] = 0;
             self.staged_cost[slot] = 0;
         }
@@ -1134,7 +1213,8 @@ impl Kernel {
             if done != u64::MAX {
                 self.preload_done[slot] = u64::MAX;
                 let lead = Cycles::new(at.raw().saturating_sub(done));
-                self.stats.preload_lead.record(lead);
+                let owner = self.owner(g);
+                self.enclaves[owner].stats.preload_lead.record(lead);
                 let hspan = self.spans.next();
                 self.log(
                     at,
@@ -1185,30 +1265,28 @@ impl Kernel {
     }
 
     /// Re-queues dropped preloads whose backoff has expired. Retries
-    /// respect the valve latch: once preloading stops, pending retries are
-    /// discarded rather than re-queued.
+    /// respect the valve latches: once preloading stops for a page's
+    /// enclave (the kernel-global latch or its own valve), its pending
+    /// retries are discarded, due or not, rather than re-queued.
     fn chaos_release_retries(&mut self, t: Cycles) {
         if self.retry_q.is_empty() {
             return;
         }
-        if self.preload_stopped {
-            for e in std::mem::take(&mut self.retry_q) {
-                self.retry_attempts.remove(&e.page);
-            }
-            return;
-        }
         let mut due = std::mem::take(&mut self.due_buf);
         due.clear();
-        self.retry_q.retain(|e| {
-            if e.not_before <= t {
+        let mut queue = std::mem::take(&mut self.retry_q);
+        queue.retain(|e| {
+            if e.not_before <= t || self.preloading_stopped_for(self.owner(e.page)) {
                 due.push((e.page, e.batch));
                 false
             } else {
                 true
             }
         });
+        self.retry_q = queue;
         for &(page, batch) in &due {
-            if self.epc.is_resident(page)
+            if self.preloading_stopped_for(self.owner(page))
+                || self.epc.is_resident(page)
                 || self.preload_queued(page)
                 || matches!(self.in_flight, Some(f) if f.is_load_of(page))
             {
@@ -1266,10 +1344,8 @@ impl Kernel {
                     espan,
                     None,
                 );
-                self.stats.background_evictions += 1;
-                if let Some(vt) = self.enclave_of_page(ev.page) {
-                    self.tenants[vt].stats.background_evictions += 1;
-                }
+                let owner = self.owner(ev.page);
+                self.enclaves[owner].stats.background_evictions += 1;
                 let mut ewb = self.costs.ewb;
                 let mut scan_extra = 0u64;
                 if let Some(extra) = self.injector.as_mut().and_then(|i| i.scan_stall()) {
@@ -1283,7 +1359,7 @@ impl Kernel {
                 // billed to the stall buckets.
                 let billed = ewb.raw() - ewb.raw().min(self.past_stall_overlap(t, done));
                 self.in_flight = Some(InFlight {
-                    job: Job::Evict,
+                    job: Job::Evict { owner },
                     done_at: done,
                     span: espan,
                     parent: None,
@@ -1301,10 +1377,12 @@ impl Kernel {
                 } else {
                     break;
                 };
+                let owner = self.owner(page);
                 if self.epc.is_resident(page) {
+                    let st = &mut self.enclaves[owner].stats;
                     match origin {
-                        LoadOrigin::Sip => self.stats.sip_raced += 1,
-                        _ => self.stats.preloads_skipped_resident += 1,
+                        LoadOrigin::Sip => st.sip_raced += 1,
+                        _ => st.preloads_skipped_resident += 1,
                     }
                     continue;
                 }
@@ -1312,13 +1390,12 @@ impl Kernel {
                 // speculation — the preload is shed, not the cap raised.
                 // (SIP loads are explicit application demands and instead
                 // self-evict in `blocking_load`.)
-                if matches!(origin, LoadOrigin::Preload) && self.tenant_active {
-                    if let Some(t) = self.enclave_of_page(page) {
-                        if self.epc.at_hard_cap(t) {
-                            self.tenants[t].stats.preloads_shed += 1;
-                            continue;
-                        }
-                    }
+                if matches!(origin, LoadOrigin::Preload)
+                    && self.tenant_active
+                    && self.epc.at_hard_cap(owner)
+                {
+                    self.enclaves[owner].stats.preloads_shed += 1;
+                    continue;
                 }
                 // Chaos: only speculative (DFP) batches are droppable —
                 // SIP requests are explicit application demands. A dropped
@@ -1332,17 +1409,14 @@ impl Kernel {
                 }
                 let (span, parent) = match origin {
                     LoadOrigin::Sip => {
-                        self.stats.sip_prefetches_started += 1;
+                        self.enclaves[owner].stats.sip_prefetches_started += 1;
                         let span = self.spans.next();
                         self.log(t, EventKind::SipPrefetchStart, Some(page), None, span, None);
                         (span, None)
                     }
                     _ => {
                         self.retry_attempts.remove(&page);
-                        self.stats.preloads_started += 1;
-                        if let Some(ten) = self.enclave_of_page(page) {
-                            self.tenants[ten].stats.preload_starts += 1;
-                        }
+                        self.enclaves[owner].stats.preloads_started += 1;
                         let parent = (batch != 0).then(|| SpanId::new(batch));
                         let span = self.spans.next();
                         self.log(t, EventKind::PreloadStart, Some(page), None, span, parent);
@@ -1372,18 +1446,17 @@ impl Kernel {
             // An idle channel with a pending chaos retry: jump to the
             // earliest backoff expiry `now` has already passed so the
             // retry can start (the channel was idle in between anyway).
-            // `nb > t` guarantees progress.
-            if !self.preload_stopped {
-                if let Some(next) = self
-                    .retry_q
-                    .iter()
-                    .map(|e| e.not_before)
-                    .filter(|&nb| nb > t && nb <= now)
-                    .min()
-                {
-                    self.channel_free_at = next;
-                    continue;
-                }
+            // `nb > t` guarantees progress; retries of stopped enclaves
+            // were discarded above, so none can drive a jump.
+            if let Some(next) = self
+                .retry_q
+                .iter()
+                .map(|e| e.not_before)
+                .filter(|&nb| nb > t && nb <= now)
+                .min()
+            {
+                self.channel_free_at = next;
+                continue;
             }
             break;
         }
@@ -1400,21 +1473,22 @@ impl Kernel {
 
     /// Synchronously loads `page` through the channel for a blocked
     /// requester; returns the completion instant. `requester` (a tenant
-    /// index) attributes the channel wait to the demanding enclave;
-    /// `cause` (the demanding fault's or SIP load's span) parents any
-    /// foreground eviction forced here.
+    /// index) is billed the stall: channel wait, foreground EWB and ELDU
+    /// cycles; `cause` (the demanding fault's or SIP load's span) parents
+    /// any foreground eviction forced here.
     fn blocking_load(
         &mut self,
         from: Cycles,
         page: VirtPage,
         origin: LoadOrigin,
-        requester: Option<usize>,
+        requester: usize,
         cause: Option<SpanId>,
     ) -> Cycles {
         let mut t = self.channel_acquire(from);
-        self.attr.channel_wait += t.raw() - from.raw();
-        if let Some(r) = requester {
-            self.tenants[r].stats.channel_wait += t - from;
+        let st = &mut self.enclaves[requester].stats;
+        st.channel_wait += t.raw() - from.raw();
+        if matches!(origin, LoadOrigin::Demand) {
+            st.channel_wait_cycles += t - from;
         }
         // A tenant at its hard cap frees one of its *own* pages before
         // loading, even when the global free pool has room — the cap is a
@@ -1443,25 +1517,24 @@ impl Kernel {
                 espan,
                 cause,
             );
-            self.stats.foreground_evictions += 1;
-            if let Some(vt) = self.enclave_of_page(ev.page) {
-                self.tenants[vt].stats.foreground_evictions += 1;
-            }
+            let victim = self.owner(ev.page);
+            self.enclaves[victim].stats.foreground_evictions += 1;
             let mut ewb = self.costs.ewb;
             let mut extra_raw = 0u64;
             if let Some(extra) = self.injector.as_mut().and_then(|i| i.scan_stall()) {
                 ewb += extra;
                 extra_raw = extra.raw();
             }
-            self.attr.clock_scan += extra_raw;
-            self.attr.eviction += self.costs.ewb.raw();
+            let st = &mut self.enclaves[requester].stats;
+            st.clock_scan += extra_raw;
+            st.eviction += self.costs.ewb.raw();
             self.channel_busy += ewb;
             t += ewb;
         }
         let done = t + self.costs.eldu;
         self.channel_free_at = done;
         self.channel_busy += self.costs.eldu;
-        self.attr.demand_fault += self.costs.eldu.raw();
+        self.enclaves[requester].stats.demand_fault += self.costs.eldu.raw();
         // A chaos pressure spike only shrinks the scheduler's view of the
         // free pool, never real capacity, so a slot is always available
         // here (freed above, or hidden-but-real).
@@ -1481,12 +1554,12 @@ impl Kernel {
     /// counters, so a mispredicting neighbour cannot trip anyone else.
     fn valve_check(&mut self, now: Cycles, ten: usize, cause: SpanId) {
         if self.tenant_active && self.tenant_policy.per_enclave_valves {
-            if self.tenants[ten].stopped || self.tenants[ten].valve.is_none() {
+            if self.enclaves[ten].stopped || self.enclaves[ten].valve.is_none() {
                 return;
             }
             let completed = self.epc.tenant_preloads_completed(ten);
             let touched = self.epc.tenant_preloads_touched(ten);
-            let tripped = self.tenants[ten]
+            let tripped = self.enclaves[ten]
                 .valve
                 .as_mut()
                 .is_some_and(|v| v.observe(now, completed, touched));
@@ -1512,16 +1585,25 @@ impl Kernel {
     /// Latches the DFP stop: aborts the queues and records the stop. Both
     /// the real valve and the chaos force-flap funnel through here, so the
     /// "once stopped, zero further preloads" invariant has a single owner.
+    /// The latch names no enclave: each flushed page is billed to its
+    /// owner, and every enclave records the stop.
     fn stop_preloading(&mut self, now: Cycles, cause: SpanId) {
         self.preload_stopped = true;
-        let mut dropped = self.preload_q.abort();
-        for i in 0..self.per_q.len() {
-            let d = self.per_q[i].abort();
-            self.tenants[i].stats.preload_aborts += d;
-            dropped += d;
+        let mut flushed = std::mem::take(&mut self.abort_buf);
+        flushed.clear();
+        self.preload_q.abort_into(&mut flushed);
+        let mut dropped = flushed.len() as u64;
+        for &(page, _) in &flushed {
+            let owner = self.owner(page);
+            self.enclaves[owner].stats.preloads_aborted += 1;
         }
-        self.stats.preloads_aborted += dropped;
-        self.stats.dfp_stopped_at = Some(now);
+        self.abort_buf = flushed;
+        for (e, q) in self.enclaves.iter_mut().zip(&mut self.per_q) {
+            let d = q.abort();
+            dropped += d;
+            e.stats.preloads_aborted += d;
+            e.stats.stop_at(now);
+        }
         let vspan = self.spans.next();
         self.log(
             now,
@@ -1537,15 +1619,13 @@ impl Kernel {
     /// event with its ELRANGE base so stream consumers can attribute it
     /// (the kernel-global stop keeps `page = None`).
     fn stop_tenant_preloading(&mut self, now: Cycles, ten: usize, cause: SpanId) {
-        self.tenants[ten].stopped = true;
         let dropped = self.per_q[ten].abort();
-        self.stats.preloads_aborted += dropped;
-        self.tenants[ten].stats.preload_aborts += dropped;
-        self.tenants[ten].stats.dfp_stopped_at = Some(now);
-        if self.stats.dfp_stopped_at.is_none() {
-            self.stats.dfp_stopped_at = Some(now);
-        }
-        let base = VirtPage::new(self.tenants[ten].base);
+        let e = &mut self.enclaves[ten];
+        e.stopped = true;
+        e.stats.preloads_aborted += dropped;
+        e.stats.valve_stops += 1;
+        e.stats.stop_at(now);
+        let base = VirtPage::new(e.base);
         let vspan = self.spans.next();
         self.log(
             now,
@@ -1585,7 +1665,7 @@ impl Kernel {
             && self.epc.free_slots() < self.wm.low()
             && self.epc.over_soft_quota(ten)
         {
-            self.tenants[ten].stats.preloads_shed += pred.len() as u64;
+            self.enclaves[ten].stats.preloads_shed += pred.len() as u64;
             return;
         }
         let (base, pages) = {
@@ -1595,7 +1675,7 @@ impl Kernel {
         for &page in pred {
             let g = page.raw();
             if g < base || g >= base + pages {
-                self.stats.preloads_rejected_range += 1;
+                self.enclaves[ten].stats.preloads_rejected_range += 1;
                 continue;
             }
             if self.epc.is_resident(page)
@@ -1608,7 +1688,7 @@ impl Kernel {
             // (no batch) enqueues untagged so its loads don't inherit a
             // bogus parent.
             if self.preload_enqueue(page, batch.map_or(0, SpanId::raw)) {
-                self.stats.preloads_enqueued += 1;
+                self.enclaves[ten].stats.preloads_enqueued += 1;
             }
         }
     }
@@ -1652,13 +1732,12 @@ impl Kernel {
         // completions inside this window must not double-bill.
         self.stall_from = Some(now);
         self.advance(t);
-        self.stats.faults += 1;
-        self.tenants[ten].stats.faults += 1;
         let resident_now = self.epc.tenant_resident(ten);
-        self.tenants[ten]
-            .stats
-            .residency
-            .record(Cycles::new(resident_now));
+        let st = &mut self.enclaves[ten].stats;
+        st.faults += 1;
+        st.residency.record(Cycles::new(resident_now));
+        st.aex_eresume += self.costs.aex.raw() + self.costs.eresume.raw();
+        st.demand_fault += self.costs.os_fault_path.raw();
         let fspan = self.spans.next();
         // Fault lineage: the span of the background load that staged (or
         // is staging) this page; `None` means a cold fault.
@@ -1675,18 +1754,17 @@ impl Kernel {
         self.log(now, EventKind::Fault, Some(g), None, fspan, cause);
         self.valve_check(t, ten, fspan);
         self.chaos_on_fault(t, fspan);
-        self.attr.aex_eresume += self.costs.aex.raw() + self.costs.eresume.raw();
-        self.attr.demand_fault += self.costs.os_fault_path.raw();
 
         let (kind, handler_done) = if self.epc.is_resident(g) {
-            self.stats.faults_found_resident += 1;
+            self.enclaves[ten].stats.faults_found_resident += 1;
             self.touch_tracked(t, g);
             (FaultServicing::FoundResident, t + self.costs.os_fault_path)
         } else if matches!(self.in_flight, Some(f) if f.is_load_of(g)) {
-            self.stats.faults_waited_inflight += 1;
             let f = self.in_flight.take().expect("matched above");
             let done = f.done_at;
-            self.attr.channel_wait += done.raw().saturating_sub(t.raw());
+            let st = &mut self.enclaves[ten].stats;
+            st.faults_waited_inflight += 1;
+            st.channel_wait += done.raw().saturating_sub(t.raw());
             self.apply_completion(f);
             self.touch_tracked(done.max(t), g);
             (
@@ -1697,8 +1775,7 @@ impl Kernel {
             // EDMM growth: the page was EAUG'd directly in the fault
             // handler — no channel job, no ELDU, and no preload abort
             // (growth never contends with the preload pipeline).
-            self.stats.demand_loads += 1;
-            self.tenants[ten].stats.demand_loads += 1;
+            self.enclaves[ten].stats.demand_loads += 1;
             let dspan = self.spans.next();
             self.log(
                 done,
@@ -1730,17 +1807,15 @@ impl Kernel {
                 );
             }
             self.abort_buf = pages;
-            self.stats.preloads_aborted += dropped;
-            self.tenants[ten].stats.preload_aborts += dropped;
+            self.enclaves[ten].stats.preloads_aborted += dropped;
             let done = self.blocking_load(
                 t + self.costs.os_fault_path,
                 g,
                 LoadOrigin::Demand,
-                Some(ten),
+                ten,
                 Some(fspan),
             );
-            self.stats.demand_loads += 1;
-            self.tenants[ten].stats.demand_loads += 1;
+            self.enclaves[ten].stats.demand_loads += 1;
             let dspan = self.spans.next();
             self.log(
                 done,
@@ -1761,7 +1836,10 @@ impl Kernel {
             let predicted = pred.len() as u64;
             let mut batch = None;
             if predicted > 0 {
-                self.stats.stream_len.record(Cycles::new(predicted));
+                self.enclaves[ten]
+                    .stats
+                    .stream_len
+                    .record(Cycles::new(predicted));
                 let b = self.spans.next();
                 batch = Some(b);
                 self.log(
@@ -1795,7 +1873,7 @@ impl Kernel {
 
         let resume_at = handler_done + self.costs.eresume;
         let service = resume_at - now;
-        self.stats.fault_service.record(service);
+        self.enclaves[ten].stats.fault_service.record(service);
         self.log(
             resume_at,
             EventKind::FaultResolved,
@@ -1842,7 +1920,7 @@ impl Kernel {
             return None;
         }
         let eaug = self.costs.eaug;
-        self.attr.demand_fault += eaug.raw();
+        self.enclaves[ten].stats.demand_fault += eaug.raw();
         self.edmm_stats.eaug_faults += 1;
         self.edmm_stats.eaug_cycles += eaug.raw();
         self.epc
@@ -1877,19 +1955,21 @@ impl Kernel {
     /// Panics if `pid` is unregistered or `local` lies outside its ELRANGE.
     pub fn sip_load(&mut self, now: Cycles, pid: ProcessId, local: VirtPage) -> Cycles {
         let g = self.global(pid, local);
+        let ten = self.tenant_of_pid(pid);
         self.advance(now);
         if self.epc.is_resident(g) {
-            self.stats.sip_raced += 1;
+            self.enclaves[ten].stats.sip_raced += 1;
             self.maybe_sample(now);
             self.flush_events();
             return now;
         }
         if matches!(self.in_flight, Some(f) if f.is_load_of(g)) {
-            self.stats.sip_raced += 1;
             let f = self.in_flight.take().expect("matched above");
             let done = f.done_at;
             self.stall_from = Some(now);
-            self.attr.channel_wait += done.raw().saturating_sub(now.raw());
+            let st = &mut self.enclaves[ten].stats;
+            st.sip_raced += 1;
+            st.channel_wait += done.raw().saturating_sub(now.raw());
             self.apply_completion(f);
             self.stall_from = None;
             self.last_stall = Some((now, done.max(now)));
@@ -1899,8 +1979,8 @@ impl Kernel {
         }
         self.stall_from = Some(now);
         let sspan = self.spans.next();
-        let done = self.blocking_load(now, g, LoadOrigin::Sip, None, Some(sspan));
-        self.stats.sip_loads += 1;
+        let done = self.blocking_load(now, g, LoadOrigin::Sip, ten, Some(sspan));
+        self.enclaves[ten].stats.sip_loads += 1;
         self.log(done, EventKind::SipLoaded, Some(g), None, sspan, None);
         self.stall_from = None;
         self.last_stall = Some((now, done));
@@ -1930,7 +2010,8 @@ impl Kernel {
             return;
         }
         if self.sip_q.enqueue(g) {
-            self.stats.sip_prefetches += 1;
+            let ten = self.tenant_of_pid(pid);
+            self.enclaves[ten].stats.sip_prefetches += 1;
         }
         // The request may start immediately if the channel is idle.
         self.advance(now);
@@ -2020,9 +2101,15 @@ impl Kernel {
         self.committed.get(idx).copied().unwrap_or(0)
     }
 
-    /// Kernel statistics so far.
-    pub fn stats(&self) -> &KernelStats {
-        &self.stats
+    /// The kernel-wide ledger so far: every enclave's [`KernelStats`]
+    /// summed, plus the kernel-global valve latch.
+    pub fn stats(&self) -> KernelStats {
+        let mut s = KernelStats::default();
+        for e in &self.enclaves {
+            s.merge(&e.stats);
+        }
+        s.valve_stops += u64::from(self.preload_stopped);
+        s
     }
 
     /// The EPC state (read-only).
@@ -2050,7 +2137,7 @@ impl Kernel {
     /// Registered enclaves, in registration order (the tenant index
     /// space).
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        self.enclaves.len()
     }
 
     /// Tenant index of `pid`'s enclave (resolving thread aliases), if
@@ -2059,14 +2146,41 @@ impl Kernel {
         self.pid_index.get(pid.0 as u64).map(|i| i as usize)
     }
 
-    /// Per-enclave fairness telemetry for tenant `idx` (registration
-    /// order).
+    /// The ledger of tenant `idx` (registration order).
     ///
     /// # Panics
     ///
     /// Panics if `idx >= self.tenant_count()`.
-    pub fn tenant_stats(&self, idx: usize) -> &TenantStats {
-        &self.tenants[idx].stats
+    pub fn tenant_stats(&self, idx: usize) -> &KernelStats {
+        &self.enclaves[idx].stats
+    }
+
+    /// Tenant `idx`'s share of the event stream: the [`EventCounts`] a
+    /// [`CountingSink`](crate::CountingSink) tallies from the events
+    /// naming its pages, plus the two that name none — a kernel-global
+    /// valve stop and the run end — which every enclave shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= self.tenant_count()`.
+    pub fn tenant_events(&self, idx: usize) -> EventCounts {
+        let s = &self.enclaves[idx].stats;
+        EventCounts {
+            faults: s.faults,
+            demand_loads: s.demand_loads,
+            preload_starts: s.preloads_started,
+            preload_dones: s.preload_dones,
+            background_evictions: s.background_evictions,
+            foreground_evictions: s.foreground_evictions,
+            preload_aborts: s.preloads_aborted,
+            sip_loads: s.sip_loads,
+            valve_stops: s.valve_stops + u64::from(self.preload_stopped),
+            sip_prefetch_starts: s.sip_prefetches_started,
+            faults_resolved: s.faults,
+            preload_hits: s.preload_lead.count(),
+            stream_predictions: s.stream_len.count(),
+            run_ends: u64::from(self.finished),
+        }
     }
 
     /// Whether DFP preloading has stopped for tenant `idx` — via the
@@ -2114,42 +2228,61 @@ impl Kernel {
         self.spans.count()
     }
 
-    /// Splits a run of `total` cycles into [`crate::CycleAttribution`]
-    /// buckets.
+    /// Splits a kernel-wide run of `total` cycles into
+    /// [`CycleAttribution`] buckets.
     ///
-    /// The overhead buckets come from the kernel's running ledger;
+    /// The overhead buckets are every enclave's ledger summed;
     /// `app_compute` is the residual, so the buckets always sum exactly
     /// to `total`. Staged-but-untouched pages and any trailing in-flight
     /// load count as wasted speculation. If bookkeeping ever over-bills
-    /// (rare corner cases of the stall-overlap deduction, and multi-app
-    /// runs where one app's report sees another's overhead), the excess
-    /// is clipped from the most-speculative buckets first, preserving the
+    /// (rare corner cases of the stall-overlap deduction), the excess is
+    /// clipped from the most-speculative buckets first, preserving the
     /// invariant unconditionally.
     pub fn attribution(&self, total: Cycles) -> CycleAttribution {
-        let mut a = self.attr;
-        for (i, &span) in self.staged_span.iter().enumerate() {
-            if span != 0 {
-                a.wasted_preload += self.staged_cost[i];
+        self.split(&self.stats(), None, total)
+    }
+
+    /// [`Kernel::attribution`] for tenant `idx` alone: its own ledger and
+    /// the unsettled work on its pages, split against its own `total`
+    /// with the same clip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= self.tenant_count()`.
+    pub fn tenant_attribution(&self, idx: usize, total: Cycles) -> CycleAttribution {
+        self.split(&self.enclaves[idx].stats, Some(idx), total)
+    }
+
+    /// Splits `total` over `s`'s buckets plus the staged pages and
+    /// in-flight job of tenant `of` (every tenant when `None`).
+    fn split(&self, s: &KernelStats, of: Option<usize>, total: Cycles) -> CycleAttribution {
+        let mine = |page: VirtPage| of.is_none_or(|o| self.owner(page) == o);
+        let (mut wasted, mut scan, mut evict) = (s.wasted_preload, s.clock_scan, s.eviction);
+        for (slot, &span) in self.staged_span.iter().enumerate() {
+            // A staged page is resident until touched, evicted or retired.
+            if span != 0 && self.epc.page_in_slot(slot as u32).is_some_and(mine) {
+                wasted += self.staged_cost[slot];
             }
         }
         if let Some(f) = &self.in_flight {
             match f.job {
-                Job::Load { .. } => a.wasted_preload += f.billed,
-                Job::Evict => {
-                    let scan = f.billed.min(f.scan_extra);
-                    a.clock_scan += scan;
-                    a.eviction += f.billed - scan;
+                Job::Load { page, .. } if mine(page) => wasted += f.billed,
+                Job::Evict { owner } if of.is_none_or(|o| o == owner) => {
+                    let (stall, ewb) = f.evict_split();
+                    scan += stall;
+                    evict += ewb;
                 }
+                _ => {}
             }
         }
         let mut buckets = [
-            a.wasted_preload,
-            a.preload_work,
-            a.eviction,
-            a.clock_scan,
-            a.channel_wait,
-            a.demand_fault,
-            a.aex_eresume,
+            wasted,
+            s.preload_work,
+            evict,
+            scan,
+            s.channel_wait,
+            s.demand_fault,
+            s.aex_eresume,
         ];
         let mut excess = buckets.iter().sum::<u64>().saturating_sub(total.raw());
         for b in &mut buckets {
@@ -2213,7 +2346,12 @@ impl Kernel {
     fn emit_sample(&mut self, now: Cycles) {
         self.flush_events();
         self.last_sample_at = now;
-        let stopped_tenants = self.tenants.iter().filter(|t| t.stopped).count() as u64;
+        let (mut stopped_tenants, mut faults, mut preloads_started) = (0, 0, 0);
+        for e in &self.enclaves {
+            stopped_tenants += u64::from(e.stopped);
+            faults += e.stats.faults;
+            preloads_started += e.stats.preloads_started;
+        }
         let sample = GaugeSample {
             at: now,
             epc_resident: self.epc.resident_count(),
@@ -2223,8 +2361,8 @@ impl Kernel {
             live_streams: self.predictor.live_streams(),
             valve_stops: self.preload_stopped as u64 + stopped_tenants,
             channel_busy: self.channel_busy,
-            faults: self.stats.faults,
-            preloads_started: self.stats.preloads_started,
+            faults,
+            preloads_started,
             scan_steps: self.epc.scan_steps_total(),
             tenant_resident: self.epc.residency_snapshot(),
         };
@@ -3035,11 +3173,11 @@ mod tests {
             .collect();
         assert_eq!(owners, vec![0, 1, 0, 1, 0, 1, 0, 1]);
         // B's demand fault waited for A's in-flight preload and billed it.
-        assert!(k.tenant_stats(1).channel_wait.raw() > 0);
+        assert!(k.tenant_stats(1).channel_wait_cycles.raw() > 0);
         assert_eq!(k.tenant_stats(0).faults, 1);
         assert_eq!(k.tenant_stats(1).faults, 1);
         assert_eq!(
-            k.tenant_stats(0).preload_starts + k.tenant_stats(1).preload_starts,
+            k.tenant_stats(0).preloads_started + k.tenant_stats(1).preloads_started,
             k.stats().preloads_started
         );
     }

@@ -84,7 +84,7 @@ pub use kernel::{
 };
 pub use queue::PreloadQueue;
 pub use span::SpanId;
-pub use tenant::{TenantPolicy, TenantShare, TenantStats, MAX_TENANTS};
+pub use tenant::{TenantPolicy, TenantShare, MAX_TENANTS};
 pub use timeline::{
     render_chrome_trace, ChromeTraceSink, CycleAttribution, GaugeSample, SeriesFormat,
     TimeSeriesSink,

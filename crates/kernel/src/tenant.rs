@@ -1,4 +1,4 @@
-//! Multi-tenant EPC scheduling policy and per-enclave telemetry.
+//! Multi-tenant EPC scheduling policy.
 //!
 //! The paper's §5.6 multi-enclave scenario shares everything: one CLOCK
 //! hand, one DFP-stop valve, one FIFO preload queue. This module holds the
@@ -9,11 +9,11 @@
 //!
 //! The zero policy ([`TenantPolicy::none`]) is strictly inert: every kernel
 //! path it gates falls back to the shared-everything driver behaviour,
-//! bit-identically. Per-enclave *telemetry* ([`TenantStats`]) is collected
+//! bit-identically. Per-enclave ledgers
+//! ([`Kernel::tenant_stats`](crate::Kernel::tenant_stats)) are kept
 //! unconditionally — observation never perturbs the simulation.
 
 use sgx_epc::TenantQuota;
-use sgx_sim::{Cycles, Histogram};
 
 /// Maximum enclaves a [`TenantPolicy`] can configure. Keeps the policy
 /// `Copy` (it travels inside `SimConfig`, which campaign cells copy
@@ -180,66 +180,6 @@ impl TenantPolicy {
 impl Default for TenantPolicy {
     fn default() -> Self {
         Self::none()
-    }
-}
-
-/// Per-enclave fairness telemetry, collected unconditionally (policy or
-/// not) and keyed by enclave registration order.
-///
-/// Attribution follows the *event stream*, so stream-reconstructed
-/// per-enclave counts reconcile exactly: faults, demand loads and preload
-/// aborts belong to the faulting enclave; preload starts/completions and
-/// evictions belong to the owner of the page involved.
-#[derive(Debug, Clone)]
-pub struct TenantStats {
-    /// Page faults raised by this enclave's threads.
-    pub faults: u64,
-    /// Demand loads issued for this enclave's faults.
-    pub demand_loads: u64,
-    /// Background preload loads started for this enclave's pages.
-    pub preload_starts: u64,
-    /// Background loads (preload or SIP prefetch) completed for this
-    /// enclave's pages.
-    pub preload_dones: u64,
-    /// Queued preloads dropped by this enclave's demand faults (and its
-    /// valve, when valves are per-enclave).
-    pub preload_aborts: u64,
-    /// This enclave's pages evicted by the background reclaimer.
-    pub background_evictions: u64,
-    /// This enclave's pages evicted inside a blocking load.
-    pub foreground_evictions: u64,
-    /// Preload batches shed by admission control, in pages.
-    pub preloads_shed: u64,
-    /// Cycles this enclave's demand faults spent waiting for the load
-    /// channel (the in-flight job of another requester).
-    pub channel_wait: Cycles,
-    /// EPC residency (pages) sampled at each of this enclave's faults.
-    pub residency: Histogram,
-    /// When this enclave's valve fired, if valves are per-enclave.
-    pub dfp_stopped_at: Option<Cycles>,
-}
-
-impl TenantStats {
-    pub(crate) fn new() -> Self {
-        TenantStats {
-            faults: 0,
-            demand_loads: 0,
-            preload_starts: 0,
-            preload_dones: 0,
-            preload_aborts: 0,
-            background_evictions: 0,
-            foreground_evictions: 0,
-            preloads_shed: 0,
-            channel_wait: Cycles::ZERO,
-            residency: Histogram::new("tenant_residency"),
-            dfp_stopped_at: None,
-        }
-    }
-}
-
-impl Default for TenantStats {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

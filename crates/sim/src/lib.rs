@@ -11,7 +11,7 @@
 //!   model the EPC load channel ("one page at a time", paper §3.1).
 //! * [`DetRng`] — seeded randomness with the distributions the synthetic
 //!   workloads need (uniform, geometric, Zipf).
-//! * [`Counter`] / [`Histogram`] — the metrics surfaced in reports.
+//! * [`Histogram`] — the latency distributions surfaced in reports.
 //! * [`json`] — the deterministic JSON writer every report serializes with.
 //!
 //! # Examples
@@ -48,4 +48,4 @@ pub use queue::EventQueue;
 pub use resource::{Grant, Resource};
 pub use rng::{mix, DetRng};
 pub use slab::Slab;
-pub use stats::{Counter, Histogram, HistogramSummary};
+pub use stats::{Histogram, HistogramSummary};

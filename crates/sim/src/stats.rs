@@ -4,60 +4,6 @@ use std::fmt;
 
 use crate::Cycles;
 
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use sgx_sim::Counter;
-///
-/// let mut faults = Counter::new("page_faults");
-/// faults.add(3);
-/// faults.incr();
-/// assert_eq!(faults.get(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
 /// A power-of-two bucketed latency histogram.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 additionally
@@ -255,16 +201,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("c");
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "c=10");
-    }
 
     #[test]
     fn histogram_mean_min_max() {

@@ -89,8 +89,7 @@ pub use sgx_preload_core::{
     AppSpec, AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
     ChaosPreset, ChaosSchedule, ChaosStats, EventCounts, FaultInjector, LeakageSpec, RunReport,
     Scheme, SeedMode, SimConfig, SimError, SimRun, SpecError, TenantPolicy, TenantQuota,
-    TenantShare, TenantStats, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL,
-    MAX_TENANTS,
+    TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};
 pub use sgx_sip::{

@@ -135,3 +135,48 @@ fn fault_resolved_parents_are_preload_spans() {
         }
     }
 }
+
+/// Per-enclave books on a shared kernel: in 2- and 3-enclave co-runs
+/// under every preloading arm and chaos preset, each app's buckets sum
+/// to its own total, its world switches are its own faults', and its
+/// channel-wait bucket covers its demand-fault channel wait.
+#[test]
+fn every_app_balances_its_own_books_on_a_shared_kernel() {
+    let benches = [
+        Benchmark::Microbenchmark,
+        Benchmark::MixedBlood,
+        Benchmark::Deepsjeng,
+    ];
+    for n in [2, 3] {
+        for scheme in [
+            Scheme::Baseline,
+            Scheme::Dfp,
+            Scheme::DfpStop,
+            Scheme::Hybrid,
+        ] {
+            for preset in ChaosPreset::ALL {
+                let c = cfg(preset);
+                let reports = benches[..n]
+                    .iter()
+                    .fold(SimRun::new(&c).scheme(scheme), |run, &b| run.bench(b))
+                    .run()
+                    .expect("co-run of known benchmarks");
+                let switch = c.costs.aex.raw() + c.costs.eresume.raw();
+                for r in &reports {
+                    let ctx = format!("{n} apps/{scheme}/{}/{}", preset.name(), r.label);
+                    let a = &r.attribution;
+                    assert_eq!(a.total(), r.total_cycles.raw(), "{ctx}: sums to its total");
+                    assert_eq!(
+                        a.aex_eresume,
+                        r.faults * switch,
+                        "{ctx}: its world switches"
+                    );
+                    assert!(
+                        a.channel_wait >= r.channel_wait_cycles.raw(),
+                        "{ctx}: channel wait"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -507,6 +507,19 @@ fn contend_reports_per_tenant_slowdown() {
     }
     let slowdown = json_number(&json, "victim_slowdown");
     assert!(slowdown >= 1.0, "co-running sped the victim up: {slowdown}");
+    // Each app reports its own enclave's ledger.
+    let app = |key: &str| &json[json.find(&format!("\"{key}\":{{")).expect(key)..];
+    let (victim, aggressor) = (app("victim"), app("aggressor"));
+    assert_ne!(
+        json_number(victim, "preloads_started"),
+        json_number(aggressor, "preloads_started"),
+        "per-enclave preload starts"
+    );
+    assert_eq!(
+        json_number(aggressor, "aex_eresume"),
+        json_number(aggressor, "faults") * 20_000.0,
+        "the aggressor's world switches are its own faults'"
+    );
     let err = run_err(&["contend", "--scale", "32", "--policy", "bogus"]);
     assert!(err.contains("unknown --policy"), "{err}");
     let _ = std::fs::remove_dir_all(dir);

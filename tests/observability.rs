@@ -35,6 +35,7 @@ fn counting_sink_matches_report_counters_on_every_workload() {
                 .unwrap();
             let ev = counts.get();
             let ctx = format!("{}/{}", bench.name(), scheme.name());
+            assert_eq!(ev, r.events, "{ctx}: kernel-derived events");
             assert_eq!(ev.faults, r.faults, "{ctx}: faults");
             assert_eq!(ev.faults_resolved, r.faults, "{ctx}: every fault resolves");
             assert_eq!(ev.preload_starts, r.preloads_started, "{ctx}: preloads");
@@ -276,32 +277,20 @@ fn per_enclave_event_counts_match_tenant_stats_under_contention_and_chaos() {
             per[(page.raw() >> STRIDE_SHIFT) as usize].record(e);
         }
         for (i, counts) in per.iter().enumerate() {
-            let ts = k.tenant_stats(i);
             let ctx = format!("enclave {i}, chaos={}", chaos.is_some());
             assert!(counts.faults > 0, "{ctx}: contention faults");
-            assert_eq!(counts.faults, ts.faults, "{ctx}: faults");
-            assert_eq!(counts.faults_resolved, ts.faults, "{ctx}: resolutions");
-            assert_eq!(counts.demand_loads, ts.demand_loads, "{ctx}: demand loads");
-            assert_eq!(counts.preload_starts, ts.preload_starts, "{ctx}: starts");
-            assert_eq!(counts.preload_dones, ts.preload_dones, "{ctx}: dones");
-            assert_eq!(counts.preload_aborts, ts.preload_aborts, "{ctx}: aborts");
-            assert_eq!(
-                counts.background_evictions, ts.background_evictions,
-                "{ctx}: background evictions"
-            );
-            assert_eq!(
-                counts.foreground_evictions, ts.foreground_evictions,
-                "{ctx}: foreground evictions"
-            );
+            assert_eq!(*counts, k.tenant_events(i), "{ctx}");
         }
     }
 }
 
 /// The same partition rule ties the stream to the public [`SimRun`]
-/// surface: per-enclave fault tallies match each app's report, and the
-/// per-enclave preload starts sum to the kernel-global counter.
+/// surface: each app's `events` is its enclave's share of the stream
+/// (the page-less run end belongs to every app), and the additive
+/// tallies summed over apps equal a kernel-wide `CountingSink`.
 #[test]
 fn stream_partition_agrees_with_per_app_reports_on_contention() {
+    use sgx_preloading::kernel::EventKind;
     use sgx_preloading::{AppSpec, EventCounts, InputSet, TenantPolicy};
     let c = cfg().with_tenant_policy(TenantPolicy::fair(3, cfg().epc_pages));
     let mk = |i: u64| {
@@ -314,24 +303,47 @@ fn stream_partition_agrees_with_per_app_reports_on_contention() {
         .unwrap()
     };
     let (sink, events) = CollectingSink::new();
+    let (counting, whole) = CountingSink::new();
     let reports = SimRun::new(&c)
         .scheme(Scheme::Dfp)
         .apps(vec![mk(0), mk(1), mk(2)])
         .sink(Box::new(sink))
+        .sink(Box::new(counting))
         .run()
         .unwrap();
     let mut per = vec![EventCounts::default(); 3];
     for e in events.borrow().iter() {
-        if let Some(page) = e.page {
-            per[(page.raw() >> 24) as usize].record(e);
+        match e.page {
+            Some(page) => per[(page.raw() >> 24) as usize].record(e),
+            None => {
+                assert_eq!(e.what, EventKind::RunEnd, "no valve in this run");
+                per.iter_mut().for_each(|p| p.record(e));
+            }
         }
     }
     for (i, r) in reports.iter().enumerate() {
-        assert_eq!(per[i].faults, r.faults, "app {i}: faults");
-        assert_eq!(per[i].faults_resolved, r.faults, "app {i}: resolutions");
+        assert_eq!(r.events, per[i], "app {i}: its share of the stream");
+        assert_eq!(r.events.faults, r.faults, "app {i}: faults");
     }
-    let started: u64 = per.iter().map(|c| c.preload_starts).sum();
-    assert_eq!(started, reports[0].preloads_started, "global preload tally");
+    let whole = whole.get();
+    let additive: [fn(&EventCounts) -> u64; 12] = [
+        |e| e.faults,
+        |e| e.demand_loads,
+        |e| e.preload_starts,
+        |e| e.preload_dones,
+        |e| e.background_evictions,
+        |e| e.foreground_evictions,
+        |e| e.preload_aborts,
+        |e| e.sip_loads,
+        |e| e.sip_prefetch_starts,
+        |e| e.faults_resolved,
+        |e| e.preload_hits,
+        |e| e.stream_predictions,
+    ];
+    for (k, tally) in additive.iter().enumerate() {
+        let summed: u64 = reports.iter().map(|r| tally(&r.events)).sum();
+        assert_eq!(summed, tally(&whole), "additive tally #{k}");
+    }
 }
 
 /// The JSONL writer and the tail ring agree with the collecting sink on
