@@ -3,14 +3,19 @@
 //! Predicted pages wait here until the load channel is idle. A demand fault
 //! that misses both EPC and the in-flight load aborts *everything still
 //! queued* (paper §4.1: "all the remaining pages yet to be preloaded …
-//! will be aborted"); the generation counter lets tests and stats attribute
-//! work to prediction batches.
+//! will be aborted"); the dropped `(page, batch)` pairs come back in queue
+//! order so the kernel can bill each one to the batch that queued it.
 //!
 //! Each queue node carries the raw id of the prediction-batch span that
 //! queued it (0 = none, e.g. a chaos storm), so batch lineage travels with
 //! the node instead of through a side table probed on every transition.
 //! The membership map doubles as the tag store: one probe answers both
 //! "is it queued?" and "which batch?".
+//!
+//! An abort runs on every swap-path fault, so it removes exactly the pages
+//! it drains. The membership map never shrinks (under EDMM growth it keeps
+//! tens of thousands of slots after the queue's peak), so an abort must
+//! cost O(queued pages), never O(table size).
 
 use std::collections::VecDeque;
 
@@ -38,9 +43,6 @@ pub struct PreloadQueue {
     queue: VecDeque<(VirtPage, u64)>,
     /// page → batch-span raw id (0 = untagged). Presence = queued.
     members: FastMap,
-    generation: u64,
-    enqueued_total: u64,
-    aborted_total: u64,
 }
 
 impl PreloadQueue {
@@ -80,7 +82,6 @@ impl PreloadQueue {
         }
         self.members.insert(page.raw(), batch);
         self.queue.push_back((page, batch));
-        self.enqueued_total += 1;
         true
     }
 
@@ -98,59 +99,23 @@ impl PreloadQueue {
         Some((page, batch))
     }
 
-    /// Puts a popped page back at the front (used when the channel must
-    /// evict before it can load), restoring its batch tag.
-    pub fn push_front(&mut self, page: VirtPage, batch: u64) {
-        if self.members.get(page.raw()).is_none() {
-            self.members.insert(page.raw(), batch);
-            self.queue.push_front((page, batch));
-        }
-    }
-
     /// Cancels everything queued; returns how many pages were dropped.
-    /// Bumps the generation.
     pub fn abort(&mut self) -> u64 {
-        let before = self.aborted_total;
-        let mut dropped = Vec::new();
-        self.abort_into(&mut dropped);
-        self.aborted_total - before
-    }
-
-    /// Cancels everything queued; returns the dropped `(page, batch)`
-    /// pairs in queue order (so callers can attribute the abort to the
-    /// batch that queued the work). Bumps the generation.
-    pub fn abort_pages(&mut self) -> Vec<(VirtPage, u64)> {
-        let mut pages = Vec::new();
-        self.abort_into(&mut pages);
-        pages
+        let dropped = self.queue.len() as u64;
+        for (page, _) in self.queue.drain(..) {
+            self.members.remove(page.raw());
+        }
+        dropped
     }
 
     /// Cancels everything queued, appending the dropped `(page, batch)`
-    /// pairs in queue order to `out` — the allocation-free form of
-    /// [`abort_pages`] (callers reuse one scratch buffer across faults).
-    /// Bumps the generation.
-    ///
-    /// [`abort_pages`]: PreloadQueue::abort_pages
+    /// pairs in queue order to `out` (callers reuse one scratch buffer
+    /// across faults and attribute each page to the batch that queued it).
     pub fn abort_into(&mut self, out: &mut Vec<(VirtPage, u64)>) {
-        self.aborted_total += self.queue.len() as u64;
+        for &(page, _) in &self.queue {
+            self.members.remove(page.raw());
+        }
         out.extend(self.queue.drain(..));
-        self.members.clear();
-        self.generation += 1;
-    }
-
-    /// Number of aborts (prediction-batch generations) so far.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Total pages ever enqueued.
-    pub fn enqueued_total(&self) -> u64 {
-        self.enqueued_total
-    }
-
-    /// Total pages dropped by aborts.
-    pub fn aborted_total(&self) -> u64 {
-        self.aborted_total
     }
 }
 
@@ -180,7 +145,6 @@ mod tests {
         assert!(q.enqueue(p(5)));
         assert!(!q.enqueue(p(5)));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.enqueued_total(), 1);
     }
 
     #[test]
@@ -211,10 +175,8 @@ mod tests {
         assert_eq!(q.abort(), 5);
         assert!(q.is_empty());
         assert!(!q.contains(p(0)));
-        assert_eq!(q.generation(), 1);
-        assert_eq!(q.aborted_total(), 5);
         assert_eq!(q.abort(), 0);
-        assert_eq!(q.generation(), 2);
+        assert!(q.enqueue(p(0)), "page can be re-queued after abort");
     }
 
     #[test]
@@ -223,18 +185,33 @@ mod tests {
         q.enqueue_tagged(p(1), 10);
         q.enqueue_tagged(p(2), 10);
         q.enqueue(p(3));
-        assert_eq!(q.abort_pages(), vec![(p(1), 10), (p(2), 10), (p(3), 0)]);
+        let mut out = vec![(p(9), 9)];
+        q.abort_into(&mut out);
+        assert_eq!(out, vec![(p(9), 9), (p(1), 10), (p(2), 10), (p(3), 0)]);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn push_front_reinserts_at_head() {
+    fn peak_sized_abort_drains_in_order_and_requeues_fifo() {
+        // 40,000 members grow the map to a 64k-slot table (load ≤ 3/4);
+        // the abort must leave none of them behind.
+        const N: u64 = 40_000;
+        let page = |n: u64| p(n * 7 + 3);
         let mut q = PreloadQueue::new();
-        q.enqueue(p(1));
-        q.enqueue(p(2));
-        let (got, tag) = q.pop_tagged().unwrap();
-        q.push_front(got, tag);
-        assert_eq!(q.pop(), Some(p(1)));
-        assert_eq!(q.pop(), Some(p(2)));
+        for n in 0..N {
+            assert!(q.enqueue_tagged(page(n), n + 1));
+        }
+        let mut out = Vec::new();
+        q.abort_into(&mut out);
+        assert!(out.iter().copied().eq((0..N).map(|n| (page(n), n + 1))));
+        assert!(q.is_empty());
+        assert!((0..N).all(|n| !q.contains(page(n))), "a member survived");
+        for n in 0..N {
+            assert!(q.enqueue_tagged(page(n), n + 1), "page {n} not re-queued");
+        }
+        for n in 0..N {
+            assert_eq!(q.pop_tagged(), Some((page(n), n + 1)));
+        }
+        assert_eq!(q.pop_tagged(), None);
     }
 }

@@ -377,8 +377,7 @@ impl<W: Write> ChromeTraceSink<W> {
         let Some(mut out) = self.out.take() else {
             return Ok(());
         };
-        let body = render_chrome_trace(&self.buf);
-        out.write_all(body.as_bytes())?;
+        write_chrome_trace(&self.buf, &mut out)?;
         out.flush()
     }
 }
@@ -396,9 +395,27 @@ impl<W: Write> Drop for ChromeTraceSink<W> {
 }
 
 /// Renders `events` (one run's stream, in emission order) as a Chrome
-/// trace-event JSON document. Deterministic: a byte-identical stream
-/// renders to byte-identical JSON.
+/// trace-event JSON document held in memory; see [`write_chrome_trace`],
+/// which streams the same bytes to a writer.
 pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
+    let mut out = Vec::new();
+    write_chrome_trace(events, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the render writes only UTF-8")
+}
+
+/// Bytes the streaming render collects before handing them to its writer.
+const CHROME_FLUSH_BYTES: usize = 64 * 1024;
+
+/// Writes `events` (one run's stream, in emission order) to `w` as a
+/// Chrome trace-event JSON document. Deterministic: a byte-identical stream
+/// renders to byte-identical JSON. Records reach `w` in 64 KiB chunks, so
+/// the render holds one chunk of the document, never all of it; `w` is not
+/// flushed.
+///
+/// # Errors
+///
+/// Propagates writer errors; the document is then incomplete.
+pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Result<()> {
     use sgx_sim::FastMap;
 
     /// What the render needs to know about one span.
@@ -412,11 +429,8 @@ pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
         opened: bool,
     }
 
-    // One linear indexing pass replaces the per-close-event stream rescans
-    // this used to do (the render was quadratic in stream length), with
-    // one hash lookup per event into one table, and the records are
-    // written straight into the output buffer instead of through one
-    // heap-allocated `String` per record.
+    // One linear indexing pass, one hash lookup per event into one table;
+    // the records are then written straight into one reused chunk buffer.
     let mut index = FastMap::new(); // span id -> position in `spans`
     let mut spans: Vec<Span> = Vec::new();
     let mut lanes: std::collections::BTreeSet<u64> = [0].into();
@@ -478,6 +492,10 @@ pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
     }
 
     for e in events {
+        if out.len() >= CHROME_FLUSH_BYTES {
+            w.write_all(out.as_bytes())?;
+            out.clear();
+        }
         let lane = chrome_lane(e);
         let s = e.span.raw();
         let span = &spans[index.get(s).expect("every span is indexed") as usize];
@@ -541,7 +559,7 @@ pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
         }
     }
     out.push_str("\n]}\n");
-    out
+    w.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -638,6 +656,38 @@ mod tests {
         assert!(
             json.contains("\"tid\":0,\"ts\":20"),
             "preload on channel lane"
+        );
+    }
+
+    #[test]
+    fn chrome_render_reaches_its_writer_in_bounded_chunks() {
+        /// Records the length of every write call.
+        struct Calls(Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // ~2,000 instant records: several chunks' worth of JSON.
+        let events: Vec<_> = (0..2_000)
+            .map(|i| ev(i, EventKind::Fault, Some(i), None, i + 1, None))
+            .collect();
+        let mut w = Calls(Vec::new());
+        write_chrome_trace(&events, &mut w).unwrap();
+        let (last, chunks) = w.0.split_last().unwrap();
+        assert!(chunks.len() >= 2, "{:?}", w.0);
+        // A chunk goes out once it reaches the flush size, so it overshoots
+        // by less than one event's records.
+        let bounded = CHROME_FLUSH_BYTES..CHROME_FLUSH_BYTES + 1024;
+        assert!(chunks.iter().all(|n| bounded.contains(n)), "{:?}", w.0);
+        assert!(*last < bounded.end);
+        assert_eq!(
+            w.0.iter().sum::<usize>(),
+            render_chrome_trace(&events).len()
         );
     }
 

@@ -87,12 +87,6 @@ impl FastMap {
         self.len == 0
     }
 
-    /// Removes every entry, keeping the table allocation.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
     #[inline]
     fn ideal(&self, key: u64) -> usize {
         (spread(key) >> self.shift) as usize
@@ -260,11 +254,6 @@ impl FastSet {
     pub fn remove(&mut self, key: u64) -> bool {
         self.map.remove(key).is_some()
     }
-
-    /// Removes every member, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.map.clear()
-    }
 }
 
 #[cfg(test)]
@@ -325,19 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_working() {
-        let mut m = FastMap::new();
-        for k in 0..100 {
-            m.insert(k, k);
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(5), None);
-        m.insert(5, 50);
-        assert_eq!(m.get(5), Some(50));
-    }
-
-    #[test]
     fn set_semantics() {
         let mut s = FastSet::new();
         assert!(s.insert(3));
@@ -347,9 +323,6 @@ mod tests {
         assert!(s.remove(3));
         assert!(!s.remove(3));
         assert!(s.is_empty());
-        s.insert(1);
-        s.clear();
-        assert!(!s.contains(1));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
+use std::io::Write;
 use std::process::ExitCode;
 
 use sgx_preloading::kernel::EventKind;
@@ -20,7 +21,7 @@ use sgx_preloading::prelude::*;
 use sgx_preloading::sim::json::{self, Value};
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
-    build_plan, effective_jobs, profile_stream, render_chrome_trace, CollectingSink, CountingSink,
+    build_plan, effective_jobs, profile_stream, write_chrome_trace, CollectingSink, CountingSink,
     EpcSizing, HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
     DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
@@ -1280,8 +1281,13 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(path) = args.get("chrome-out") {
-        let json = render_chrome_trace(&events);
-        std::fs::write(path, &json).map_err(|e| format!("--chrome-out {path}: {e}"))?;
+        std::fs::File::create(path)
+            .map(std::io::BufWriter::new)
+            .and_then(|mut out| {
+                write_chrome_trace(&events, &mut out)?;
+                out.flush()
+            })
+            .map_err(|e| format!("--chrome-out {path}: {e}"))?;
         println!("chrome trace: {path} (open at ui.perfetto.dev)");
     }
 

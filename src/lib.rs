@@ -76,9 +76,9 @@ pub use sgx_fleet::{
     LatencySummary, PlacementPolicy,
 };
 pub use sgx_kernel::{
-    render_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink, CycleAttribution,
-    EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError, SeriesFormat, SpanId,
-    TailSink, TimeSeriesSink, TraceHistograms, TraceSink,
+    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink,
+    CycleAttribution, EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError,
+    SeriesFormat, SpanId, TailSink, TimeSeriesSink, TraceHistograms, TraceSink,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,

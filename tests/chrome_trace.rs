@@ -2,16 +2,19 @@
 //!
 //! The rendered trace for one fixed small run is pinned as a golden file
 //! under `tests/golden/` (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test
-//! --test chrome_trace`), campaign timeline files are byte-identical
-//! regardless of worker count, and every flow arrow the renderer draws
-//! references two emitted spans.
+//! --test chrome_trace`), in memory and streamed to a writer; campaign
+//! timeline files are byte-identical regardless of worker count, and every
+//! flow arrow the renderer draws references two emitted spans.
 
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
-use sgx_preloading::{render_chrome_trace, CollectingSink};
+use sgx_preloading::{
+    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, TraceSink,
+};
 
 const UPDATE_ENV: &str = "SGX_GOLDEN_UPDATE";
 
@@ -54,6 +57,59 @@ fn chrome_trace_matches_golden() {
         "chrome trace diverged from the golden; if intentional, regenerate \
          with {UPDATE_ENV}=1"
     );
+}
+
+/// A writer that takes at most 7 bytes per call, so every record is split
+/// across many short writes.
+struct Trickle(Vec<u8>);
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = buf.len().min(7);
+        self.0.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn streamed_render_through_short_writes_matches_golden() {
+    let mut out = Trickle(Vec::new());
+    write_chrome_trace(&small_run_events(), &mut out).expect("a trickle never fails");
+    let want = std::fs::read(golden_path("timeline_small.chrome.json")).expect("golden trace");
+    assert!(
+        out.0 == want,
+        "streamed chrome trace diverged from the golden"
+    );
+}
+
+/// A writer whose every write fails (its flush succeeds, so only the
+/// render's own error can reach the caller).
+struct Broken;
+
+impl Write for Broken {
+    fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+        Err(io::Error::other("disk full"))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn chrome_sink_reports_a_failing_writer_without_panicking() {
+    let mut sink = ChromeTraceSink::new(Broken);
+    for e in &small_run_events() {
+        sink.on_event(e);
+    }
+    let err = sink.finish().expect_err("the writer fails");
+    assert_eq!(err.to_string(), "disk full");
+    sink.finish().expect("a second finish is a no-op");
+    drop(sink);
 }
 
 /// Pulls the `"id":N` field out of a rendered flow-arrow line.

@@ -364,6 +364,21 @@ fn timeline_streams_kernel_events() {
     assert_eq!(buckets as f64, json_number(&json, "total_cycles"));
     let trace = std::fs::read_to_string(&chrome).expect("chrome trace written");
     assert!(trace.contains("\"traceEvents\":[\n{"), "empty chrome trace");
+    assert!(trace.ends_with("\n]}\n"), "truncated chrome trace");
+
+    // A path that cannot be created fails naming the flag and the path.
+    let bad = dir.join("no_such_dir").join("t.chrome.json");
+    let bad = bad.to_str().unwrap();
+    let err = run_err(&[
+        "timeline",
+        "--bench",
+        "microbenchmark",
+        "--scale",
+        "dev",
+        "--chrome-out",
+        bad,
+    ]);
+    assert!(err.contains(&format!("--chrome-out {bad}: ")), "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
