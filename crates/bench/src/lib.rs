@@ -25,7 +25,11 @@ pub fn scale_from_env() -> Scale {
     match std::env::var("SGX_BENCH_SCALE").as_deref() {
         Ok("dev") => Scale::DEV,
         Ok("quarter") => Scale::QUARTER,
-        Ok(other) if other != "full" => other.parse::<u64>().map(Scale::new).unwrap_or(Scale::FULL),
+        Ok(other) if other != "full" => other
+            .parse::<u64>()
+            .ok()
+            .and_then(Scale::try_new)
+            .unwrap_or(Scale::FULL),
         _ => Scale::FULL,
     }
 }

@@ -52,7 +52,7 @@ pub use campaign::{
     CellReport, CellWork, LeakageSpec, SeedMode, DEFAULT_TIMELINE_SERIES_INTERVAL, JOBS_ENV,
 };
 pub use config::SimConfig;
-pub use replay::TraceReplay;
+pub use replay::{ElrangeError, TraceReplay};
 pub use report::RunReport;
 pub use scheme::{ParseSchemeError, Scheme};
 pub use sgx_dfp::{ParsePredictorKindError, PredictorKind};

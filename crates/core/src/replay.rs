@@ -13,7 +13,9 @@
 //! and — because `of_benchmark` remembers the source — the SIP
 //! profiling pass are all reconstructed exactly. Anonymous replays
 //! ([`TraceReplay::new`]) have no train input to profile, so they run
-//! uninstrumented under SIP schemes.
+//! uninstrumented under SIP schemes. A source-declared trace must fit its
+//! benchmark's ELRANGE at the run's scale; one that does not fails the
+//! run with an [`ElrangeError`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -29,6 +31,32 @@ pub struct TraceReplay {
     trace: Arc<RecordedTrace>,
     source: Option<Benchmark>,
 }
+
+/// A source-declared replay whose trace touches a page outside its
+/// benchmark's ELRANGE at the run's scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ElrangeError {
+    /// The trace's largest page.
+    pub page: u64,
+    /// The declared source benchmark.
+    pub bench: Benchmark,
+    /// The benchmark's ELRANGE at the run's scale, in pages.
+    pub elrange_pages: u64,
+}
+
+impl fmt::Display for ElrangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace page {} lies outside {}'s {}-page ELRANGE",
+            self.page,
+            self.bench.name(),
+            self.elrange_pages
+        )
+    }
+}
+
+impl std::error::Error for ElrangeError {}
 
 impl TraceReplay {
     /// Wraps an anonymous trace (e.g. captured on real hardware) under
@@ -82,11 +110,25 @@ impl TraceReplay {
     /// ELRANGE to register at the given scale: the source benchmark's
     /// (so replays match generator runs exactly), or the smallest range
     /// containing the trace for anonymous replays.
-    pub fn elrange_pages(&self, scale: Scale) -> u64 {
-        match self.source {
-            Some(bench) => bench.elrange_pages(scale),
-            None => self.trace.elrange_pages(),
+    ///
+    /// # Errors
+    ///
+    /// [`ElrangeError`] when the trace has a page outside its source
+    /// benchmark's ELRANGE at `scale`.
+    pub fn elrange_pages(&self, scale: Scale) -> Result<u64, ElrangeError> {
+        let needed = self.trace.elrange_pages();
+        let Some(bench) = self.source else {
+            return Ok(needed);
+        };
+        let pages = bench.elrange_pages(scale);
+        if needed > pages {
+            return Err(ElrangeError {
+                page: needed - 1,
+                bench,
+                elrange_pages: pages,
+            });
         }
+        Ok(pages)
     }
 
     /// A fresh access stream over the shared trace (no copy of the
@@ -154,8 +196,43 @@ mod tests {
         assert_eq!(replay.source(), Some(Benchmark::Mcf));
         assert_eq!(
             replay.elrange_pages(Scale::DEV),
-            Benchmark::Mcf.elrange_pages(Scale::DEV)
+            Ok(Benchmark::Mcf.elrange_pages(Scale::DEV))
         );
         assert!(anon_elrange <= Benchmark::Mcf.elrange_pages(Scale::DEV));
+    }
+
+    #[test]
+    fn a_page_past_the_source_elrange_is_an_error() {
+        let range = Benchmark::Mcf.elrange_pages(Scale::DEV);
+        let mut accesses =
+            RecordedTrace::record(Benchmark::Mcf.build(InputSet::Ref, Scale::DEV, 2), 100)
+                .accesses()
+                .to_vec();
+        let mut last = accesses[0];
+        last.page = sgx_epc::VirtPage::new(range - 1);
+        accesses.push(last);
+        let fits = TraceReplay::of_benchmark(
+            Benchmark::Mcf,
+            RecordedTrace::from_accesses(accesses.clone()),
+        );
+        assert_eq!(fits.elrange_pages(Scale::DEV), Ok(range));
+
+        last.page = sgx_epc::VirtPage::new(range);
+        accesses.push(last);
+        let trace = RecordedTrace::from_accesses(accesses);
+        let err = ElrangeError {
+            page: range,
+            bench: Benchmark::Mcf,
+            elrange_pages: range,
+        };
+        let replay = TraceReplay::of_benchmark(Benchmark::Mcf, trace.clone());
+        assert_eq!(replay.elrange_pages(Scale::DEV), Err(err));
+        assert_eq!(
+            err.to_string(),
+            format!("trace page {range} lies outside mcf's {range}-page ELRANGE")
+        );
+        // Anonymous, the same trace sizes its own ELRANGE.
+        let anon = TraceReplay::new("capture", trace);
+        assert_eq!(anon.elrange_pages(Scale::DEV), Ok(range + 1));
     }
 }

@@ -14,7 +14,7 @@ use sgx_kernel::{KernelError, TraceSink};
 use sgx_sip::InstrumentationPlan;
 use sgx_workloads::{AccessIter, Benchmark, InputSet};
 
-use crate::replay::TraceReplay;
+use crate::replay::{ElrangeError, TraceReplay};
 use crate::simulator::{build_plan, run_kernel_apps, run_outside_model, AppSpec, SpecError};
 use crate::{RunReport, Scheme, SimConfig};
 
@@ -31,6 +31,9 @@ pub enum SimError {
     /// [`SimRun::run_one`] was called with a number of entries other
     /// than one.
     NotSingular(usize),
+    /// A source-declared replay's trace does not fit its benchmark's
+    /// ELRANGE at the run's scale; raised before any kernel is built.
+    Elrange(ElrangeError),
 }
 
 impl fmt::Display for SimError {
@@ -42,6 +45,7 @@ impl fmt::Display for SimError {
             SimError::NotSingular(n) => {
                 write!(f, "run_one expects exactly one entry, got {n} reports")
             }
+            SimError::Elrange(e) => write!(f, "bad replay: {e}"),
         }
     }
 }
@@ -57,6 +61,12 @@ impl From<KernelError> for SimError {
 impl From<SpecError> for SimError {
     fn from(e: SpecError) -> Self {
         SimError::Spec(e)
+    }
+}
+
+impl From<ElrangeError> for SimError {
+    fn from(e: ElrangeError) -> Self {
+        SimError::Elrange(e)
     }
 }
 
@@ -187,9 +197,10 @@ impl<'a> SimRun<'a> {
     /// # Errors
     ///
     /// [`SimError::NoApps`] when nothing was added, [`SimError::Kernel`]
-    /// when kernel construction or registration fails, and
-    /// [`SimError::Spec`] for a bad [`AppSpec::thread_of`] reference
-    /// (caught before any kernel is built).
+    /// when kernel construction or registration fails, and, caught before
+    /// any kernel is built, [`SimError::Spec`] for a bad
+    /// [`AppSpec::thread_of`] reference and [`SimError::Elrange`] for a
+    /// replay whose trace does not fit its source benchmark's ELRANGE.
     pub fn run(self) -> Result<Vec<RunReport>, SimError> {
         if self.entries.is_empty() {
             return Err(SimError::NoApps);
@@ -237,6 +248,9 @@ impl<'a> SimRun<'a> {
                     slots.push(Slot::Kernel);
                 }
                 Entry::Replay(replay) if scheme.is_user_level() => {
+                    // No ELRANGE is registered here, but a declared source
+                    // must still fit the trace.
+                    replay.elrange_pages(cfg.scale)?;
                     slots.push(Slot::Ready(Box::new(crate::run_userspace_paging(
                         replay.label().to_string(),
                         replay.stream(),
@@ -250,7 +264,7 @@ impl<'a> SimRun<'a> {
                     };
                     let app = AppSpec::new(
                         replay.label().to_string(),
-                        replay.elrange_pages(cfg.scale),
+                        replay.elrange_pages(cfg.scale)?,
                         replay.stream(),
                     )
                     .plan(plan)

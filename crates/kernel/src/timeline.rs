@@ -416,8 +416,6 @@ const CHROME_FLUSH_BYTES: usize = 64 * 1024;
 ///
 /// Propagates writer errors; the document is then incomplete.
 pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Result<()> {
-    use sgx_sim::FastMap;
-
     /// What the render needs to know about one span.
     struct Span {
         /// The span's first event `(ts, lane)`: the flow-arrow anchor.
@@ -429,26 +427,24 @@ pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Res
         opened: bool,
     }
 
-    // One linear indexing pass, one hash lookup per event into one table;
-    // the records are then written straight into one reused chunk buffer.
-    let mut index = FastMap::new(); // span id -> position in `spans`
+    // One linear indexing pass; the records are then written straight
+    // into one reused chunk buffer.
+    let mut index = SpanIndex::new(events.len());
     let mut spans: Vec<Span> = Vec::new();
-    let mut lanes: std::collections::BTreeSet<u64> = [0].into();
+    let mut lanes: Vec<u64> = vec![0]; // sorted; a kernel stream has one per enclave, plus 0
     for e in events {
         let lane = chrome_lane(e);
-        lanes.insert(lane);
-        let i = match index.get(e.span.raw()) {
-            Some(i) => i as usize,
-            None => {
-                index.insert(e.span.raw(), spans.len() as u64);
-                spans.push(Span {
-                    anchor: (e.at.raw(), lane),
-                    close_at: None,
-                    opened: false,
-                });
-                spans.len() - 1
-            }
-        };
+        if let Err(at) = lanes.binary_search(&lane) {
+            lanes.insert(at, lane);
+        }
+        let i = index.get_or_insert(e.span.raw(), spans.len());
+        if i == spans.len() {
+            spans.push(Span {
+                anchor: (e.at.raw(), lane),
+                close_at: None,
+                opened: false,
+            });
+        }
         let span = &mut spans[i];
         span.opened |= opens_span(e.what);
         if closes_span(e.what) && span.close_at.is_none() {
@@ -457,38 +453,23 @@ pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Res
     }
 
     // One record per line: the frame and its `,\n` separators are the
-    // file's layout; each record is one JSON object.
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-    };
-    sep(&mut out);
-    json::obj(&mut out, |o| {
-        o.field("ph", "M")
-            .field("pid", 1u64)
-            .field("name", "process_name")
-            .obj("args", |a| {
-                a.field("name", "sgx-preload");
-            });
-    });
+    // file's layout; each record is one JSON object, written as constant
+    // key fragments around its values. The process record comes first, so
+    // every later record opens with its separator.
+    let mut out = String::with_capacity(CHROME_FLUSH_BYTES + 1024);
+    out.push_str(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+         {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
+    );
     for &lane in &lanes {
-        sep(&mut out);
-        json::obj(&mut out, |o| {
-            o.field("ph", "M")
-                .field("pid", 1u64)
-                .field("tid", lane)
-                .field("name", "thread_name")
-                .obj("args", |a| {
-                    match lane {
-                        0 => a.field("name", "load channel"),
-                        _ => a.field("name", format!("enclave {}", lane - 1)),
-                    };
-                });
-        });
+        out.push_str(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+        json::push_u64(&mut out, lane);
+        out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
+        match lane {
+            0 => json::push_str(&mut out, "load channel"),
+            _ => json::push_str(&mut out, &format!("enclave {}", lane - 1)),
+        }
+        out.push_str("}}");
     }
 
     for e in events {
@@ -498,68 +479,133 @@ pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Res
         }
         let lane = chrome_lane(e);
         let s = e.span.raw();
-        let span = &spans[index.get(s).expect("every span is indexed") as usize];
-        if closes_span(e.what) && span.close_at == Some(e.at.raw()) && span.opened {
+        let at = e.at.raw();
+        let span = &spans[index.get(s).expect("every span is indexed")];
+        if closes_span(e.what) && span.close_at == Some(at) && span.opened {
             // Rendered as the duration of its opening event; closes with
             // no opener (foreign stream) fall through to an instant.
             continue;
         }
         let done = span.close_at.filter(|_| opens_span(e.what));
-        sep(&mut out);
-        json::obj(&mut out, |o| {
-            o.field("ph", if done.is_some() { "X" } else { "i" })
-                .field("pid", 1u64)
-                .field("tid", lane)
-                .field("ts", e.at);
-            match done {
-                Some(done) => o.field("dur", done.saturating_sub(e.at.raw())),
-                None => o.field("s", "t"),
-            };
-            o.field("name", e.what.name()).obj("args", |a| {
-                a.field("span", s);
-                if let Some(p) = e.parent {
-                    a.field("parent", p.raw());
-                }
-                if let Some(p) = e.page {
-                    a.field("page", p.raw());
-                }
-                if let Some(v) = e.value {
-                    a.field("value", v);
-                }
-            });
+        out.push_str(match done {
+            Some(_) => ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
+            None => ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
         });
+        json::push_u64(&mut out, lane);
+        out.push_str(",\"ts\":");
+        json::push_u64(&mut out, at);
+        match done {
+            Some(done) => {
+                out.push_str(",\"dur\":");
+                json::push_u64(&mut out, done.saturating_sub(at));
+            }
+            None => out.push_str(",\"s\":\"t\""),
+        }
+        out.push_str(",\"name\":");
+        json::push_str(&mut out, e.what.name());
+        out.push_str(",\"args\":{\"span\":");
+        json::push_u64(&mut out, s);
+        if let Some(p) = e.parent {
+            out.push_str(",\"parent\":");
+            json::push_u64(&mut out, p.raw());
+        }
+        if let Some(p) = e.page {
+            out.push_str(",\"page\":");
+            json::push_u64(&mut out, p.raw());
+        }
+        if let Some(v) = e.value {
+            out.push_str(",\"value\":");
+            json::push_u64(&mut out, v);
+        }
+        out.push_str("}}");
         // One flow arrow per causal link, anchored at the parent span's
         // first event. Links to spans absent from the stream draw nothing
         // — a rendered arrow always references two emitted spans.
-        if let Some(parent) = e.parent {
-            if let Some(i) = index.get(parent.raw()) {
-                let (pts, ptid) = spans[i as usize].anchor;
-                sep(&mut out);
-                json::obj(&mut out, |o| {
-                    o.field("ph", "s")
-                        .field("pid", 1u64)
-                        .field("tid", ptid)
-                        .field("ts", pts)
-                        .field("id", s)
-                        .field("name", "cause")
-                        .field("cat", "flow");
-                });
-                sep(&mut out);
-                json::obj(&mut out, |o| {
-                    o.field("ph", "f")
-                        .field("bp", "e")
-                        .field("pid", 1u64)
-                        .field("tid", lane)
-                        .field("ts", e.at)
-                        .field("id", s)
-                        .field("name", "cause")
-                        .field("cat", "flow");
-                });
-            }
+        if let Some(i) = e.parent.and_then(|p| index.get(p.raw())) {
+            let (pts, ptid) = spans[i].anchor;
+            out.push_str(",\n{\"ph\":\"s\",\"pid\":1,\"tid\":");
+            json::push_u64(&mut out, ptid);
+            out.push_str(",\"ts\":");
+            json::push_u64(&mut out, pts);
+            out.push_str(",\"id\":");
+            json::push_u64(&mut out, s);
+            out.push_str(
+                ",\"name\":\"cause\",\"cat\":\"flow\"},\n\
+                 {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":",
+            );
+            json::push_u64(&mut out, lane);
+            out.push_str(",\"ts\":");
+            json::push_u64(&mut out, at);
+            out.push_str(",\"id\":");
+            json::push_u64(&mut out, s);
+            out.push_str(",\"name\":\"cause\",\"cat\":\"flow\"}");
         }
     }
     out.push_str("\n]}\n");
     w.write_all(out.as_bytes())
+}
+
+/// Span id → position in the render's span table.
+///
+/// A kernel allocates span ids from one counter that starts at 1, and logs
+/// every id it allocates, so a kernel stream's ids never exceed its event
+/// count: they index `flat` directly and the stream never hashes. Larger
+/// ids come only from hand-built streams and go to `spill`. Correctness
+/// never depends on that id property, and memory stays bounded by the
+/// event count for any input.
+struct SpanIndex {
+    /// `flat[id]` is 1 + span `id`'s position, or 0 while it is unseen.
+    /// Its `events + 1` entries cover ids `0..=events`.
+    flat: Vec<u32>,
+    /// Positions of ids past `flat`.
+    spill: sgx_sim::FastMap,
+}
+
+impl SpanIndex {
+    fn new(events: usize) -> Self {
+        // Positions are below `events`, so they fit the `u32` slots
+        // whenever the flat table is used at all.
+        let flat = if events < u32::MAX as usize {
+            vec![0; events + 1]
+        } else {
+            Vec::new()
+        };
+        SpanIndex {
+            flat,
+            spill: sgx_sim::FastMap::new(),
+        }
+    }
+
+    /// The position of span `id`, if it was seen.
+    #[inline]
+    fn get(&self, id: u64) -> Option<usize> {
+        match usize::try_from(id).ok().and_then(|i| self.flat.get(i)) {
+            Some(&slot) => (slot as usize).checked_sub(1),
+            None => self.spill.get(id).map(|i| i as usize),
+        }
+    }
+
+    /// The position of span `id`, recording `next` as its position if it
+    /// is new.
+    #[inline]
+    fn get_or_insert(&mut self, id: u64, next: usize) -> usize {
+        match usize::try_from(id).ok().and_then(|i| self.flat.get_mut(i)) {
+            Some(slot) => {
+                if *slot == 0 {
+                    *slot = u32::try_from(next + 1)
+                        .expect("the flat table exists only below u32::MAX events");
+                }
+                *slot as usize - 1
+            }
+            None => match self.spill.get(id) {
+                Some(i) => i as usize,
+                None => {
+                    self.spill.insert(id, next as u64);
+                    next
+                }
+            },
+        }
+    }
 }
 
 #[cfg(test)]

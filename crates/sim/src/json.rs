@@ -4,9 +4,11 @@
 //!
 //! Keys are `&'static str` written verbatim, in emission order. Strings
 //! escape `"`, `\`, `\n`, `\r` and `\t`, and every other char below 0x20
-//! as `\u00XX`. An `f64` prints in its shortest round-trip `Display` form,
-//! or as `0` when non-finite. Values go straight into the caller's buffer
-//! through [`std::fmt::Write`], with no temporary `String`.
+//! as `\u00XX`. Integers print through [`push_u64`], which writes the same
+//! digits as `Display` two at a time from a lookup table, without
+//! `core::fmt`. An `f64` prints in its shortest round-trip `Display` form,
+//! or as `0` when non-finite. Values go straight into the caller's buffer,
+//! with no temporary `String`.
 //!
 //! ```
 //! use sgx_sim::json;
@@ -53,6 +55,38 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `"00"`, `"01"`, …, `"99"`: the two digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal: the same bytes as its `Display` form.
+#[inline]
+pub fn push_u64(out: &mut String, mut v: u64) {
+    // `u64::MAX` has 20 digits. The digits fill `buf` from its end, two
+    // per division.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
 /// Appends `v` as a JSON number: its `Display` form when finite, `0`
 /// otherwise (a well-formed report never produces a non-finite value).
 #[inline]
@@ -70,18 +104,33 @@ pub trait Value {
     fn write_value(&self, out: &mut String);
 }
 
-macro_rules! display_values {
-    ($($t:ty),*) => {$(
-        impl Value for $t {
-            #[inline]
-            fn write_value(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-        }
-    )*};
+impl Value for u64 {
+    #[inline]
+    fn write_value(&self, out: &mut String) {
+        push_u64(out, *self);
+    }
 }
 
-display_values!(u32, u64, usize, bool);
+impl Value for u32 {
+    #[inline]
+    fn write_value(&self, out: &mut String) {
+        push_u64(out, u64::from(*self));
+    }
+}
+
+impl Value for usize {
+    #[inline]
+    fn write_value(&self, out: &mut String) {
+        push_u64(out, *self as u64);
+    }
+}
+
+impl Value for bool {
+    #[inline]
+    fn write_value(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
 
 impl Value for f64 {
     #[inline]
@@ -236,6 +285,26 @@ mod tests {
             push_f64(&mut out, v);
             assert_eq!(out, want, "{v}");
         }
+    }
+
+    #[test]
+    fn integers_print_their_display_form_at_every_digit_count() {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        let mut out = String::from("x");
+        7u32.write_value(&mut out);
+        8usize.write_value(&mut out);
+        true.write_value(&mut out);
+        false.write_value(&mut out);
+        assert_eq!(out, "x78truefalse");
     }
 
     #[test]

@@ -3,9 +3,19 @@
 
 use proptest::prelude::*;
 
-use sgx_sim::{Cycles, DetRng, EventQueue, Histogram, Resource};
+use sgx_sim::{json, Cycles, DetRng, EventQueue, Histogram, Resource};
 
 proptest! {
+    /// `json::push_u64` prints exactly `Display`'s digits. The shift
+    /// spreads the cases over every digit count, not just 19–20.
+    #[test]
+    fn push_u64_matches_display(v in any::<u64>(), shift in 0u32..64) {
+        let v = v >> shift;
+        let mut out = String::from("[");
+        json::push_u64(&mut out, v);
+        prop_assert_eq!(out, format!("[{v}"));
+    }
+
     /// The event queue is a stable min-sort: equal timestamps pop in
     /// insertion order.
     #[test]

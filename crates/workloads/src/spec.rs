@@ -93,10 +93,22 @@ impl Scale {
     ///
     /// # Panics
     ///
-    /// Panics if `divisor == 0`.
+    /// Panics if `divisor == 0`; [`Scale::try_new`] is the fallible form
+    /// for divisors read from input.
     pub fn new(divisor: u64) -> Self {
-        assert!(divisor > 0, "scale divisor must be positive");
-        Scale { divisor }
+        Self::try_new(divisor).expect("scale divisor must be positive")
+    }
+
+    /// A custom divisor, or `None` if `divisor == 0`.
+    ///
+    /// ```
+    /// use sgx_workloads::Scale;
+    ///
+    /// assert_eq!(Scale::try_new(4), Some(Scale::QUARTER));
+    /// assert_eq!(Scale::try_new(0), None);
+    /// ```
+    pub fn try_new(divisor: u64) -> Option<Self> {
+        (divisor > 0).then_some(Scale { divisor })
     }
 
     /// The divisor.

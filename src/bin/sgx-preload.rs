@@ -272,8 +272,9 @@ impl Args {
             Some("full") => Ok(Scale::FULL),
             Some(n) => n
                 .parse::<u64>()
-                .map(Scale::new)
-                .map_err(|_| format!("invalid --scale {n:?}")),
+                .ok()
+                .and_then(Scale::try_new)
+                .ok_or_else(|| format!("invalid --scale {n:?}")),
         }
     }
 

@@ -87,8 +87,8 @@ pub use sgx_observer::{
 pub use sgx_preload_core::{
     build_kernel, build_plan, derive_cell_seed, effective_jobs, run_indexed, run_userspace_paging,
     AppSpec, AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
-    ChaosPreset, ChaosSchedule, ChaosStats, EventCounts, FaultInjector, LeakageSpec, RunReport,
-    Scheme, SeedMode, SimConfig, SimError, SimRun, SpecError, TenantPolicy, TenantQuota,
+    ChaosPreset, ChaosSchedule, ChaosStats, ElrangeError, EventCounts, FaultInjector, LeakageSpec,
+    RunReport, Scheme, SeedMode, SimConfig, SimError, SimRun, SpecError, TenantPolicy, TenantQuota,
     TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};

@@ -1,10 +1,12 @@
 //! Chrome-trace export regression tests (DESIGN.md §4.4).
 //!
-//! The rendered trace for one fixed small run is pinned as a golden file
-//! under `tests/golden/` (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test
-//! --test chrome_trace`), in memory and streamed to a writer; campaign
-//! timeline files are byte-identical regardless of worker count, and every
-//! flow arrow the renderer draws references two emitted spans.
+//! Three rendered traces are pinned as golden files under `tests/golden/`
+//! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):
+//! one fixed small run, in memory and streamed to a writer; a small
+//! two-enclave SIP+DFP run; and a hand-built stream with the shapes a
+//! kernel never emits. Campaign timeline files are byte-identical
+//! regardless of worker count, and every flow arrow the renderer draws
+//! references two emitted spans.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -13,7 +15,8 @@ use std::path::{Path, PathBuf};
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
 use sgx_preloading::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, TraceSink,
+    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, SpanId, TraceSink,
+    VirtPage,
 };
 
 const UPDATE_ENV: &str = "SGX_GOLDEN_UPDATE";
@@ -24,38 +27,179 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The fixed small run the golden trace pins: DFP on the microbenchmark,
-/// tiny scale — a few hundred events with faults, preloads and hits.
-fn small_run_events() -> Vec<LoggedEvent> {
-    let cfg = SimConfig::at_scale(Scale::new(16_384));
+/// Runs `run` with a collecting sink and returns its event stream.
+fn events_of(run: SimRun<'_>) -> Vec<LoggedEvent> {
     let (sink, collected) = CollectingSink::new();
-    SimRun::new(&cfg)
-        .scheme(Scheme::Dfp)
-        .bench(Benchmark::Microbenchmark)
-        .sink(Box::new(sink))
-        .run_one()
-        .expect("DFP on the microbenchmark");
+    run.sink(Box::new(sink)).run().expect("the run succeeds");
     let events = collected.borrow().clone();
     events
 }
 
-#[test]
-fn chrome_trace_matches_golden() {
-    let got = render_chrome_trace(&small_run_events());
-    let path = golden_path("timeline_small.chrome.json");
+/// The fixed small run the golden trace pins: DFP on the microbenchmark,
+/// tiny scale — a few hundred events with faults, preloads and hits.
+fn small_run_events() -> Vec<LoggedEvent> {
+    let cfg = SimConfig::at_scale(Scale::new(16_384));
+    events_of(
+        SimRun::new(&cfg)
+            .scheme(Scheme::Dfp)
+            .bench(Benchmark::Microbenchmark),
+    )
+}
+
+/// A small two-enclave SIP+DFP run: deepsjeng and mcf share one kernel,
+/// so the trace has two enclave lanes, and SIP's blocking loads evict.
+fn two_enclave_run_events() -> Vec<LoggedEvent> {
+    let cfg = SimConfig::at_scale(Scale::new(16_384));
+    events_of(
+        SimRun::new(&cfg)
+            .scheme(Scheme::Hybrid)
+            .bench(Benchmark::Deepsjeng)
+            .bench(Benchmark::Mcf),
+    )
+}
+
+/// Compares `got` with the golden `name`, or rewrites the golden when
+/// [`UPDATE_ENV`] is set.
+fn assert_golden(name: &str, got: &str) {
+    let path = golden_path(name);
     if std::env::var_os(UPDATE_ENV).is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("create golden dir");
-        std::fs::write(&path, &got).expect("write golden trace");
+        std::fs::write(&path, got).expect("write golden trace");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden {path:?} ({e}); regenerate with {UPDATE_ENV}=1")
     });
-    assert_eq!(
-        got, want,
-        "chrome trace diverged from the golden; if intentional, regenerate \
-         with {UPDATE_ENV}=1"
+    assert!(
+        got == want,
+        "{name} diverged from the golden; if intentional, regenerate with \
+         {UPDATE_ENV}=1"
+    );
+}
+
+#[test]
+fn chrome_trace_matches_golden() {
+    assert_golden(
+        "timeline_small.chrome.json",
+        &render_chrome_trace(&small_run_events()),
+    );
+}
+
+/// The two-enclave run's `sip_load` allocates its `SipLoaded` span before
+/// the blocking load evicts, so an `evict-fg` with a larger id precedes
+/// the `sip-loaded` it served: span ids appear out of order.
+#[test]
+fn two_enclave_sip_dfp_trace_matches_golden() {
+    let events = two_enclave_run_events();
+    let evicted_first = events.windows(2).any(|w| {
+        w[0].what == EventKind::EvictForeground
+            && w[1].what == EventKind::SipLoaded
+            && w[0].span > w[1].span
+    });
+    assert!(evicted_first, "a SIP load evicts before it logs");
+    let lanes: BTreeSet<u64> = events
+        .iter()
+        .filter_map(|e| e.page.map(|p| p.raw() >> 24))
+        .collect();
+    assert_eq!(lanes, [0, 1].into(), "both enclaves fault");
+    assert_golden(
+        "timeline_two_enclave.chrome.json",
+        &render_chrome_trace(&events),
+    );
+}
+
+/// A kernel allocates span ids from one counter starting at 1 and logs
+/// every id it allocates, so no id exceeds the stream's event count.
+#[test]
+fn kernel_span_ids_never_exceed_the_event_count() {
+    for events in [small_run_events(), two_enclave_run_events()] {
+        let max = events.iter().map(|e| e.span.raw()).max().expect("events");
+        assert!(max >= 1 && max <= events.len() as u64, "{max}");
+    }
+}
+
+/// A hand-built stream with what a kernel never emits: span ids above
+/// the event count (1000 is emitted and is a parent; 77777 is only ever
+/// a parent), ids out of first-appearance order, span id 0, dangling
+/// parents, closes with no opener, a second close, a close before its
+/// opener, and pages in two enclaves, the second one seen first.
+fn foreign_events() -> Vec<LoggedEvent> {
+    let e1 = 1u64 << 24; // enclave 1's ELRANGE base
+    [
+        (2, EventKind::PreloadHit, Some(e1 + 12), Some(1), 11, None),
+        (5, EventKind::Fault, Some(3), None, 4, None),
+        (6, EventKind::StreamPredicted, Some(3), Some(2), 2, Some(4)),
+        (7, EventKind::PreloadStart, Some(4), None, 1000, Some(2)),
+        (8, EventKind::PreloadStart, Some(5), None, 3, Some(2)),
+        (9, EventKind::FaultResolved, Some(3), Some(4), 4, None),
+        (20, EventKind::PreloadDone, Some(4), None, 1000, Some(2)),
+        (21, EventKind::PreloadHit, Some(4), Some(1), 7, Some(1000)),
+        (
+            22,
+            EventKind::FaultResolved,
+            Some(e1 + 9),
+            Some(50),
+            6,
+            None,
+        ),
+        (
+            23,
+            EventKind::DemandLoaded,
+            Some(e1 + 9),
+            None,
+            5,
+            Some(77_777),
+        ),
+        (24, EventKind::Fault, Some(e1 + 10), None, 0, Some(9)),
+        (
+            30,
+            EventKind::FaultResolved,
+            Some(e1 + 10),
+            Some(6),
+            0,
+            None,
+        ),
+        (
+            31,
+            EventKind::FaultResolved,
+            Some(e1 + 10),
+            Some(7),
+            0,
+            None,
+        ),
+        (
+            35,
+            EventKind::EvictBackground,
+            Some(e1 + 11),
+            Some(3),
+            1 << 40,
+            None,
+        ),
+        (36, EventKind::PreloadDone, Some(5), None, 3, Some(2)),
+        (50, EventKind::PreloadDone, Some(6), None, 10, None),
+        (51, EventKind::PreloadStart, Some(6), None, 10, None),
+        (60, EventKind::RunEnd, None, Some(60), 8, None),
+    ]
+    .into_iter()
+    .map(|(at, what, page, value, span, parent)| LoggedEvent {
+        at: Cycles::new(at),
+        what,
+        page: page.map(VirtPage::new),
+        value,
+        span: SpanId::new(span),
+        parent: parent.map(SpanId::new),
+    })
+    .collect()
+}
+
+#[test]
+fn foreign_stream_trace_matches_golden() {
+    let events = foreign_events();
+    assert!(events.iter().any(|e| e.span.raw() > events.len() as u64));
+    assert_golden(
+        "timeline_foreign.chrome.json",
+        &render_chrome_trace(&events),
     );
 }
 

@@ -16,13 +16,17 @@ fn run_ok(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf8 stdout")
 }
 
+/// Runs a command that must fail with a structured error: exit code 1,
+/// never a panic's 101.
 fn run_err(args: &[&str]) -> String {
     let out = cli().args(args).output().expect("spawn sgx-preload");
-    assert!(
-        !out.status.success(),
-        "sgx-preload {args:?} unexpectedly succeeded"
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "sgx-preload {args:?} should exit 1: {stderr}"
     );
-    String::from_utf8(out.stderr).expect("utf8 stderr")
+    stderr
 }
 
 /// The number that follows `"key":` in a flat JSON document.
@@ -319,6 +323,49 @@ fn trace_replay_rejects_corrupt_inputs_with_structured_errors() {
         "--diff",
     ]);
     assert!(err.contains("--source-bench"), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A trace that declares its source benchmark must fit that benchmark's
+/// ELRANGE: one page past mcf's 13,760 dev-scale pages is an error naming
+/// the page, the benchmark and the range, not a panic in the kernel.
+#[test]
+fn trace_replay_rejects_a_page_outside_the_source_elrange() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_elrange_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("mcf.csv");
+    run_ok(&[
+        "trace",
+        "record",
+        "--bench",
+        "mcf",
+        "-n",
+        "500",
+        "--out",
+        csv.to_str().unwrap(),
+    ]);
+    let mut text = std::fs::read_to_string(&csv).unwrap();
+    text.push_str("20000,2200,0,1\n");
+    std::fs::write(&csv, text).unwrap();
+    let path = csv.to_str().unwrap();
+    for scheme in ["baseline", "sip", "user-level"] {
+        let err = run_err(&[
+            "trace",
+            "replay",
+            "--trace",
+            path,
+            "--source-bench",
+            "mcf",
+            "--scheme",
+            scheme,
+        ]);
+        assert!(
+            err.contains("trace page 20000 lies outside mcf's 13760-page ELRANGE"),
+            "{scheme}: {err}"
+        );
+    }
+    // Anonymous, the same trace sizes its ELRANGE to fit.
+    run_ok(&["trace", "replay", "--trace", path]);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -672,4 +719,11 @@ fn helpful_errors() {
     }
     assert!(run_err(&[]).contains("USAGE"));
     assert!(run_err(&["run", "--bench", "lbm", "--threshold", "7"]).contains("must be in [0, 1]"));
+    for cmd in [&["run", "--bench", "lbm"][..], &["contend"]] {
+        for bad in ["0", "-1", "x"] {
+            let args = [cmd, &["--scale", bad]].concat();
+            let err = run_err(&args);
+            assert!(err.contains(&format!("invalid --scale {bad:?}")), "{err}");
+        }
+    }
 }

@@ -6,9 +6,10 @@
 //! anything super-linear in the event stream, like the pre-rewrite
 //! quadratic trace render — fails CI instead of rotting silently.
 //!
-//! The floors sit far below the measured rates (~2.5M events/sec in
-//! release, ~580k in debug, vs a 48k pre-rewrite baseline) so machine
-//! noise cannot trip them, while a return to the quadratic render
+//! The floors sit far below the measured rates (~8.7M events/sec in
+//! release and ~550k in debug on a 2-core container; ~2.1–2.8M and ~290k
+//! before the render's flat span index, and 48k before the rewrite) so
+//! machine noise cannot trip them, while a return to the quadratic render
 //! (tens of kilo-events/sec) still fails by an order of magnitude.
 
 use sgx_preloading::{Benchmark, ChromeTraceSink, CountingSink, Scale, Scheme, SimConfig, SimRun};

@@ -88,3 +88,40 @@ fn csv_converted_traces_replay_identically() {
         .expect("replayed run");
     assert_eq!(direct, replayed);
 }
+
+/// A source-declared trace with one page past its benchmark's ELRANGE
+/// fails the run before any kernel exists, under every kind of scheme,
+/// and fails a campaign cell the same way; anonymous, it runs.
+#[test]
+fn a_trace_outside_its_source_elrange_is_a_structured_error() {
+    let cfg = SimConfig::at_scale(Scale::DEV);
+    let bench = Benchmark::Mcf;
+    let mut trace = RecordedTrace::record(bench.build(InputSet::Ref, cfg.scale, cfg.seed), 500)
+        .accesses()
+        .to_vec();
+    let mut stray = trace[0];
+    stray.page = sgx_preloading::VirtPage::new(20_000);
+    trace.push(stray);
+    let trace = RecordedTrace::from_accesses(trace);
+    let want = SimError::Elrange(sgx_preloading::ElrangeError {
+        page: 20_000,
+        bench,
+        elrange_pages: bench.elrange_pages(cfg.scale),
+    });
+    let replay = TraceReplay::of_benchmark(bench, trace.clone());
+    for scheme in [Scheme::Baseline, Scheme::Hybrid, Scheme::UserLevel] {
+        let got = SimRun::new(&cfg)
+            .scheme(scheme)
+            .replay(replay.clone())
+            .run_one();
+        assert_eq!(got.err(), Some(want), "{scheme}");
+    }
+    let err = Campaign::grid("elrange", 7, &[replay], &[Scheme::Dfp], cfg)
+        .run()
+        .expect_err("the replay cell fails");
+    assert_eq!(err.source, want);
+    SimRun::new(&cfg)
+        .replay(TraceReplay::new("capture", trace))
+        .run_one()
+        .expect("an anonymous replay sizes its ELRANGE to fit");
+}
