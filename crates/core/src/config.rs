@@ -170,8 +170,8 @@ impl SimConfig {
         self
     }
 
-    /// Installs a multi-tenant EPC scheduling policy: per-enclave quotas,
-    /// weighted preload arbitration, valve scoping and admission control.
+    /// Installs a multi-tenant EPC scheduling policy: per-enclave soft
+    /// quotas, weighted preload arbitration and admission control.
     /// Shares map to enclaves in registration order.
     pub fn with_tenant_policy(mut self, tenant: TenantPolicy) -> Self {
         self.tenant = tenant;

@@ -38,10 +38,11 @@ pub struct RunReport {
     pub instrumentation_points: usize,
     /// Preloads started on the channel.
     pub preloads_started: u64,
-    /// Preloaded pages later touched (`AccPreloadCounter`; kernel-wide).
+    /// Preloaded pages later touched (this enclave's slice of
+    /// `AccPreloadCounter`).
     pub preloads_touched: u64,
-    /// Preloaded pages evicted untouched — confirmed wasted work
-    /// (kernel-wide).
+    /// Preloaded pages evicted or torn down untouched — confirmed wasted
+    /// work.
     pub preloads_wasted: u64,
     /// Queued preloads cancelled by the abort path.
     pub preloads_aborted: u64,

@@ -307,35 +307,21 @@ pub(crate) fn run_kernel_apps(
                 st.now = kernel.sip_load(st.now, st.pid, access.page);
                 st.sip_notifies += 1;
             }
-            match kernel.app_access(st.now, st.pid, access.page) {
-                Some(_) => st.epc_hits += 1,
-                None => {
-                    // Chaos pressure can evict the just-SIP-loaded page
-                    // before the touch lands; fall back to the demand
-                    // path instead of crediting a phantom hit.
-                    let r = kernel.page_fault(st.now, st.pid, access.page);
-                    st.faults += 1;
-                    match r.kind {
-                        sgx_kernel::FaultServicing::WaitedForInflight => st.faults_waited += 1,
-                        sgx_kernel::FaultServicing::FoundResident => st.faults_raced += 1,
-                        sgx_kernel::FaultServicing::DemandLoaded => {}
-                    }
-                    st.now = r.resume_at;
+        }
+        // Chaos pressure can evict a just-SIP-loaded page before the touch
+        // lands, so the access after a notification can still fault; it
+        // takes the demand path instead of crediting a phantom hit.
+        match kernel.app_access(st.now, st.pid, access.page) {
+            Some(_) => st.epc_hits += 1,
+            None => {
+                let r = kernel.page_fault(st.now, st.pid, access.page);
+                st.faults += 1;
+                match r.kind {
+                    sgx_kernel::FaultServicing::WaitedForInflight => st.faults_waited += 1,
+                    sgx_kernel::FaultServicing::FoundResident => st.faults_raced += 1,
+                    sgx_kernel::FaultServicing::DemandLoaded => {}
                 }
-            }
-        } else {
-            match kernel.app_access(st.now, st.pid, access.page) {
-                Some(_) => st.epc_hits += 1,
-                None => {
-                    let r = kernel.page_fault(st.now, st.pid, access.page);
-                    st.faults += 1;
-                    match r.kind {
-                        sgx_kernel::FaultServicing::WaitedForInflight => st.faults_waited += 1,
-                        sgx_kernel::FaultServicing::FoundResident => st.faults_raced += 1,
-                        sgx_kernel::FaultServicing::DemandLoaded => {}
-                    }
-                    st.now = r.resume_at;
-                }
+                st.now = r.resume_at;
             }
         }
     }
@@ -350,7 +336,6 @@ pub(crate) fn run_kernel_apps(
     // in-flight work stays unaccounted, exactly as before spans existed.
     kernel.finish(end);
     let epc = kernel.epc();
-    let (touched, wasted) = (epc.preloads_touched(), epc.preloads_evicted_untouched());
     let util = kernel.channel_utilization(end);
     Ok(states
         .into_iter()
@@ -377,8 +362,8 @@ pub(crate) fn run_kernel_apps(
                 sip_notifies: s.sip_notifies,
                 instrumentation_points: s.plan.len(),
                 preloads_started: ks.preloads_started,
-                preloads_touched: touched,
-                preloads_wasted: wasted,
+                preloads_touched: epc.tenant_preloads_touched(t),
+                preloads_wasted: epc.tenant_preloads_evicted_untouched(t),
                 preloads_aborted: ks.preloads_aborted,
                 background_evictions: ks.background_evictions,
                 foreground_evictions: ks.foreground_evictions,

@@ -8,21 +8,20 @@
 //!
 //! ## Interpretation choices (documented deviations)
 //!
-//! The paper leaves two details open; both are configurable here:
+//! The paper leaves two details open:
 //!
 //! * **"npn is sequential to stpn"** — a strict successor test would break a
 //!   stream every `LOADLENGTH` pages (preloaded pages fault less often, so
-//!   the next fault lands `LOADLENGTH` ahead, like Linux readahead). We
-//!   default to a *window* test, `stpn < npn ≤ stpn + match_window` with
-//!   `match_window = LOADLENGTH`, which keeps a correctly predicted stream
-//!   alive; `match_window = 1` recovers the strict reading.
+//!   the next fault lands `LOADLENGTH` ahead, like Linux readahead). We use
+//!   a *window* test, `stpn < npn ≤ stpn + LOADLENGTH`, which keeps a
+//!   correctly predicted stream alive.
 //! * **Preload range** — the paper's prose has an off-by-one between
 //!   "page(npn+LOADLENGTH−1)" and its own worked example; we preload
 //!   `npn+1 ..= npn+LOADLENGTH` (`LOADLENGTH` pages beyond the demand-loaded
 //!   fault page).
 //!
 //! Algorithm 1 passes a `direction`; descending streams (backward scans) are
-//! recognized when [`StreamConfig::backward`] is set.
+//! recognized by the same window test below `stpn`.
 
 use std::collections::VecDeque;
 
@@ -51,10 +50,6 @@ pub struct StreamConfig {
     /// Pages preloaded per detected stream extension (`LOADLENGTH`,
     /// paper Fig. 7; default 4).
     pub load_length: u64,
-    /// Window for the "sequential to" test; `0` means "use `load_length`".
-    pub match_window: u64,
-    /// Whether descending streams are recognized.
-    pub backward: bool,
 }
 
 impl StreamConfig {
@@ -63,17 +58,6 @@ impl StreamConfig {
         StreamConfig {
             list_len: 30,
             load_length: 4,
-            match_window: 0,
-            backward: true,
-        }
-    }
-
-    /// Effective match window (resolves the `0 = load_length` default).
-    pub fn window(&self) -> u64 {
-        if self.match_window == 0 {
-            self.load_length
-        } else {
-            self.match_window
         }
     }
 
@@ -86,18 +70,6 @@ impl StreamConfig {
     /// Overrides `LOADLENGTH`.
     pub fn with_load_length(mut self, n: u64) -> Self {
         self.load_length = n;
-        self
-    }
-
-    /// Overrides the match window (`0` = follow `load_length`).
-    pub fn with_match_window(mut self, n: u64) -> Self {
-        self.match_window = n;
-        self
-    }
-
-    /// Enables or disables backward-stream detection.
-    pub fn with_backward(mut self, b: bool) -> Self {
-        self.backward = b;
         self
     }
 }
@@ -168,13 +140,10 @@ impl StreamList {
     }
 
     fn detect(&self, entry: &StreamEntry, npn: VirtPage) -> Option<Direction> {
-        let w = self.cfg.window();
+        let w = self.cfg.load_length;
         if npn.within_forward_window(entry.stpn, w) {
             Some(Direction::Forward)
-        } else if self.cfg.backward
-            && npn.raw() < entry.stpn.raw()
-            && entry.stpn.raw() - npn.raw() <= w
-        {
+        } else if npn.raw() < entry.stpn.raw() && entry.stpn.raw() - npn.raw() <= w {
             Some(Direction::Backward)
         } else {
             None
@@ -391,16 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_window_recovers_paper_literal_reading() {
-        let mut s = list(StreamConfig::paper_defaults().with_match_window(1));
-        s.on_fault(p(2));
-        assert!(s.on_fault(p(4)).is_empty(), "gap of 2 must miss");
-        assert!(!s.on_fault(p(5)).is_empty(), "strict successor must match");
-        assert_eq!(s.misses(), 2);
-        assert_eq!(s.matches(), 1);
-    }
-
-    #[test]
     fn backward_stream_detected_and_predicts_descending() {
         let mut s = list(StreamConfig::paper_defaults());
         s.on_fault(p(100));
@@ -415,14 +374,6 @@ mod tests {
         let pred = s.on_fault(p(2));
         // Only pages 1 and 0 exist below 2.
         assert_eq!(pred.pages, pages(&[1, 0]));
-    }
-
-    #[test]
-    fn backward_detection_can_be_disabled() {
-        let mut s = list(StreamConfig::paper_defaults().with_backward(false));
-        s.on_fault(p(100));
-        assert!(s.on_fault(p(99)).is_empty());
-        assert_eq!(s.misses(), 2);
     }
 
     #[test]
@@ -498,14 +449,5 @@ mod tests {
     #[should_panic(expected = "length must be positive")]
     fn zero_list_len_rejected() {
         let _ = StreamList::new(StreamConfig::paper_defaults().with_list_len(0));
-    }
-
-    #[test]
-    fn window_zero_follows_load_length() {
-        let cfg = StreamConfig::paper_defaults()
-            .with_load_length(7)
-            .with_match_window(0);
-        assert_eq!(cfg.window(), 7);
-        assert_eq!(cfg.with_match_window(3).window(), 3);
     }
 }

@@ -89,28 +89,22 @@ pub struct Eviction {
 
 /// An EPC residency quota for one registered tenant extent.
 ///
-/// Both limits are in pages; `0` means "unlimited" (the unpartitioned
-/// driver default). The *soft* quota marks the tenant's fair share: the
-/// reclaimer preferentially evicts from tenants above it. The *hard* cap
-/// is never exceeded: loads for a capped tenant must first self-evict.
+/// The *soft* quota, in pages, marks the tenant's fair share: the
+/// reclaimer preferentially evicts from tenants above it. `0` means
+/// "unlimited" (the unpartitioned driver default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantQuota {
     /// Fair-share residency target; reclaim prefers tenants above it.
     pub soft_pages: u64,
-    /// Absolute residency ceiling; `0` disables the cap.
-    pub hard_pages: u64,
 }
 
 impl TenantQuota {
-    /// The unpartitioned default: no share, no cap.
-    pub const NONE: TenantQuota = TenantQuota {
-        soft_pages: 0,
-        hard_pages: 0,
-    };
+    /// The unpartitioned default: no share.
+    pub const NONE: TenantQuota = TenantQuota { soft_pages: 0 };
 
     /// Whether this quota constrains anything.
     pub fn is_none(&self) -> bool {
-        self.soft_pages == 0 && self.hard_pages == 0
+        self.soft_pages == 0
     }
 }
 
@@ -121,8 +115,8 @@ struct TenantExtent {
     pages: u64,
     quota: TenantQuota,
     resident: u64,
-    preloads_completed: u64,
     preloads_touched: u64,
+    preloads_evicted_untouched: u64,
     /// Dense page → slot table over the extent's local page numbers
     /// (`slot + 1`; `0` = not resident). One array load replaces the hash
     /// probe for every page inside a registered extent — the entire hot
@@ -378,11 +372,7 @@ impl Epc {
             self.preloads_completed += 1;
         }
         if owner != NO_OWNER {
-            let ext = &mut self.extents[owner as usize];
-            ext.resident += 1;
-            if matches!(origin, LoadOrigin::Preload) {
-                ext.preloads_completed += 1;
-            }
+            self.extents[owner as usize].resident += 1;
         }
         Ok(slot)
     }
@@ -493,7 +483,9 @@ impl Epc {
         }
         let owner = self.slot_owner[i];
         if owner != NO_OWNER {
-            self.extents[owner as usize].resident -= 1;
+            let ext = &mut self.extents[owner as usize];
+            ext.resident -= 1;
+            ext.preloads_evicted_untouched += u64::from(wasted);
         }
         debug_assert!(
             self.lookup(raw).is_some(),
@@ -552,8 +544,8 @@ impl Epc {
             pages,
             quota: TenantQuota::NONE,
             resident,
-            preloads_completed: 0,
             preloads_touched: 0,
+            preloads_evicted_untouched: 0,
             slots,
         });
         tenant
@@ -566,11 +558,6 @@ impl Epc {
     /// Panics if `tenant` was never registered.
     pub fn set_quota(&mut self, tenant: usize, quota: TenantQuota) {
         self.extents[tenant].quota = quota;
-    }
-
-    /// The quota currently applied to `tenant`.
-    pub fn quota(&self, tenant: usize) -> TenantQuota {
-        self.extents[tenant].quota
     }
 
     /// Number of registered tenant extents.
@@ -589,29 +576,22 @@ impl Epc {
         self.extents[tenant].resident
     }
 
-    /// Preloads completed for `tenant` (its slice of the paper's
-    /// `PreloadCounter`).
-    pub fn tenant_preloads_completed(&self, tenant: usize) -> u64 {
-        self.extents[tenant].preloads_completed
-    }
-
     /// Preloaded pages of `tenant` later touched (its slice of
     /// `AccPreloadCounter`).
     pub fn tenant_preloads_touched(&self, tenant: usize) -> u64 {
         self.extents[tenant].preloads_touched
     }
 
+    /// Preloaded pages of `tenant` evicted or released without ever being
+    /// touched (its slice of [`Epc::preloads_evicted_untouched`]).
+    pub fn tenant_preloads_evicted_untouched(&self, tenant: usize) -> u64 {
+        self.extents[tenant].preloads_evicted_untouched
+    }
+
     /// Whether `tenant` is above its soft share (always `false` without a
     /// quota).
     pub fn over_soft_quota(&self, tenant: usize) -> bool {
         self.extents[tenant].over_soft()
-    }
-
-    /// Whether loading one more page for `tenant` would exceed its hard
-    /// cap (always `false` without a cap).
-    pub fn at_hard_cap(&self, tenant: usize) -> bool {
-        let e = &self.extents[tenant];
-        e.quota.hard_pages > 0 && e.resident >= e.quota.hard_pages
     }
 
     /// `true` when at least one tenant is above its soft quota — the
@@ -634,29 +614,8 @@ impl Epc {
         if !self.any_over_soft_quota() {
             return self.evict_victim();
         }
-        self.evict_victim_where(|epc, slot| {
-            let owner = epc.slot_owner[slot as usize];
-            owner != NO_OWNER && epc.extents[owner as usize].over_soft()
-        })
-    }
-
-    /// Evicts the first policy victim owned by `tenant`, re-entering
-    /// skipped victims cold. Used to keep a hard-capped tenant inside its
-    /// cap by self-eviction. Returns `None` when the tenant has no
-    /// resident pages.
-    pub fn evict_victim_owned_by(&mut self, tenant: usize) -> Option<Eviction> {
-        if self.extents.get(tenant).map_or(0, |e| e.resident) == 0 {
-            return None;
-        }
-        let owner = u16::try_from(tenant).expect("too many tenants");
-        self.evict_victim_where(move |epc, slot| epc.slot_owner[slot as usize] == owner)
-    }
-
-    /// Shared search: pops policy victims until `keep` matches, bounded by
-    /// one pass over the resident set; non-matching victims are reinserted
-    /// cold in their original order. Falls back to the first victim popped
-    /// when nothing matches.
-    fn evict_victim_where(&mut self, keep: impl Fn(&Epc, u32) -> bool) -> Option<Eviction> {
+        // Pop policy victims until one belongs to an over-quota tenant,
+        // bounded by one pass over the resident set.
         let mut skipped: Vec<u32> = Vec::new();
         let mut scanned = 0u64;
         let mut chosen: Option<u32> = None;
@@ -666,7 +625,8 @@ impl Epc {
                 break;
             };
             scanned += self.engine_last_scan();
-            if keep(self, slot) {
+            let owner = self.slot_owner[slot as usize];
+            if owner != NO_OWNER && self.extents[owner as usize].over_soft() {
                 chosen = Some(slot);
                 break;
             }
@@ -887,20 +847,24 @@ mod tests {
         epc.insert(p(1), LoadOrigin::Demand).unwrap();
         epc.insert(p(2), LoadOrigin::Preload).unwrap();
         epc.insert(p(1001), LoadOrigin::Demand).unwrap();
+        epc.insert(p(1002), LoadOrigin::Preload).unwrap();
         assert_eq!(epc.tenant_resident(a), 2);
-        assert_eq!(epc.tenant_resident(b), 1);
-        assert_eq!(epc.tenant_preloads_completed(a), 1);
-        assert_eq!(epc.tenant_preloads_completed(b), 0);
+        assert_eq!(epc.tenant_resident(b), 2);
         epc.touch(p(2));
         assert_eq!(epc.tenant_preloads_touched(a), 1);
+        assert_eq!(epc.tenant_preloads_touched(b), 0);
         assert_eq!(epc.owner_of(p(1001)), Some(b));
         assert_eq!(epc.owner_of(p(500)), None);
-        // Evictions give the slot back to the owner's account.
+        // Evictions give the slot back to the owner's account, and only
+        // the owner of an untouched preload is billed its waste.
         while let Some(ev) = epc.evict_victim() {
             assert!(!epc.is_resident(ev.page));
         }
         assert_eq!(epc.tenant_resident(a), 0);
         assert_eq!(epc.tenant_resident(b), 0);
+        assert_eq!(epc.tenant_preloads_evicted_untouched(a), 0);
+        assert_eq!(epc.tenant_preloads_evicted_untouched(b), 1);
+        assert_eq!(epc.preloads_evicted_untouched(), 1);
     }
 
     #[test]
@@ -921,13 +885,7 @@ mod tests {
         let mut epc = Epc::new(8);
         let a = epc.register_extent(p(0), 100);
         let b = epc.register_extent(p(1000), 100);
-        epc.set_quota(
-            a,
-            TenantQuota {
-                soft_pages: 1,
-                hard_pages: 0,
-            },
-        );
+        epc.set_quota(a, TenantQuota { soft_pages: 1 });
         // Tenant B's page is the coldest (inserted first), but tenant A is
         // over its soft share, so the quota-aware sweep skips B.
         epc.insert(p(1000), LoadOrigin::Demand).unwrap();
@@ -963,40 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_cap_self_eviction_targets_the_capped_tenant() {
-        let mut epc = Epc::new(8);
-        let a = epc.register_extent(p(0), 100);
-        let b = epc.register_extent(p(1000), 100);
-        epc.set_quota(
-            a,
-            TenantQuota {
-                soft_pages: 0,
-                hard_pages: 2,
-            },
-        );
-        epc.insert(p(1000), LoadOrigin::Demand).unwrap();
-        epc.insert(p(1), LoadOrigin::Demand).unwrap();
-        epc.insert(p(2), LoadOrigin::Demand).unwrap();
-        assert!(epc.at_hard_cap(a));
-        assert!(!epc.at_hard_cap(b));
-        let ev = epc.evict_victim_owned_by(a).unwrap();
-        assert_eq!(epc.owner_of(ev.page), Some(a));
-        assert!(!epc.at_hard_cap(a));
-        // The bystander tenant kept its page.
-        assert!(epc.is_resident(p(1000)));
-    }
-
-    #[test]
-    fn self_eviction_with_no_resident_pages_returns_none() {
-        let mut epc = Epc::new(4);
-        let a = epc.register_extent(p(0), 100);
-        let b = epc.register_extent(p(1000), 100);
-        epc.insert(p(1000), LoadOrigin::Demand).unwrap();
-        assert!(epc.evict_victim_owned_by(a).is_none());
-        assert!(epc.evict_victim_owned_by(b).is_some());
-    }
-
-    #[test]
     fn residency_and_counts_stay_consistent_under_churn() {
         let mut epc = Epc::new(8);
         for n in 0..8 {
@@ -1026,6 +950,7 @@ mod tests {
         assert!(released.iter().all(|ev| ev.scanned == 0));
         assert_eq!(released.iter().filter(|ev| ev.wasted_preload).count(), 1);
         assert_eq!(epc.preloads_evicted_untouched(), 1);
+        assert_eq!(epc.tenant_preloads_evicted_untouched(a), 1);
         assert_eq!(epc.tenant_resident(a), 0);
         assert_eq!(epc.tenant_resident(b), 1);
         assert!(epc.is_resident(p(1000)));

@@ -11,10 +11,9 @@
 //!   and kernel (§4.3).
 //! * [`CostModel`] — the published cycle costs (AEX 10k, ELDU 44k,
 //!   ERESUME 10k, regular fault 2k, …).
-//! * [`Enclave`] — ELRANGE description; virtual size may far exceed EPC.
 //!
-//! The default EPC capacity helpers follow the paper: 128 MiB reserved,
-//! ≈96 MiB usable for application pages.
+//! The default EPC capacity follows the paper: ≈96 MiB of the 128 MiB
+//! reserved is usable for application pages.
 //!
 //! # Examples
 //!
@@ -36,7 +35,6 @@
 mod bitmap;
 mod clock;
 mod cost;
-mod enclave;
 mod epc;
 mod page;
 mod replacement;
@@ -46,9 +44,8 @@ mod startup;
 pub use bitmap::PresenceBitmap;
 pub use clock::ClockQueue;
 pub use cost::CostModel;
-pub use enclave::{EmptyElrangeError, Enclave, EnclaveId};
 pub use epc::{Epc, EpcFullError, Eviction, LoadOrigin, TenantQuota, TouchOutcome};
-pub use page::{pages_for_bytes, VirtPage, PAGE_SIZE_BYTES};
+pub use page::{VirtPage, PAGE_SIZE_BYTES};
 pub use replacement::{FifoPolicy, LruPolicy, RandomPolicy, ReplacementPolicy, VictimPolicy};
 pub use sizing::EpcSizing;
 pub use startup::StartupModel;
@@ -56,21 +53,4 @@ pub use startup::StartupModel;
 /// Usable EPC capacity in pages: the paper's ≈96 MiB after enclave metadata.
 pub const fn usable_epc_pages() -> u64 {
     96 * 1024 * 1024 / PAGE_SIZE_BYTES
-}
-
-/// Reserved (total) EPC size in pages: 128 MiB on the paper's hardware.
-pub const fn reserved_epc_pages() -> u64 {
-    128 * 1024 * 1024 / PAGE_SIZE_BYTES
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn epc_size_constants() {
-        assert_eq!(usable_epc_pages(), 24_576);
-        assert_eq!(reserved_epc_pages(), 32_768);
-        assert!(usable_epc_pages() < reserved_epc_pages());
-    }
 }

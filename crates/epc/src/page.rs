@@ -10,22 +10,6 @@ use std::fmt;
 /// Bytes per page. SGX EPC pages are 4 KiB.
 pub const PAGE_SIZE_BYTES: u64 = 4096;
 
-/// Converts a byte size to the number of pages needed to hold it (rounds up).
-///
-/// # Examples
-///
-/// ```
-/// use sgx_epc::{pages_for_bytes, PAGE_SIZE_BYTES};
-///
-/// assert_eq!(pages_for_bytes(0), 0);
-/// assert_eq!(pages_for_bytes(1), 1);
-/// assert_eq!(pages_for_bytes(PAGE_SIZE_BYTES), 1);
-/// assert_eq!(pages_for_bytes(96 * 1024 * 1024), 24_576); // usable EPC
-/// ```
-pub const fn pages_for_bytes(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE_BYTES)
-}
-
 /// A virtual page number inside an enclave's ELRANGE.
 ///
 /// # Examples
@@ -164,14 +148,6 @@ mod tests {
         assert_eq!(VirtPage::containing(p.base_address()), p);
         assert_eq!(VirtPage::containing(p.base_address() + 4095), p);
         assert_eq!(VirtPage::containing(p.base_address() + 4096), p.next());
-    }
-
-    #[test]
-    fn pages_for_bytes_rounds_up() {
-        assert_eq!(pages_for_bytes(4097), 2);
-        assert_eq!(pages_for_bytes(8192), 2);
-        // The paper's 1 GiB microbenchmark footprint.
-        assert_eq!(pages_for_bytes(1 << 30), 262_144);
     }
 
     #[test]

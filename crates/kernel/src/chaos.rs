@@ -337,12 +337,8 @@ const SALT_SPIKE: u64 = 4;
 const SALT_VALVE: u64 = 5;
 const SALT_STORM: u64 = 6;
 
-/// The deterministic fault injector, installed on a kernel via
-/// [`Kernel::install_injector`] or the `KernelConfig::chaos` field —
-/// alongside [`TraceSink`] on the builder path.
-///
-/// [`Kernel::install_injector`]: crate::Kernel::install_injector
-/// [`TraceSink`]: crate::TraceSink
+/// The deterministic fault injector the kernel builds from the
+/// `KernelConfig::chaos` schedule.
 pub struct FaultInjector {
     schedule: ChaosSchedule,
     drop_rng: DetRng,

@@ -323,11 +323,8 @@ pub struct KernelStats {
     pub foreground_evictions: u64,
     /// Background loads (DFP preloads or SIP prefetches) completed.
     pub preload_dones: u64,
-    /// Preload pages shed by tenant admission control or a hard cap.
+    /// Preload pages shed by tenant admission control.
     pub preloads_shed: u64,
-    /// DFP-stop valve latches of this enclave's own valve (the
-    /// kernel-global latch names no enclave; [`Kernel::stats`] adds it).
-    pub valve_stops: u64,
     /// Cycles demand faults spent waiting for the load channel (another
     /// requester's in-flight job).
     pub channel_wait_cycles: Cycles,
@@ -342,8 +339,8 @@ pub struct KernelStats {
     pub evict_scan: Histogram,
     /// Lengths of the DFP's non-empty stream predictions.
     pub stream_len: Histogram,
-    /// When preloading stopped: the earlier of this enclave's own valve
-    /// and the kernel-global latch.
+    /// When the kernel-global DFP-stop latch fired; every enclave
+    /// registered at that instant records it.
     pub dfp_stopped_at: Option<Cycles>,
     /// The [`CycleAttribution`] buckets settled so far, one field each
     /// ([`Kernel::attribution`] adds unsettled channel work and the
@@ -387,7 +384,6 @@ impl KernelStats {
         self.foreground_evictions += o.foreground_evictions;
         self.preload_dones += o.preload_dones;
         self.preloads_shed += o.preloads_shed;
-        self.valve_stops += o.valve_stops;
         self.channel_wait_cycles += o.channel_wait_cycles;
         self.residency.merge(&o.residency);
         self.fault_service.merge(&o.fault_service);
@@ -406,11 +402,6 @@ impl KernelStats {
         self.wasted_preload += o.wasted_preload;
         self.clock_scan += o.clock_scan;
         self.eviction += o.eviction;
-    }
-
-    /// Records that preloading stopped at `now`, keeping an earlier stop.
-    fn stop_at(&mut self, now: Cycles) {
-        self.dfp_stopped_at = Some(self.dfp_stopped_at.map_or(now, |s| s.min(now)));
     }
 }
 
@@ -434,7 +425,6 @@ impl Default for KernelStats {
             foreground_evictions: 0,
             preload_dones: 0,
             preloads_shed: 0,
-            valve_stops: 0,
             channel_wait_cycles: Cycles::ZERO,
             residency: Histogram::new("residency"),
             fault_service: Histogram::new("fault_service"),
@@ -518,10 +508,6 @@ struct EnclaveSlot {
     base: u64,
     pages: u64,
     bitmap: PresenceBitmap,
-    /// This enclave's DFP-stop valve, when valves are per-enclave.
-    valve: Option<AbortValve>,
-    /// Whether this enclave's valve has latched.
-    stopped: bool,
     /// Everything billed to this enclave.
     stats: KernelStats,
 }
@@ -584,9 +570,6 @@ pub struct Kernel {
     /// gate on this, so the zero policy is bit-identical to the
     /// shared-everything default.
     tenant_active: bool,
-    /// The abort policy as configured (kept to build per-enclave valves at
-    /// registration when the policy scopes valves per enclave).
-    abort_cfg: Option<AbortPolicy>,
     /// Per-enclave preload queues, used instead of `preload_q` when the
     /// tenant policy is active; drained by weighted deficit round-robin.
     per_q: Vec<PreloadQueue>,
@@ -698,13 +681,6 @@ impl Kernel {
             .unwrap_or_else(|| Watermarks::driver_defaults(cfg.epc_pages));
         let tenant_policy = cfg.tenant.unwrap_or_else(TenantPolicy::none);
         let tenant_active = !tenant_policy.is_none();
-        // With per-enclave valves the kernel-global valve is retired; each
-        // enclave gets its own at registration.
-        let global_valve = if tenant_active && tenant_policy.per_enclave_valves {
-            None
-        } else {
-            cfg.abort_policy.map(AbortValve::new)
-        };
         Kernel {
             costs: cfg.costs,
             wm,
@@ -714,10 +690,9 @@ impl Kernel {
             thread_owner: FastMap::new(),
             next_base: 0,
             predictor,
-            valve: global_valve,
+            valve: cfg.abort_policy.map(AbortValve::new),
             tenant_policy,
             tenant_active,
-            abort_cfg: cfg.abort_policy,
             per_q: Vec::new(),
             drr_deficit: Vec::new(),
             drr_cursor: 0,
@@ -826,25 +801,17 @@ impl Kernel {
         self.pid_index
             .insert(pid.0 as u64, self.enclaves.len() as u64);
         // Every enclave becomes an EPC tenant extent (telemetry is
-        // unconditional); quotas and per-enclave valves only when the
-        // policy is active.
+        // unconditional); quotas only when the policy is active.
         let ten = self.epc.register_extent(VirtPage::new(base), pages);
         debug_assert_eq!(ten, self.enclaves.len(), "tenant index == enclave index");
         if self.tenant_active {
             self.epc.set_quota(ten, self.tenant_policy.quota(ten));
         }
-        let valve = if self.tenant_active && self.tenant_policy.per_enclave_valves {
-            self.abort_cfg.map(AbortValve::new)
-        } else {
-            None
-        };
         self.enclaves.push(EnclaveSlot {
             pid,
             base,
             pages,
             bitmap: PresenceBitmap::new(pages),
-            valve,
-            stopped: false,
             stats: KernelStats::default(),
         });
         self.per_q.push(PreloadQueue::new());
@@ -1044,17 +1011,14 @@ impl Kernel {
         }
     }
 
-    /// Whether any preload work is runnable (global queue, or a
-    /// non-stopped tenant's queue).
+    /// Whether any preload work is runnable (global queue, or any
+    /// tenant's queue) while the valve is open.
     fn preload_pending(&self) -> bool {
         if self.preload_stopped {
             return false;
         }
         if self.tenant_active {
-            self.per_q
-                .iter()
-                .enumerate()
-                .any(|(i, q)| !q.is_empty() && !self.enclaves[i].stopped)
+            self.per_q.iter().any(|q| !q.is_empty())
         } else {
             !self.preload_q.is_empty()
         }
@@ -1072,7 +1036,7 @@ impl Kernel {
         let n = self.per_q.len();
         for _ in 0..n {
             let i = self.drr_cursor;
-            if self.enclaves[i].stopped || self.per_q[i].is_empty() {
+            if self.per_q[i].is_empty() {
                 self.drr_deficit[i] = 0;
                 self.drr_cursor = (self.drr_cursor + 1) % n;
                 continue;
@@ -1103,12 +1067,6 @@ impl Kernel {
         } else {
             self.preload_q.abort_into(out)
         }
-    }
-
-    /// Whether DFP preloading is off for `ten` (the kernel-global latch,
-    /// or the tenant's own when valves are per-enclave).
-    fn preloading_stopped_for(&self, ten: usize) -> bool {
-        self.preload_stopped || self.enclaves.get(ten).is_some_and(|e| e.stopped)
     }
 
     /// Applies the state change of a completed channel job and frees the
@@ -1265,27 +1223,25 @@ impl Kernel {
     }
 
     /// Re-queues dropped preloads whose backoff has expired. Retries
-    /// respect the valve latches: once preloading stops for a page's
-    /// enclave (the kernel-global latch or its own valve), its pending
-    /// retries are discarded, due or not, rather than re-queued.
+    /// respect the valve latch: once preloading stops, every pending retry
+    /// is discarded, due or not, rather than re-queued.
     fn chaos_release_retries(&mut self, t: Cycles) {
         if self.retry_q.is_empty() {
             return;
         }
         let mut due = std::mem::take(&mut self.due_buf);
         due.clear();
-        let mut queue = std::mem::take(&mut self.retry_q);
-        queue.retain(|e| {
-            if e.not_before <= t || self.preloading_stopped_for(self.owner(e.page)) {
+        let stopped = self.preload_stopped;
+        self.retry_q.retain(|e| {
+            if stopped || e.not_before <= t {
                 due.push((e.page, e.batch));
                 false
             } else {
                 true
             }
         });
-        self.retry_q = queue;
         for &(page, batch) in &due {
-            if self.preloading_stopped_for(self.owner(page))
+            if self.preload_stopped
                 || self.epc.is_resident(page)
                 || self.preload_queued(page)
                 || matches!(self.in_flight, Some(f) if f.is_load_of(page))
@@ -1386,17 +1342,6 @@ impl Kernel {
                     }
                     continue;
                 }
-                // Hard cap: a tenant at its ceiling may not grow through
-                // speculation — the preload is shed, not the cap raised.
-                // (SIP loads are explicit application demands and instead
-                // self-evict in `blocking_load`.)
-                if matches!(origin, LoadOrigin::Preload)
-                    && self.tenant_active
-                    && self.epc.at_hard_cap(owner)
-                {
-                    self.enclaves[owner].stats.preloads_shed += 1;
-                    continue;
-                }
                 // Chaos: only speculative (DFP) batches are droppable —
                 // SIP requests are explicit application demands. A dropped
                 // page keeps its batch tag so a backoff retry still
@@ -1446,8 +1391,8 @@ impl Kernel {
             // An idle channel with a pending chaos retry: jump to the
             // earliest backoff expiry `now` has already passed so the
             // retry can start (the channel was idle in between anyway).
-            // `nb > t` guarantees progress; retries of stopped enclaves
-            // were discarded above, so none can drive a jump.
+            // `nb > t` guarantees progress; a latched valve discarded
+            // every retry above, so none can drive a jump.
             if let Some(next) = self
                 .retry_q
                 .iter()
@@ -1490,24 +1435,8 @@ impl Kernel {
         if matches!(origin, LoadOrigin::Demand) {
             st.channel_wait_cycles += t - from;
         }
-        // A tenant at its hard cap frees one of its *own* pages before
-        // loading, even when the global free pool has room — the cap is a
-        // ceiling on residency, not a reservation against others.
-        let owner = self.enclave_of_page(page);
-        let cap_evict = self.tenant_active && owner.is_some_and(|o| self.epc.at_hard_cap(o));
-        let ev = if cap_evict {
-            let o = owner.expect("cap implies a registered owner");
-            let ev = self.epc.evict_victim_owned_by(o);
-            if let Some(ev) = &ev {
-                self.note_eviction(ev);
-            }
-            ev
-        } else if self.usable_free_slots(t) == 0 && self.epc.resident_count() > 0 {
-            Some(self.evict_one_now())
-        } else {
-            None
-        };
-        if let Some(ev) = ev {
+        if self.usable_free_slots(t) == 0 && self.epc.resident_count() > 0 {
+            let ev = self.evict_one_now();
             let espan = self.spans.next();
             self.log(
                 t,
@@ -1546,28 +1475,10 @@ impl Kernel {
         done
     }
 
-    /// The safety valve's counters are kernel-global by default (as in the
-    /// driver, where the service thread owns them): in a multi-enclave
-    /// run, one enclave's sustained mispredictions stop preloading for
-    /// all. An active [`TenantPolicy`] with `per_enclave_valves` instead
-    /// gives the faulting enclave its own valve over its own accuracy
-    /// counters, so a mispredicting neighbour cannot trip anyone else.
-    fn valve_check(&mut self, now: Cycles, ten: usize, cause: SpanId) {
-        if self.tenant_active && self.tenant_policy.per_enclave_valves {
-            if self.enclaves[ten].stopped || self.enclaves[ten].valve.is_none() {
-                return;
-            }
-            let completed = self.epc.tenant_preloads_completed(ten);
-            let touched = self.epc.tenant_preloads_touched(ten);
-            let tripped = self.enclaves[ten]
-                .valve
-                .as_mut()
-                .is_some_and(|v| v.observe(now, completed, touched));
-            if tripped {
-                self.stop_tenant_preloading(now, ten, cause);
-            }
-            return;
-        }
+    /// The safety valve's counters are kernel-global (as in the driver,
+    /// where the service thread owns them): in a multi-enclave run, one
+    /// enclave's sustained mispredictions stop preloading for all.
+    fn valve_check(&mut self, now: Cycles, cause: SpanId) {
         if self.preload_stopped {
             return;
         }
@@ -1602,35 +1513,13 @@ impl Kernel {
             let d = q.abort();
             dropped += d;
             e.stats.preloads_aborted += d;
-            e.stats.stop_at(now);
+            e.stats.dfp_stopped_at = Some(now);
         }
         let vspan = self.spans.next();
         self.log(
             now,
             EventKind::ValveStopped,
             None,
-            Some(dropped),
-            vspan,
-            Some(cause),
-        );
-    }
-
-    /// Latches one tenant's DFP stop: aborts only its queue and stamps the
-    /// event with its ELRANGE base so stream consumers can attribute it
-    /// (the kernel-global stop keeps `page = None`).
-    fn stop_tenant_preloading(&mut self, now: Cycles, ten: usize, cause: SpanId) {
-        let dropped = self.per_q[ten].abort();
-        let e = &mut self.enclaves[ten];
-        e.stopped = true;
-        e.stats.preloads_aborted += dropped;
-        e.stats.valve_stops += 1;
-        e.stats.stop_at(now);
-        let base = VirtPage::new(e.base);
-        let vspan = self.spans.next();
-        self.log(
-            now,
-            EventKind::ValveStopped,
-            Some(base),
             Some(dropped),
             vspan,
             Some(cause),
@@ -1752,7 +1641,7 @@ impl Kernel {
                 _ => None,
             });
         self.log(now, EventKind::Fault, Some(g), None, fspan, cause);
-        self.valve_check(t, ten, fspan);
+        self.valve_check(t, fspan);
         self.chaos_on_fault(t, fspan);
 
         let (kind, handler_done) = if self.epc.is_resident(g) {
@@ -1829,7 +1718,7 @@ impl Kernel {
             (FaultServicing::DemandLoaded, done)
         };
 
-        if !self.preloading_stopped_for(ten) {
+        if !self.preload_stopped {
             let mut pred = std::mem::take(&mut self.pred_buf);
             pred.clear();
             self.predictor.on_fault_into(t, pid, g, &mut pred);
@@ -1891,12 +1780,12 @@ impl Kernel {
     }
 
     /// Attempts to service a missing-page fault by EDMM growth: if the
-    /// page was never committed, the enclave is below its ceiling (and
-    /// any hard tenant cap), and a physical slot is free, the OS EAUGs a
-    /// fresh page into the faulting address and the enclave EACCEPTs it —
-    /// entirely inside the fault handler, without touching the load
-    /// channel. Returns the handler-done instant, or `None` when the
-    /// classic swap path must run instead.
+    /// page was never committed, the enclave is below its ceiling, and a
+    /// physical slot is free, the OS EAUGs a fresh page into the faulting
+    /// address and the enclave EACCEPTs it — entirely inside the fault
+    /// handler, without touching the load channel. Returns the
+    /// handler-done instant, or `None` when the classic swap path must run
+    /// instead.
     fn try_eaug_grow(&mut self, t: Cycles, ten: usize, g: VirtPage) -> Option<Cycles> {
         self.edmm?;
         let local = VirtPage::new(g.raw() - self.enclaves[ten].base);
@@ -1907,9 +1796,6 @@ impl Kernel {
         }
         if self.committed[ten] >= self.edmm_ceiling {
             self.edmm_stats.denied_at_ceiling += 1;
-            return None;
-        }
-        if self.tenant_active && self.epc.at_hard_cap(ten) {
             return None;
         }
         // EAUG bypasses the load channel, so it must not consume the slot
@@ -2068,14 +1954,6 @@ impl Kernel {
         self.sinks.push(sink);
     }
 
-    /// Installs a deterministic [`FaultInjector`] (the chaos layer),
-    /// replacing any injector configured via the `KernelConfig::chaos`
-    /// field. Like [`Kernel::subscribe`], this is part of the builder
-    /// path: call it before driving the kernel.
-    pub fn install_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
-    }
-
     /// Chaos-injection telemetry, if an injector is installed. Kept apart
     /// from [`KernelStats`] so injection bookkeeping never disturbs the
     /// streamed-event reconciliation.
@@ -2102,13 +1980,12 @@ impl Kernel {
     }
 
     /// The kernel-wide ledger so far: every enclave's [`KernelStats`]
-    /// summed, plus the kernel-global valve latch.
+    /// summed.
     pub fn stats(&self) -> KernelStats {
         let mut s = KernelStats::default();
         for e in &self.enclaves {
             s.merge(&e.stats);
         }
-        s.valve_stops += u64::from(self.preload_stopped);
         s
     }
 
@@ -2174,19 +2051,13 @@ impl Kernel {
             foreground_evictions: s.foreground_evictions,
             preload_aborts: s.preloads_aborted,
             sip_loads: s.sip_loads,
-            valve_stops: s.valve_stops + u64::from(self.preload_stopped),
+            valve_stops: u64::from(self.preload_stopped),
             sip_prefetch_starts: s.sip_prefetches_started,
             faults_resolved: s.faults,
             preload_hits: s.preload_lead.count(),
             stream_predictions: s.stream_len.count(),
             run_ends: u64::from(self.finished),
         }
-    }
-
-    /// Whether DFP preloading has stopped for tenant `idx` — via the
-    /// kernel-global valve or its own when valves are per-enclave.
-    pub fn is_tenant_preload_stopped(&self, idx: usize) -> bool {
-        self.preloading_stopped_for(idx)
     }
 
     /// Whether the DFP-stop valve has fired.
@@ -2346,9 +2217,8 @@ impl Kernel {
     fn emit_sample(&mut self, now: Cycles) {
         self.flush_events();
         self.last_sample_at = now;
-        let (mut stopped_tenants, mut faults, mut preloads_started) = (0, 0, 0);
+        let (mut faults, mut preloads_started) = (0, 0);
         for e in &self.enclaves {
-            stopped_tenants += u64::from(e.stopped);
             faults += e.stats.faults;
             preloads_started += e.stats.preloads_started;
         }
@@ -2359,7 +2229,7 @@ impl Kernel {
             queue_depth: self.preload_queue_len() as u64,
             sip_queue_depth: self.sip_q.len() as u64,
             live_streams: self.predictor.live_streams(),
-            valve_stops: self.preload_stopped as u64 + stopped_tenants,
+            valve_stops: u64::from(self.preload_stopped),
             channel_busy: self.channel_busy,
             faults,
             preloads_started,
@@ -3205,54 +3075,6 @@ mod tests {
     }
 
     #[test]
-    fn per_enclave_valve_stops_only_the_mispredicting_tenant() {
-        let policy = TenantPolicy::none().with_per_enclave_valves(true);
-        let mut cfg = KernelConfig::new(512)
-            .with_costs(tiny_costs())
-            .with_abort_policy(
-                AbortPolicy::paper_defaults()
-                    .with_slack(5)
-                    .with_check_interval(Cycles::new(1_000)),
-            );
-        cfg.tenant = Some(policy);
-        let mut k = Kernel::new(cfg, Box::new(NextLinePredictor::new(4)));
-        let (a, b) = (ProcessId(1), ProcessId(2));
-        k.register_enclave(a, 1 << 20).unwrap();
-        k.register_enclave(b, 1 << 20).unwrap();
-        let (sink, events) = crate::CollectingSink::new();
-        k.subscribe(Box::new(sink));
-        // A scatters (its preloads are never touched); B walks
-        // sequentially (its preloads are touched).
-        let mut now = Cycles::ZERO;
-        for i in 0..200u64 {
-            let ra = k.page_fault(now, a, p(i * 100));
-            let rb = k.page_fault(ra.resume_at + Cycles::new(1), b, p(i));
-            now = rb.resume_at + Cycles::new(300);
-        }
-        assert!(k.is_tenant_preload_stopped(0), "aggressor valve fired");
-        assert!(!k.is_tenant_preload_stopped(1), "victim keeps preloading");
-        assert!(!k.is_preload_stopped(), "no kernel-global latch");
-        assert!(k.tenant_stats(0).dfp_stopped_at.is_some());
-        assert!(k.tenant_stats(1).dfp_stopped_at.is_none());
-        assert!(k.stats().dfp_stopped_at.is_some());
-        // The stop event carries the tripping enclave's ELRANGE base.
-        let stop = events
-            .borrow()
-            .iter()
-            .find(|e| e.what == EventKind::ValveStopped)
-            .copied()
-            .expect("valve stop streamed");
-        assert_eq!(stop.page, Some(p(0)));
-        // B's pipeline stayed alive after A's stop.
-        let stopped_at = k.tenant_stats(0).dfp_stopped_at.unwrap();
-        assert!(events.borrow().iter().any(|e| {
-            e.what == EventKind::PreloadStart
-                && e.at > stopped_at
-                && e.page.unwrap().raw() >= (1 << 24)
-        }));
-    }
-
-    #[test]
     fn admission_control_sheds_over_share_batches_under_pressure() {
         let policy = TenantPolicy::fair(2, 16);
         let mut cfg = KernelConfig::new(16)
@@ -3276,51 +3098,12 @@ mod tests {
     }
 
     #[test]
-    fn hard_cap_forces_self_eviction_with_free_pool_available() {
-        let policy = TenantPolicy::none().with_quota(
-            0,
-            TenantQuota {
-                soft_pages: 0,
-                hard_pages: 4,
-            },
-        );
-        let mut k = tenant_kernel(64, Box::new(NoPredictor), policy);
-        k.register_enclave(PID, 1 << 16).unwrap();
-        let mut now = Cycles::ZERO;
-        for i in 0..10u64 {
-            now = k.page_fault(now, PID, p(i)).resume_at + Cycles::new(10);
-        }
-        assert_eq!(k.epc().tenant_resident(0), 4, "cap is a hard ceiling");
-        assert_eq!(
-            k.stats().foreground_evictions,
-            6,
-            "each over-cap load self-evicts"
-        );
-        assert_eq!(k.tenant_stats(0).foreground_evictions, 6);
-        assert_eq!(k.stats().background_evictions, 0, "free pool never ran low");
-        assert!(k.epc().free_slots() >= 60);
-        assert!(k.bitmap_consistent());
-    }
-
-    #[test]
     fn quota_aware_reclaim_prefers_the_over_share_tenant() {
         // A tiny EPC shared 12/4: A's soft share 4 is exceeded while B
         // stays within its own, so background reclaim should bleed A.
         let policy = TenantPolicy::none()
-            .with_quota(
-                0,
-                TenantQuota {
-                    soft_pages: 4,
-                    hard_pages: 0,
-                },
-            )
-            .with_quota(
-                1,
-                TenantQuota {
-                    soft_pages: 8,
-                    hard_pages: 0,
-                },
-            );
+            .with_quota(0, TenantQuota { soft_pages: 4 })
+            .with_quota(1, TenantQuota { soft_pages: 8 });
         let mut cfg = KernelConfig::new(16)
             .with_costs(tiny_costs())
             .with_watermarks(Watermarks::new(2, 4, 16).unwrap());

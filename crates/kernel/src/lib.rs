@@ -46,8 +46,8 @@
 //! ## Observability
 //!
 //! Any number of [`TraceSink`]s can subscribe to a kernel and stream its
-//! paging events — see [`CountingSink`], [`HistogramSink`], [`TailSink`]
-//! and [`JsonlWriterSink`]:
+//! paging events — see [`CountingSink`], [`HistogramSink`],
+//! [`CollectingSink`] and [`JsonlWriterSink`]:
 //!
 //! ```
 //! use sgx_dfp::{NextLinePredictor, ProcessId};
@@ -90,7 +90,7 @@ pub use timeline::{
     SeriesFormat, TimeSeriesSink,
 };
 pub use trace::{
-    CollectingSink, CountingSink, EventCounts, HistogramSink, JsonlWriterSink, TailSink,
-    TraceHistograms, TraceSink,
+    CollectingSink, CountingSink, EventCounts, HistogramSink, JsonlWriterSink, TraceHistograms,
+    TraceSink,
 };
 pub use watermark::{WatermarkError, Watermarks};

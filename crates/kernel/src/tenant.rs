@@ -2,10 +2,10 @@
 //!
 //! The paper's §5.6 multi-enclave scenario shares everything: one CLOCK
 //! hand, one DFP-stop valve, one FIFO preload queue. This module holds the
-//! opt-in tenant layer grown on top of it: per-enclave EPC quotas (soft
-//! share + hard cap), a weighted deficit-round-robin (DRR) arbiter over the
-//! per-enclave preload queues, per-enclave valve scoping, and preload
-//! admission control under memory pressure.
+//! opt-in tenant layer grown on top of it: per-enclave soft EPC quotas, a
+//! weighted deficit-round-robin (DRR) arbiter over the per-enclave preload
+//! queues, and preload admission control under memory pressure. The
+//! DFP-stop valve stays kernel-global, as in the driver.
 //!
 //! The zero policy ([`TenantPolicy::none`]) is strictly inert: every kernel
 //! path it gates falls back to the shared-everything driver behaviour,
@@ -60,7 +60,7 @@ impl TenantShare {
 /// let policy = TenantPolicy::none()
 ///     .with_weight(0, 1)
 ///     .with_weight(1, 1)
-///     .with_quota(1, TenantQuota { soft_pages: 512, hard_pages: 0 })
+///     .with_quota(1, TenantQuota { soft_pages: 512 })
 ///     .with_admission_control(true);
 /// assert!(!policy.is_none());
 /// assert_eq!(policy.weight(0), 1);
@@ -70,20 +70,16 @@ impl TenantShare {
 pub struct TenantPolicy {
     /// Per-enclave shares, indexed by enclave registration order.
     pub shares: [TenantShare; MAX_TENANTS],
-    /// Scope the DFP-stop valve per enclave instead of kernel-global (the
-    /// driver-faithful default is `false`: one valve for all).
-    pub per_enclave_valves: bool,
     /// Shed preload batches from enclaves above their soft share when free
     /// pages fall below the reclaimer's low watermark.
     pub admission_control: bool,
 }
 
 impl TenantPolicy {
-    /// The inert policy: no shares, global valve, no admission control.
+    /// The inert policy: no shares, no admission control.
     pub fn none() -> Self {
         TenantPolicy {
             shares: [TenantShare::NONE; MAX_TENANTS],
-            per_enclave_valves: false,
             admission_control: false,
         }
     }
@@ -91,9 +87,7 @@ impl TenantPolicy {
     /// `true` when the policy configures nothing — the kernel then keeps
     /// the shared-everything driver behaviour, bit-identically.
     pub fn is_none(&self) -> bool {
-        !self.per_enclave_valves
-            && !self.admission_control
-            && self.shares.iter().all(TenantShare::is_none)
+        !self.admission_control && self.shares.iter().all(TenantShare::is_none)
     }
 
     /// Sets tenant `idx`'s full share.
@@ -126,12 +120,6 @@ impl TenantPolicy {
         self
     }
 
-    /// Scopes the DFP-stop valve per enclave (or back to kernel-global).
-    pub fn with_per_enclave_valves(mut self, on: bool) -> Self {
-        self.per_enclave_valves = on;
-        self
-    }
-
     /// Enables preload admission control under memory pressure.
     pub fn with_admission_control(mut self, on: bool) -> Self {
         self.admission_control = on;
@@ -139,7 +127,7 @@ impl TenantPolicy {
     }
 
     /// An equal-share policy for `n` tenants: weight 1 each and a soft
-    /// quota of `epc_pages / n` (no hard cap), with admission control on.
+    /// quota of `epc_pages / n`, with admission control on.
     /// The canonical "weights 1:1" fairness configuration.
     pub fn fair(n: usize, epc_pages: u64) -> Self {
         let n = n.clamp(1, MAX_TENANTS);
@@ -151,7 +139,6 @@ impl TenantPolicy {
                     weight: 1,
                     quota: TenantQuota {
                         soft_pages: epc_pages / n as u64,
-                        hard_pages: 0,
                     },
                 },
             );
@@ -201,15 +188,8 @@ mod tests {
     fn any_knob_makes_the_policy_active() {
         assert!(!TenantPolicy::none().with_weight(2, 3).is_none());
         assert!(!TenantPolicy::none()
-            .with_quota(
-                0,
-                TenantQuota {
-                    soft_pages: 4,
-                    hard_pages: 0
-                }
-            )
+            .with_quota(0, TenantQuota { soft_pages: 4 })
             .is_none());
-        assert!(!TenantPolicy::none().with_per_enclave_valves(true).is_none());
         assert!(!TenantPolicy::none().with_admission_control(true).is_none());
     }
 

@@ -119,8 +119,7 @@ pub struct GaugeSample {
     pub sip_queue_depth: u64,
     /// Live prediction streams tracked by the predictor.
     pub live_streams: u64,
-    /// Valve latches so far: the kernel-global latch plus every latched
-    /// per-enclave valve.
+    /// Whether the kernel-global DFP-stop valve has latched (0 or 1).
     pub valve_stops: u64,
     /// Cumulative load-channel busy cycles.
     pub channel_busy: Cycles,

@@ -5,8 +5,8 @@
 //! and see every event as it is emitted. The built-in sinks cover the common
 //! needs: [`CountingSink`] (per-kind tallies), [`HistogramSink`] (log2-bucketed
 //! cycle distributions), [`CollectingSink`] (the old buffer-everything
-//! behavior, opt-in), [`TailSink`] (ring buffer for post-mortems) and
-//! [`JsonlWriterSink`] (streaming JSON-lines to a file).
+//! behavior, opt-in) and [`JsonlWriterSink`] (streaming JSON-lines to a
+//! file).
 //!
 //! Sinks hand out shared [`Rc`] handles at construction so the caller can
 //! read results after the boxed sink has been moved into the kernel. The
@@ -14,7 +14,6 @@
 //! own), so no `Send` bound is required.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -283,7 +282,7 @@ impl TraceSink for HistogramSink {
 }
 
 /// A sink that buffers every event — the old `take_event_log` behavior,
-/// now opt-in. Prefer [`TailSink`] unless the full stream is needed.
+/// now opt-in.
 #[derive(Debug)]
 pub struct CollectingSink {
     events: Rc<RefCell<Vec<LoggedEvent>>>,
@@ -305,42 +304,6 @@ impl CollectingSink {
 impl TraceSink for CollectingSink {
     fn on_event(&mut self, event: &LoggedEvent) {
         self.events.borrow_mut().push(*event);
-    }
-}
-
-/// A bounded ring buffer keeping only the most recent events — cheap
-/// always-on post-mortem context.
-#[derive(Debug)]
-pub struct TailSink {
-    capacity: usize,
-    tail: Rc<RefCell<VecDeque<LoggedEvent>>>,
-}
-
-impl TailSink {
-    /// Creates a sink retaining at most `capacity` events, plus the shared
-    /// ring handle. A zero capacity retains nothing.
-    pub fn new(capacity: usize) -> (Self, Rc<RefCell<VecDeque<LoggedEvent>>>) {
-        let tail = Rc::new(RefCell::new(VecDeque::with_capacity(capacity.min(4096))));
-        (
-            TailSink {
-                capacity,
-                tail: Rc::clone(&tail),
-            },
-            tail,
-        )
-    }
-}
-
-impl TraceSink for TailSink {
-    fn on_event(&mut self, event: &LoggedEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut t = self.tail.borrow_mut();
-        if t.len() == self.capacity {
-            t.pop_front();
-        }
-        t.push_back(*event);
     }
 }
 
@@ -510,20 +473,6 @@ mod tests {
         assert_eq!(h.preload_lead.count(), 1);
         assert_eq!(h.stream_len.count(), 1);
         assert_eq!(h.evict_scan.count(), 2);
-    }
-
-    #[test]
-    fn tail_sink_keeps_only_last_n() {
-        let (mut sink, tail) = TailSink::new(3);
-        for i in 0..10 {
-            sink.on_event(&ev(i, EventKind::Fault));
-        }
-        let at: Vec<u64> = tail.borrow().iter().map(|e| e.at.raw()).collect();
-        assert_eq!(at, vec![7, 8, 9]);
-
-        let (mut zero, ring) = TailSink::new(0);
-        zero.on_event(&ev(1, EventKind::Fault));
-        assert!(ring.borrow().is_empty());
     }
 
     #[test]

@@ -6,28 +6,26 @@
 //! simulation primitives every other crate builds on:
 //!
 //! * [`Cycles`] — simulated time (durations and instants) as a newtype.
-//! * [`EventQueue`] — a min-ordered event queue with FIFO tie-breaking.
-//! * [`Resource`] — an exclusive, non-preemptible serial server, used to
-//!   model the EPC load channel ("one page at a time", paper §3.1).
 //! * [`DetRng`] — seeded randomness with the distributions the synthetic
 //!   workloads need (uniform, geometric, Zipf).
 //! * [`Histogram`] — the latency distributions surfaced in reports.
+//! * [`FastMap`] / [`FastSet`] — open-addressing `u64` tables for the hot
+//!   paths.
 //! * [`json`] — the deterministic JSON writer every report serializes with.
 //!
 //! # Examples
 //!
-//! Modeling two page loads contending for the load channel:
+//! Timing a demand fault and recording it:
 //!
 //! ```
-//! use sgx_sim::{Cycles, Resource};
+//! use sgx_sim::{Cycles, Histogram};
 //!
-//! let eldu = Cycles::new(44_000);
-//! let mut channel = Resource::new("load-channel");
-//! let first = channel.occupy(Cycles::ZERO, eldu);
-//! let second = channel.occupy(Cycles::new(5_000), eldu);
-//! // The second load cannot preempt the first.
-//! assert_eq!(second.start, first.end);
-//! assert_eq!(second.queueing_delay(Cycles::new(5_000)), Cycles::new(39_000));
+//! // AEX + ELDU + ERESUME with the paper's costs.
+//! let fault = Cycles::new(10_000) + Cycles::new(44_000) + Cycles::new(10_000);
+//! let mut service = Histogram::new("fault_service");
+//! service.record(fault);
+//! assert_eq!(service.count(), 1);
+//! assert_eq!(service.max(), Some(Cycles::new(64_000)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,16 +34,10 @@
 mod cycles;
 mod fastmap;
 pub mod json;
-mod queue;
-mod resource;
 mod rng;
-mod slab;
 mod stats;
 
 pub use cycles::Cycles;
 pub use fastmap::{FastMap, FastSet};
-pub use queue::EventQueue;
-pub use resource::{Grant, Resource};
 pub use rng::{mix, DetRng};
-pub use slab::Slab;
 pub use stats::{Histogram, HistogramSummary};

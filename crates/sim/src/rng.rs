@@ -1,13 +1,11 @@
 //! Deterministic random-number utilities.
 //!
-//! All randomness in the reproduction flows through [`DetRng`], a thin,
-//! seedable wrapper over [`rand::rngs::StdRng`] with the distribution
-//! helpers the workload generators need (uniform, Bernoulli, geometric,
-//! Zipf). Identical seeds produce identical simulations — a property the
+//! All randomness in the reproduction flows through [`DetRng`]: a
+//! xoshiro256++ generator seeded through SplitMix64 ([`mix`]), with the
+//! distribution helpers the workload generators need (uniform, Bernoulli,
+//! geometric, Zipf). It is platform-independent and needs no external
+//! crate. Identical seeds produce identical simulations — a property the
 //! integration suite asserts.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// SplitMix64-style mix of `(seed, salt)` into a new 64-bit seed.
 ///
@@ -38,17 +36,33 @@ pub fn mix(seed: u64, salt: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: StdRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
     seed: u64,
 }
 
 impl DetRng {
-    /// Creates a generator from a 64-bit seed.
+    /// Creates a generator from a 64-bit seed. The state is four
+    /// consecutive SplitMix64 outputs, which are [`mix`] at salts 0–3.
     pub fn seed_from(seed: u64) -> Self {
         DetRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: [mix(seed, 0), mix(seed, 1), mix(seed, 2), mix(seed, 3)],
             seed,
         }
+    }
+
+    /// The next 64-bit word of the xoshiro256++ stream.
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// The seed this generator was created with.
@@ -71,7 +85,15 @@ impl DetRng {
     /// Panics if `n == 0`.
     pub fn uniform(&mut self, n: u64) -> u64 {
         assert!(n > 0, "uniform(0) is meaningless");
-        self.inner.random_range(0..n)
+        // Widening-multiply range reduction (Lemire) with a rejection pass
+        // to remove the residual bias.
+        let zone = n.wrapping_neg() % n; // (2^64 - n) mod n
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(n);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
     }
 
     /// Uniform integer in `[lo, hi)`.
@@ -81,12 +103,13 @@ impl DetRng {
     /// Panics if `lo >= hi`.
     pub fn uniform_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
-        self.inner.random_range(lo..hi)
+        lo + self.uniform(hi - lo)
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: the high 53 bits of one word, at the
+    /// usual 2^-53 granularity.
     pub fn unit(&mut self) -> f64 {
-        self.inner.random::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
@@ -218,6 +241,34 @@ mod tests {
             assert!(r.uniform(17) < 17);
             let v = r.uniform_range(40, 50);
             assert!((40..50).contains(&v));
+        }
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        // The workload generators and every golden depend on this exact
+        // stream; a change to seeding or sampling shows up here first.
+        let mut r = DetRng::seed_from(2020);
+        let u: Vec<u64> = (0..4).map(|_| r.uniform(1_000_000)).collect();
+        assert_eq!(u, [272_507, 552_505, 792_859, 730_964]);
+        assert_eq!([r.uniform_range(40, 50), r.uniform_range(40, 50)], [40, 49]);
+        assert_eq!(r.unit(), 0.24801341784888464);
+        assert_eq!(r.uniform(u64::MAX), 10_671_691_389_112_962_095);
+        assert_eq!(r.uniform(u64::MAX), 2_425_572_341_293_521_777);
+    }
+
+    #[test]
+    fn uniform_is_roughly_uniform() {
+        let mut r = DetRng::seed_from(99);
+        let mut buckets = [0u32; 10];
+        for _ in 0..100_000 {
+            buckets[r.uniform(10) as usize] += 1;
+        }
+        for &b in &buckets {
+            assert!(
+                (8_000..12_000).contains(&b),
+                "bucket count {b} far from uniform"
+            );
         }
     }
 

@@ -37,12 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod classify;
 mod placement;
 mod profile;
 
-pub use analysis::{summarize_trace, TraceSummary};
 pub use classify::{AccessClass, Classifier, LruSet};
 pub use placement::NotifyPlacement;
 pub use profile::{

@@ -139,30 +139,17 @@ pub fn profile_stream(stream: impl Iterator<Item = Access>, epc_proxy_pages: usi
 pub struct SipConfig {
     /// Instrument sites whose irregular ratio exceeds this (paper: 5%).
     pub threshold: f64,
-    /// In hybrid mode, skip sites whose traffic is predominantly Class 2 —
-    /// "we can leave instructions in Class 2 to DFP" (§4.4).
-    pub leave_class2_to_dfp: bool,
 }
 
 impl SipConfig {
-    /// The paper's operating point: 5% threshold (Fig. 9), Class-2 left to
-    /// DFP.
+    /// The paper's operating point: 5% threshold (Fig. 9).
     pub const fn paper_defaults() -> Self {
-        SipConfig {
-            threshold: 0.05,
-            leave_class2_to_dfp: true,
-        }
+        SipConfig { threshold: 0.05 }
     }
 
     /// Overrides the irregular-ratio threshold.
     pub fn with_threshold(mut self, t: f64) -> Self {
         self.threshold = t;
-        self
-    }
-
-    /// Enables/disables ceding Class-2-dominant sites to DFP.
-    pub fn with_leave_class2_to_dfp(mut self, b: bool) -> Self {
-        self.leave_class2_to_dfp = b;
         self
     }
 }
@@ -189,18 +176,19 @@ impl InstrumentationPlan {
         Self::default()
     }
 
-    /// Selects instrumentation points from a profile under `cfg`.
+    /// Selects instrumentation points from a profile under `cfg`: sites
+    /// above the irregular-ratio threshold, except those whose traffic is
+    /// predominantly Class 2 — "we can leave instructions in Class 2 to
+    /// DFP" (§4.4).
     pub fn from_profile(profile: &Profile, cfg: SipConfig) -> Self {
         let mut sites = HashSet::new();
         for (id, s) in profile.sites() {
             if s.irregular_ratio() <= cfg.threshold {
                 continue;
             }
-            if cfg.leave_class2_to_dfp {
-                let n = s.events();
-                if n > 0 && s.class2 * 2 > n {
-                    continue; // majority Class 2: DFP covers it
-                }
+            let n = s.events();
+            if n > 0 && s.class2 * 2 > n {
+                continue; // majority Class 2: DFP covers it
             }
             sites.insert(id);
         }
@@ -325,14 +313,8 @@ mod tests {
         assert!(s.class2 * 2 > s.events(), "setup: class2 dominant {s:?}");
         assert!(s.irregular_ratio() > 0.05, "setup: above threshold");
 
-        let hybrid = InstrumentationPlan::from_profile(&p, SipConfig::paper_defaults());
-        assert!(!hybrid.is_instrumented(SiteId(0)), "ceded to DFP");
-
-        let solo = InstrumentationPlan::from_profile(
-            &p,
-            SipConfig::paper_defaults().with_leave_class2_to_dfp(false),
-        );
-        assert!(solo.is_instrumented(SiteId(0)));
+        let plan = InstrumentationPlan::from_profile(&p, SipConfig::paper_defaults());
+        assert!(!plan.is_instrumented(SiteId(0)), "ceded to DFP");
     }
 
     #[test]

@@ -4,9 +4,7 @@ use proptest::prelude::*;
 
 use sgx_epc::VirtPage;
 use sgx_sim::Cycles;
-use sgx_sip::{
-    profile_stream, summarize_trace, AccessClass, Classifier, InstrumentationPlan, SipConfig,
-};
+use sgx_sip::{profile_stream, AccessClass, Classifier, InstrumentationPlan, SipConfig};
 use sgx_workloads::{Access, SiteId};
 
 fn accesses(raw: &[(u64, u32, u32)]) -> Vec<Access> {
@@ -82,21 +80,5 @@ proptest! {
             let _ = c.classify(VirtPage::new(p));
             prop_assert_eq!(c.classify(VirtPage::new(p)), AccessClass::Class1);
         }
-    }
-
-    /// Trace summaries conserve events and bound their ratios.
-    #[test]
-    fn summary_invariants(
-        raw in proptest::collection::vec((0u64..10_000, 0u32..4, 1u32..4), 0..400),
-    ) {
-        let s = summarize_trace(accesses(&raw).into_iter());
-        prop_assert_eq!(s.events, raw.len() as u64);
-        prop_assert!(s.distinct_pages <= s.events.max(1));
-        prop_assert!((0.0..=1.0).contains(&s.sequential_step_ratio));
-        prop_assert!((0.0..=1.0).contains(&s.reuse_ratio));
-        prop_assert!(s.mean_run_length >= 1.0);
-        prop_assert!(s.max_run_length as f64 >= s.mean_run_length || s.events == 0);
-        let stride_events: u64 = s.top_strides.iter().map(|(_, c)| *c).sum();
-        prop_assert!(stride_events <= s.events.saturating_sub(1));
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `sgx-sim` | cycles, event queue, exclusive channel, RNG, stats |
+//! | [`sim`] | `sgx-sim` | cycles, RNG, stats, JSON writer |
 //! | [`epc`] | `sgx-epc` | EPC residency, CLOCK bits, presence bitmap, cost model |
 //! | [`kernel`] | `sgx-kernel` | fault handler, load channel, reclaimer, preload worker |
 //! | [`dfp`] | `sgx-dfp` | Algorithm 1 multi-stream predictor, baselines, DFP-stop |
@@ -78,7 +78,7 @@ pub use sgx_fleet::{
 pub use sgx_kernel::{
     render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink,
     CycleAttribution, EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError,
-    SeriesFormat, SpanId, TailSink, TimeSeriesSink, TraceHistograms, TraceSink,
+    SeriesFormat, SpanId, TimeSeriesSink, TraceHistograms, TraceSink,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,
@@ -92,9 +92,7 @@ pub use sgx_preload_core::{
     TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};
-pub use sgx_sip::{
-    profile_stream, summarize_trace, InstrumentationPlan, NotifyPlacement, SipConfig, TraceSummary,
-};
+pub use sgx_sip::{profile_stream, InstrumentationPlan, NotifyPlacement, SipConfig};
 pub use sgx_workloads::{
     Access, Benchmark, InputSet, RecordedTrace, Scale, SecretBit, SecretPair, SgxtReader,
     SgxtWriter, SiteId, TraceParseError,

@@ -118,6 +118,36 @@ fn fair_policy_pins_victim_interference_to_its_solo_run() {
     );
 }
 
+/// Each co-run report counts only its own enclave's preloads: touched
+/// plus wasted never exceeds what the enclave started, and the apps'
+/// touched counts sum to the kernel-wide first touches of preloaded
+/// pages (one `PreloadHit` each). The wasted partition is pinned on the
+/// EPC's per-extent counters directly.
+#[test]
+fn co_run_preload_counters_are_each_enclaves_own() {
+    let c = cfg();
+    let (sink, whole) = CountingSink::new();
+    let reports = SimRun::new(&c)
+        .scheme(Scheme::Dfp)
+        .apps(vec![victim(&c), aggressor(&c)])
+        .sink(Box::new(sink))
+        .run()
+        .expect("unpartitioned pair");
+    for r in &reports {
+        assert!(
+            r.preloads_touched + r.preloads_wasted <= r.preloads_started,
+            "{}: touched {} + wasted {} exceed its {} started preloads",
+            r.label,
+            r.preloads_touched,
+            r.preloads_wasted,
+            r.preloads_started
+        );
+    }
+    let touched: u64 = reports.iter().map(|r| r.preloads_touched).sum();
+    assert!(touched > 0, "the pair preloads useful pages");
+    assert_eq!(touched, whole.get().preload_hits);
+}
+
 /// An unset policy is the status quo, byte for byte: the tenant layer is
 /// pure opt-in and `TenantPolicy::none` never perturbs a run.
 #[test]
