@@ -150,15 +150,25 @@ where
         .collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = pop_or_steal(queues, w) {
-                    *lock_clean(&slots[i]) = Some(f(i));
-                }
-            });
+        let workers: Vec<_> = (0..jobs)
+            .map(|w| {
+                let (queues, slots, f) = (&queues, &slots, &f);
+                scope.spawn(move || {
+                    while let Some(i) = pop_or_steal(queues, w) {
+                        *lock_clean(&slots[i]) = Some(f(i));
+                    }
+                })
+            })
+            .collect();
+        // Join every worker instead of leaving it to the scope, which
+        // returns once the closures finish while their threads may still be
+        // exiting and holding their malloc arenas. The next pool's workers
+        // would then open fresh arenas, and the peak resident set would
+        // grow with host scheduling.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -712,26 +722,28 @@ fn run_leakage_cell(
     } else {
         spec.pair.elrange_pages(cfg.scale)
     };
+    // The train stream does not depend on the secret, so one plan serves
+    // both variants.
+    let plan = if cell.scheme.uses_sip() {
+        let train: AccessIter = if spec.oram {
+            oram.stream(cfg.scale, sgx_sim::mix(seed, 0x5EC7))
+        } else {
+            spec.pair.train(cfg.scale, seed)
+        };
+        let profile = sgx_sip::profile_stream(train, cfg.epc_pages as usize);
+        sgx_sip::InstrumentationPlan::from_profile(&profile, cfg.sip)
+    } else {
+        sgx_sip::InstrumentationPlan::none()
+    };
     let mut first: Option<RunReport> = None;
     let mut observations = Vec::with_capacity(2);
-    for secret in SecretBit::BOTH {
+    for (secret, plan) in SecretBit::BOTH.into_iter().zip([plan.clone(), plan]) {
         // The ORAM row feeds the *same* padded stream to both labels:
         // the observable pattern is secret-independent by construction.
         let stream: AccessIter = if spec.oram {
             oram.stream(cfg.scale, seed)
         } else {
             spec.pair.build(secret, cfg.scale, seed)
-        };
-        let plan = if cell.scheme.uses_sip() {
-            let train: AccessIter = if spec.oram {
-                oram.stream(cfg.scale, sgx_sim::mix(seed, 0x5EC7))
-            } else {
-                spec.pair.train(cfg.scale, seed)
-            };
-            let profile = sgx_sip::profile_stream(train, cfg.epc_pages as usize);
-            sgx_sip::InstrumentationPlan::from_profile(&profile, cfg.sip)
-        } else {
-            sgx_sip::InstrumentationPlan::none()
         };
         let (observer, obs) = ObserverSink::new();
         let observer = observer.with_enclave(cell.work.name(), PageRange::new(0, elrange.max(1)));
@@ -757,7 +769,8 @@ fn run_leakage_cell(
         }
         let report = run.run_one().map_err(fail)?;
         first.get_or_insert(report);
-        observations.push(obs.borrow().clone());
+        // The sink went with the run's kernel: move the observation out.
+        observations.push(obs.take());
     }
     let leakage = LeakageReport::from_observations(
         spec.pair.name(),
@@ -1196,6 +1209,39 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial, (0..9).map(|i| i * i).collect::<Vec<_>>());
         assert!(run_indexed(0, 3, |i| i).is_empty());
+    }
+
+    #[test]
+    fn run_indexed_returns_after_its_workers_exit() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                // Thread teardown that outlasts the worker's closure. The
+                // delay only widens the window an unjoined pool returns
+                // in; a joined pool passes without it.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                EXITED.fetch_add(1, SeqCst);
+            }
+        }
+        thread_local!(static GUARD: OnExit = {
+            STARTED.fetch_add(1, SeqCst);
+            OnExit
+        });
+        run_indexed(4, 2, |i| GUARD.with(|_| i));
+        assert!(STARTED.load(SeqCst) >= 1);
+        assert_eq!(EXITED.load(SeqCst), STARTED.load(SeqCst));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 5 failed")]
+    fn run_indexed_rethrows_a_worker_panic() {
+        run_indexed(8, 2, |i| {
+            assert!(i != 5, "cell 5 failed");
+            i
+        });
     }
 
     #[test]
