@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks over the hot primitives: the per-fault and
 //! per-access costs of the reproduction itself (not of simulated SGX).
 //!
-//! These guard the simulator's own performance — the figure benches replay
+//! These guard the simulator's own performance — the figure table replays
 //! millions of events, so the predictor update, bitmap check, CLOCK
 //! eviction and classifier must stay cheap.
 

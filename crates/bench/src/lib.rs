@@ -1,9 +1,13 @@
 //! # sgx-bench — the evaluation harness
 //!
-//! One bench target per table/figure of the paper (run with
-//! `cargo bench --workspace`; each prints the paper's series next to the
-//! measured one and drops a CSV under `results/`), plus Criterion
-//! micro-benches over the hot primitives.
+//! One `figures` bench regenerates every table and figure of the paper plus
+//! the ablations (run with `cargo bench --workspace`, or
+//! `cargo bench -p sgx-bench --bench figures -- <id>...` for a few); each
+//! figure prints the paper's series next to the measured one and drops a
+//! CSV under `results/`. The figures are entries of one table,
+//! [`figures::FIGURES`], whose cells run once as one shared campaign.
+//! `micro_primitives` holds Criterion micro-benches over the hot
+//! primitives.
 //!
 //! Environment:
 //!
@@ -16,9 +20,11 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sgx_workloads::Scale;
+
+pub mod figures;
 
 /// Reads the benchmarking scale from `SGX_BENCH_SCALE`.
 pub fn scale_from_env() -> Scale {
@@ -42,10 +48,28 @@ pub fn scale_from_env() -> Scale {
 pub fn out_dir() -> PathBuf {
     match std::env::var("SGX_BENCH_OUT") {
         Ok(dir) => PathBuf::from(dir),
-        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results")
-            .components()
-            .collect(),
+        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("the crate sits two levels below the workspace root")
+            .join("results"),
+    }
+}
+
+/// Writes `<dir>/<name>`, creating `dir` on demand. I/O failures are
+/// reported to stderr but never fail the bench.
+pub(crate) fn write_artifact(dir: &Path, name: &str, contents: &str) -> Option<PathBuf> {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return None;
+    }
+    let path = dir.join(name);
+    match fs::write(&path, contents) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            None
+        }
     }
 }
 
@@ -71,6 +95,11 @@ impl ResultTable {
         }
     }
 
+    /// The experiment id: the CSV file's name without `.csv`.
+    pub fn id(&self) -> &'static str {
+        self.id
+    }
+
     /// Sets the column headers (after the leading label column).
     pub fn columns<S: Into<String>>(&mut self, cols: Vec<S>) -> &mut Self {
         self.columns = cols.into_iter().map(Into::into).collect();
@@ -94,9 +123,21 @@ impl ResultTable {
         self
     }
 
-    /// Prints the table and writes `<out>/<id>.csv`. I/O failures on the
+    /// The table as RFC 4180 CSV: a `label` column, then the columns. A
+    /// cell holding a `,`, `"` or line break is quoted, with inner quotes
+    /// doubled, so thousands separators and prose stay in their column.
+    pub fn csv(&self) -> String {
+        let mut csv = String::new();
+        push_csv_record(&mut csv, "label", &self.columns);
+        for (label, cells) in &self.rows {
+            push_csv_record(&mut csv, label, cells);
+        }
+        csv
+    }
+
+    /// Prints the table and writes `<dir>/<id>.csv`. I/O failures on the
     /// CSV are reported to stderr but never fail the bench.
-    pub fn finish(&self) {
+    pub fn finish(&self, dir: &Path) {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         let mut label_w = 0usize;
         for (label, cells) in &self.rows {
@@ -119,24 +160,26 @@ impl ResultTable {
             }
             println!("{line}");
         }
-
-        let dir = out_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let mut csv = String::new();
-        let _ = writeln!(csv, "label,{}", self.columns.join(","));
-        for (label, cells) in &self.rows {
-            let _ = writeln!(csv, "{label},{}", cells.join(","));
-        }
-        let path = dir.join(format!("{}.csv", self.id));
-        if let Err(e) = fs::write(&path, csv) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
+        if let Some(path) = write_artifact(dir, &format!("{}.csv", self.id), &self.csv()) {
             println!("   -> {}", path.display());
         }
     }
+}
+
+/// Appends one CSV record: `first`, then `rest`, each quoted where needed.
+fn push_csv_record(out: &mut String, first: &str, rest: &[String]) {
+    for (i, field) in std::iter::once(first)
+        .chain(rest.iter().map(String::as_str))
+        .enumerate()
+    {
+        out.push_str(if i == 0 { "" } else { "," });
+        if field.contains([',', '"', '\n', '\r']) {
+            let _ = write!(out, "\"{}\"", field.replace('"', "\"\""));
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push('\n');
 }
 
 /// Formats a fraction as a signed percentage cell.
@@ -203,16 +246,21 @@ mod tests {
     }
 
     #[test]
-    fn table_csv_roundtrip() {
-        let dir = std::env::temp_dir().join("sgx_bench_table_test");
-        std::env::set_var("SGX_BENCH_OUT", &dir);
-        let mut t = ResultTable::new("test_table", "t", "n/a");
-        t.columns(vec!["a", "b"]);
+    fn csv_quotes_commas_quotes_and_line_breaks() {
+        let dir = std::env::temp_dir().join(format!("sgx_bench_table_{}", std::process::id()));
+        let mut t = ResultTable::new("q", "t", "n");
+        t.columns(vec!["cycles", "class"]);
         t.row("r1", vec!["1", "2"]);
-        t.finish();
-        let csv = std::fs::read_to_string(dir.join("test_table.csv")).unwrap();
-        assert_eq!(csv, "label,a,b\nr1,1,2\n");
-        std::env::remove_var("SGX_BENCH_OUT");
+        t.row("a,b", vec!["1,625,292,800", "large, regular"]);
+        t.row("r", vec!["say \"hi\"", "two\nlines"]);
+        assert_eq!(
+            t.csv(),
+            "label,cycles,class\nr1,1,2\n\
+             \"a,b\",\"1,625,292,800\",\"large, regular\"\n\
+             r,\"say \"\"hi\"\"\",\"two\nlines\"\n"
+        );
+        t.finish(&dir);
+        assert_eq!(std::fs::read_to_string(dir.join("q.csv")).unwrap(), t.csv());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -4,7 +4,8 @@
 //! Unpartitioned, global CLOCK evicts the victim's set between sweeps;
 //! under `TenantPolicy::fair` the quota-aware reclaimer takes pages from
 //! the over-share aggressor instead. The bounds pinned here are the
-//! regression contract behind `benches/fairness_isolation.rs`.
+//! regression contract behind the `fairness_isolation` figure
+//! (`crates/bench/src/figures.rs`).
 
 use sgx_preloading::prelude::*;
 use sgx_preloading::workloads::{AccessIter, PageRange, SequentialScan, SiteRange};
