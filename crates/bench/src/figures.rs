@@ -3,9 +3,10 @@
 //! cells it reads and turns the shared reports into its CSV table(s).
 //!
 //! [`run`] gathers the selected figures' cells into one [`Plan`] and runs
-//! each distinct cell once: as one [`Campaign`] under [`SeedMode::Shared`]
-//! at the base seed (exactly the run `SimRun::new(&cfg)` does), or under a
-//! [`HistogramSink`] for the distribution tables. A cell is labelled
+//! each distinct cell once, as one pass of [`SimRun`]s on the work-stealing
+//! pool, under a [`HistogramSink`] where the distribution tables read its
+//! histograms. Every cell runs on the base seed, so a scheme and its
+//! baseline replay one access stream. A cell is labelled
 //! `bench/scheme[/point]`; a [`Point`] that leaves the run unchanged (a
 //! stream, SIP or placement knob under a baseline, or the paper default)
 //! drops out of the label, so every figure reading a run reads one cell.
@@ -22,8 +23,8 @@ use sgx_epc::{usable_epc_pages, VictimPolicy, PAGE_SIZE_BYTES};
 use sgx_kernel::{ChaosPreset, HistogramSink, Kernel, KernelConfig, TraceHistograms};
 use sgx_observer::OramModel;
 use sgx_preload_core::{
-    build_plan, effective_jobs, run_indexed, AppSpec, Campaign, Cell, PredictorKind, RunReport,
-    Scheme, SeedMode, SimConfig, SimRun, TenantPolicy,
+    build_plan, effective_jobs, run_indexed, AppSpec, PredictorKind, RunReport, Scheme, SimConfig,
+    SimRun, TenantPolicy,
 };
 use sgx_sim::Cycles;
 use sgx_sip::{
@@ -220,36 +221,29 @@ impl Plan {
         });
     }
 
-    /// Runs every cell once: the plain cells as one [`Campaign`] under
-    /// [`SeedMode::Shared`] at the base seed, the histogram cells through
-    /// [`SimRun`] with a [`HistogramSink`], both on the work-stealing pool.
+    /// Runs every cell once, in one pass on the work-stealing pool, with a
+    /// [`HistogramSink`] on the cells declared through
+    /// [`Plan::histograms`].
     ///
     /// # Panics
     ///
     /// Panics if a cell fails to run (every figure cell is a kernel or
     /// user-level scheme on a known benchmark, so none does).
     fn execute(&self) -> HashMap<String, Run> {
-        let (sinked, plain): (Vec<_>, Vec<_>) = self.cells.iter().partition(|c| c.histograms);
-        let mut campaign =
-            Campaign::new("figures", self.base.seed).with_seed_mode(SeedMode::Shared);
-        for c in plain {
-            campaign.push(Cell::new(c.bench, c.scheme, c.cfg).with_label(c.label.clone()));
-        }
-        let report = campaign.run().expect("every figure cell runs");
-        let mut runs: HashMap<_, _> = report
-            .cells
-            .into_iter()
-            .map(|c| (c.label, (c.report, None)))
-            .collect();
-        let sinked_runs = run_indexed(sinked.len(), effective_jobs(None), |i| {
-            let (c, (sink, hists)) = (sinked[i], HistogramSink::new());
-            let run = SimRun::new(&c.cfg).scheme(c.scheme).bench(c.bench);
-            let report = run.sink(Box::new(sink)).run_one();
-            let hists = hists.borrow().clone();
-            (report.expect("every figure cell runs"), Some(hists))
+        let runs = run_indexed(self.cells.len(), effective_jobs(None), |i| {
+            let c = &self.cells[i];
+            let mut run = SimRun::new(&c.cfg).scheme(c.scheme).bench(c.bench);
+            let mut hists = None;
+            if c.histograms {
+                let (sink, shared) = HistogramSink::new();
+                run = run.sink(Box::new(sink));
+                hists = Some(shared);
+            }
+            let report = run.run_one().expect("every figure cell runs");
+            (report, hists.map(|h| h.borrow().clone()))
         });
-        runs.extend(sinked.iter().map(|c| c.label.clone()).zip(sinked_runs));
-        runs
+        let labels = self.cells.iter().map(|c| c.label.clone());
+        labels.zip(runs).collect()
     }
 }
 
@@ -362,22 +356,19 @@ impl Figure {
     }
 }
 
-/// The figures named by `ids`, any of a figure's CSV ids selecting it, in
-/// table order; every figure when `ids` is empty.
+/// The figures whose ids are in `ids`, in table order; every figure when
+/// `ids` is empty.
 ///
 /// # Errors
 ///
 /// An unknown id, with the list of valid ones.
 pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<&'static Figure>, String> {
-    let valid: Vec<&str> = FIGURES
-        .iter()
-        .flat_map(|f| f.csvs.iter().copied())
-        .collect();
+    let valid: Vec<&str> = FIGURES.iter().map(Figure::id).collect();
     if let Some(bad) = ids.iter().map(AsRef::as_ref).find(|id| !valid.contains(id)) {
         let valid = valid.join(", ");
         return Err(format!("unknown figure id {bad:?}; valid ids: {valid}"));
     }
-    let wanted = |f: &&Figure| ids.is_empty() || ids.iter().any(|id| f.csvs.contains(&id.as_ref()));
+    let wanted = |f: &&Figure| ids.is_empty() || ids.iter().any(|id| id.as_ref() == f.id());
     Ok(FIGURES.iter().filter(wanted).collect())
 }
 
@@ -1497,4 +1488,72 @@ fn fairness_isolation(r: &Reports) -> Output {
             "the pinned bound lives in tests/fairness.rs; this table is the \
              figure behind it",
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `bench` under `scheme` at `cfg`, run as a figure cell runs.
+    fn cell(cfg: &SimConfig, bench: Benchmark, scheme: Scheme) -> RunReport {
+        let run = SimRun::new(cfg).scheme(scheme).bench(bench);
+        run.run_one().expect("dev run")
+    }
+
+    /// A baseline label drops every point `reaches_baseline` rejects, so
+    /// the figures read one baseline for all of them: a baseline run at
+    /// each such point a figure declares is the base run.
+    #[test]
+    fn baselines_ignore_the_points_their_labels_drop() {
+        let cfg = SimConfig::at_scale(Scale::DEV);
+        let declared = [
+            &FIG6_LENGTHS.map(Point::ListLen)[..],
+            &FIG7_LOADLENGTHS.map(Point::LoadLength),
+            &FIG9_THRESHOLDS.map(Point::Threshold),
+            &NOTIFY_DISTANCES.map(Point::Distance),
+            &PREDICTORS.map(Point::Predictor),
+            &EPC_MULTIPLES.map(Point::Epc),
+            &ChaosPreset::ALL.map(Point::Chaos),
+        ]
+        .concat();
+        let dropped: Vec<Point> = declared
+            .into_iter()
+            .filter(|p| !p.reaches_baseline())
+            .collect();
+        assert_eq!(dropped.len(), 8 + 5 + 8 + 6 + 4);
+        let base = cell(&cfg, Deepsjeng, Baseline);
+        for point in dropped {
+            let at = cell(&point.config(&cfg), Deepsjeng, Baseline);
+            assert_eq!(at, base, "baseline at {}", point.name());
+        }
+    }
+
+    /// ablation_eviction's CLOCK columns and ablation_contention's N=1 row
+    /// read shared cells, beside columns and rows from runs built by hand
+    /// (`run_with_policy`, `lbm_enclaves`). At a cell's settings, such a
+    /// run is the cell's run.
+    #[test]
+    fn hand_built_runs_match_the_cells_beside_them() {
+        let cfg = SimConfig::at_scale(Scale::DEV);
+        for bench in EVICTION_BENCHES {
+            let dfp = MultiStreamPredictor::new(StreamConfig::paper_defaults());
+            let predictors: [(Scheme, Box<dyn Predictor>); 2] =
+                [(Baseline, Box::new(NoPredictor)), (Dfp, Box::new(dfp))];
+            for (scheme, predictor) in predictors {
+                let c = cell(&cfg, bench, scheme);
+                let clock = run_with_policy(bench, &cfg, VictimPolicy::Clock, predictor);
+                assert_eq!(
+                    clock,
+                    (c.total_cycles.raw(), c.faults),
+                    "{bench:?}/{scheme:?}"
+                );
+            }
+        }
+        let corun = baseline_and_dfp_stop(&cfg, || lbm_enclaves(&cfg, 1));
+        for (scheme, mut reports) in [Baseline, DfpStop].into_iter().zip(corun) {
+            let solo = cell(&cfg, Lbm, scheme);
+            reports[0].label.clone_from(&solo.label);
+            assert_eq!(reports, [solo], "one lbm enclave under {scheme:?}");
+        }
+    }
 }

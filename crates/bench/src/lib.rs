@@ -5,7 +5,7 @@
 //! `cargo bench -p sgx-bench --bench figures -- <id>...` for a few); each
 //! figure prints the paper's series next to the measured one and drops a
 //! CSV under `results/`. The figures are entries of one table,
-//! [`figures::FIGURES`], whose cells run once as one shared campaign.
+//! [`figures::FIGURES`], whose distinct cells each run once.
 //! `micro_primitives` holds Criterion micro-benches over the hot
 //! primitives.
 //!

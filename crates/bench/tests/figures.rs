@@ -171,7 +171,9 @@ fn unknown_figure_ids_are_errors() {
         figures::select::<&str>(&[]).expect("all").len(),
         FIGURES.len()
     );
-    let picked = figures::select(&["dist_fault_latency_buckets", "motivation", "motivation"]);
+    // A figure's further CSV ids name no figure.
+    assert!(figures::select(&["dist_fault_latency_buckets"]).is_err());
+    let picked = figures::select(&["dist_fault_latency", "motivation", "motivation"]);
     let ids: Vec<&str> = picked.expect("known ids").iter().map(|f| f.id()).collect();
     assert_eq!(ids, ["motivation", "dist_fault_latency"]);
 }
