@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, docs, release build, full test
-# suite, then the same checks on the bench ledger (a workspace of its own,
-# so the workspace-wide commands skip it). Every behavioural check lives
-# in a cargo test. Run from the repo root. Fails fast on the first broken
-# stage.
+# Repository CI gate: formatting, lints, docs, release build, the
+# full-scale Chrome trace digest, full test suite, then the same checks on
+# the bench ledger (a workspace of its own, so the workspace-wide commands
+# skip it). Every other behavioural check lives in a cargo test. Run from
+# the repo root. Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,6 +26,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> full-scale Chrome trace digest, slice and sink paths"
+# The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) must keep
+# its bytes through both entry points: `timeline --chrome-out` renders a
+# collected event slice with write_chrome_trace, and `campaign
+# --timeline-out` renders through ChromeTraceSink's own compact log.
+TRACE_SHA256=5a49065972cea4954cdf1e9d68db20585c27bb5e579dfbe709f1a88b951bf1e0
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir"' EXIT
+./target/release/sgx-preload timeline --bench microbenchmark --scheme dfp \
+  --scale full -n 0 --chrome-out "$trace_dir/slice.chrome.json" > /dev/null
+echo "$TRACE_SHA256  $trace_dir/slice.chrome.json" | sha256sum --check --quiet
+rm "$trace_dir/slice.chrome.json"
+./target/release/sgx-preload campaign --benches microbenchmark --schemes dfp \
+  --scale full --jobs 1 --timeline-out "$trace_dir/sink" > /dev/null
+echo "$TRACE_SHA256  $trace_dir/sink/000_microbenchmark-DFP.chrome.json" |
+  sha256sum --check --quiet
+rm -rf "$trace_dir"
 
 echo "==> cargo test -q"
 cargo test --workspace -q

@@ -466,18 +466,18 @@ fn motivation(r: &Reports) -> Output {
     t.row(
         "outside enclave",
         vec![
-            outside.total_cycles.to_string(),
+            outside.total_cycles.raw().to_string(),
             outside.faults.to_string(),
-            cfg.costs.non_epc_fault.to_string(),
+            cfg.costs.non_epc_fault.raw().to_string(),
             "1.0x".into(),
         ],
     );
     t.row(
         "inside enclave",
         vec![
-            inside.total_cycles.to_string(),
+            inside.total_cycles.raw().to_string(),
             inside.faults.to_string(),
-            inside.fault_service_mean.to_string(),
+            inside.fault_service_mean.raw().to_string(),
             format!("{slowdown:.1}x"),
         ],
     );
@@ -1109,7 +1109,7 @@ fn ablation_epc_size(r: &Reports) -> Output {
         t.row(
             format!("{m}x EPC"),
             vec![
-                base.total_cycles.to_string(),
+                base.total_cycles.raw().to_string(),
                 base.faults.to_string(),
                 pct(r.gain_at(Lbm, Dfp, Point::Epc(m))),
             ],

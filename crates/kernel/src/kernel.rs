@@ -229,6 +229,24 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    pub const ALL: [EventKind; 14] = [
+        EventKind::Fault,
+        EventKind::DemandLoaded,
+        EventKind::PreloadStart,
+        EventKind::PreloadDone,
+        EventKind::EvictBackground,
+        EventKind::EvictForeground,
+        EventKind::PreloadAbort,
+        EventKind::SipLoaded,
+        EventKind::ValveStopped,
+        EventKind::SipPrefetchStart,
+        EventKind::FaultResolved,
+        EventKind::PreloadHit,
+        EventKind::StreamPredicted,
+        EventKind::RunEnd,
+    ];
+
     /// The kind's stable kebab-case name, as traces and reports print it.
     pub fn name(self) -> &'static str {
         match self {

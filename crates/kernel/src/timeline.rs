@@ -8,12 +8,15 @@
 //! emits when a sampling interval is configured
 //! ([`Kernel::set_sample_interval`](crate::Kernel::set_sample_interval)).
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 
+use sgx_epc::VirtPage;
 use sgx_sim::json::{self, Value};
+use sgx_sim::varint::{self, unzigzag, zigzag};
 use sgx_sim::Cycles;
 
-use crate::{EventKind, LoggedEvent, TraceSink};
+use crate::{EventKind, LoggedEvent, SpanId, TraceSink};
 
 /// A run's total cycles split into named buckets, one per paging
 /// subsystem, with the invariant that the buckets sum exactly to the
@@ -324,9 +327,9 @@ fn closes_span(kind: EventKind) -> bool {
     matches!(kind, EventKind::FaultResolved | EventKind::PreloadDone)
 }
 
-/// Buffers the event stream and renders Chrome trace-event JSON
-/// (loadable in `ui.perfetto.dev` or `chrome://tracing`) on
-/// [`ChromeTraceSink::finish`] / drop.
+/// Logs the event stream compactly as it arrives and renders it as Chrome
+/// trace-event JSON (loadable in `ui.perfetto.dev` or `chrome://tracing`)
+/// on [`ChromeTraceSink::finish`] / drop.
 ///
 /// Layout: one lane per enclave plus a load-channel lane (`tid 0`).
 /// Open/close pairs sharing a span id (`fault`→`fault-resolved`,
@@ -335,9 +338,16 @@ fn closes_span(kind: EventKind) -> bool {
 /// `parent` link whose parent span was emitted becomes a flow arrow
 /// (`"s"`/`"f"` pair, `id` = the child span). Timestamps are simulated
 /// cycles, rendered as the trace's microsecond unit.
+///
+/// The sink never holds whole events: each one is logged as a header byte
+/// plus a few varint deltas, and each span keeps only the facts its
+/// records read (where it starts, where it first closes, whether it
+/// opens). The output is byte-identical to [`write_chrome_trace`] over the
+/// same stream.
 pub struct ChromeTraceSink<W: Write> {
     out: Option<W>,
-    buf: Vec<LoggedEvent>,
+    log: EventLog,
+    index: TraceIndex,
 }
 
 impl ChromeTraceSink<io::BufWriter<std::fs::File>> {
@@ -357,17 +367,18 @@ impl<W: Write> ChromeTraceSink<W> {
     pub fn new(out: W) -> Self {
         ChromeTraceSink {
             out: Some(out),
-            buf: Vec::new(),
+            log: EventLog::default(),
+            index: TraceIndex::new(),
         }
     }
 
-    /// Events buffered so far.
-    pub fn event_count(&self) -> usize {
-        self.buf.len()
+    /// The events logged so far, decoded in emission order.
+    pub fn events(&self) -> impl Iterator<Item = LoggedEvent> + '_ {
+        self.log.iter()
     }
 
-    /// Renders the buffered stream and flushes. Idempotent: the second
-    /// call is a no-op.
+    /// Renders the logged stream and flushes. Idempotent: the second call
+    /// is a no-op.
     ///
     /// # Errors
     ///
@@ -376,14 +387,21 @@ impl<W: Write> ChromeTraceSink<W> {
         let Some(mut out) = self.out.take() else {
             return Ok(());
         };
-        write_chrome_trace(&self.buf, &mut out)?;
+        self.index.write(self.log.iter(), &mut out)?;
         out.flush()
+    }
+
+    /// Bytes the log and the index hold, counted by capacity.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.log.bytes() + self.index.bytes()
     }
 }
 
 impl<W: Write> TraceSink for ChromeTraceSink<W> {
     fn on_event(&mut self, event: &LoggedEvent) {
-        self.buf.push(*event);
+        self.index.observe(event);
+        self.log.push(event);
     }
 }
 
@@ -415,203 +433,548 @@ const CHROME_FLUSH_BYTES: usize = 64 * 1024;
 ///
 /// Propagates writer errors; the document is then incomplete.
 pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Result<()> {
-    /// What the render needs to know about one span.
-    struct Span {
-        /// The span's first event `(ts, lane)`: the flow-arrow anchor.
-        anchor: (u64, u64),
-        /// Its first closing event's timestamp, if any: an opening event
-        /// renders as a duration ending there.
-        close_at: Option<u64>,
-        /// Whether an opening event appears anywhere in the stream.
-        opened: bool,
-    }
-
-    // One linear indexing pass; the records are then written straight
-    // into one reused chunk buffer.
-    let mut index = SpanIndex::new(events.len());
-    let mut spans: Vec<Span> = Vec::new();
-    let mut lanes: Vec<u64> = vec![0]; // sorted; a kernel stream has one per enclave, plus 0
+    let mut index = TraceIndex::new();
     for e in events {
-        let lane = chrome_lane(e);
-        if let Err(at) = lanes.binary_search(&lane) {
-            lanes.insert(at, lane);
-        }
-        let i = index.get_or_insert(e.span.raw(), spans.len());
-        if i == spans.len() {
-            spans.push(Span {
-                anchor: (e.at.raw(), lane),
-                close_at: None,
-                opened: false,
-            });
-        }
-        let span = &mut spans[i];
-        span.opened |= opens_span(e.what);
-        if closes_span(e.what) && span.close_at.is_none() {
-            span.close_at = Some(e.at.raw());
-        }
+        index.observe(e);
     }
-
-    // One record per line: the frame and its `,\n` separators are the
-    // file's layout; each record is one JSON object, written as constant
-    // key fragments around its values. The process record comes first, so
-    // every later record opens with its separator.
-    let mut out = String::with_capacity(CHROME_FLUSH_BYTES + 1024);
-    out.push_str(
-        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
-         {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
-    );
-    for &lane in &lanes {
-        out.push_str(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
-        json::push_u64(&mut out, lane);
-        out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
-        match lane {
-            0 => json::push_str(&mut out, "load channel"),
-            _ => json::push_str(&mut out, &format!("enclave {}", lane - 1)),
-        }
-        out.push_str("}}");
-    }
-
-    for e in events {
-        if out.len() >= CHROME_FLUSH_BYTES {
-            w.write_all(out.as_bytes())?;
-            out.clear();
-        }
-        let lane = chrome_lane(e);
-        let s = e.span.raw();
-        let at = e.at.raw();
-        let span = &spans[index.get(s).expect("every span is indexed")];
-        if closes_span(e.what) && span.close_at == Some(at) && span.opened {
-            // Rendered as the duration of its opening event; closes with
-            // no opener (foreign stream) fall through to an instant.
-            continue;
-        }
-        let done = span.close_at.filter(|_| opens_span(e.what));
-        out.push_str(match done {
-            Some(_) => ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
-            None => ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
-        });
-        json::push_u64(&mut out, lane);
-        out.push_str(",\"ts\":");
-        json::push_u64(&mut out, at);
-        match done {
-            Some(done) => {
-                out.push_str(",\"dur\":");
-                json::push_u64(&mut out, done.saturating_sub(at));
-            }
-            None => out.push_str(",\"s\":\"t\""),
-        }
-        out.push_str(",\"name\":");
-        json::push_str(&mut out, e.what.name());
-        out.push_str(",\"args\":{\"span\":");
-        json::push_u64(&mut out, s);
-        if let Some(p) = e.parent {
-            out.push_str(",\"parent\":");
-            json::push_u64(&mut out, p.raw());
-        }
-        if let Some(p) = e.page {
-            out.push_str(",\"page\":");
-            json::push_u64(&mut out, p.raw());
-        }
-        if let Some(v) = e.value {
-            out.push_str(",\"value\":");
-            json::push_u64(&mut out, v);
-        }
-        out.push_str("}}");
-        // One flow arrow per causal link, anchored at the parent span's
-        // first event. Links to spans absent from the stream draw nothing
-        // — a rendered arrow always references two emitted spans.
-        if let Some(i) = e.parent.and_then(|p| index.get(p.raw())) {
-            let (pts, ptid) = spans[i].anchor;
-            out.push_str(",\n{\"ph\":\"s\",\"pid\":1,\"tid\":");
-            json::push_u64(&mut out, ptid);
-            out.push_str(",\"ts\":");
-            json::push_u64(&mut out, pts);
-            out.push_str(",\"id\":");
-            json::push_u64(&mut out, s);
-            out.push_str(
-                ",\"name\":\"cause\",\"cat\":\"flow\"},\n\
-                 {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":",
-            );
-            json::push_u64(&mut out, lane);
-            out.push_str(",\"ts\":");
-            json::push_u64(&mut out, at);
-            out.push_str(",\"id\":");
-            json::push_u64(&mut out, s);
-            out.push_str(",\"name\":\"cause\",\"cat\":\"flow\"}");
-        }
-    }
-    out.push_str("\n]}\n");
-    w.write_all(out.as_bytes())
+    index.write(events.iter().copied(), w)
 }
 
-/// Span id → position in the render's span table.
+/// [`Span::flags`] bit: the span's id appeared in the stream.
+const SEEN: u8 = 1;
+/// [`Span::flags`] bit: an opening event of the span appears in the
+/// stream.
+const OPENED: u8 = 2;
+/// [`Span::flags`] bit: a closing event of the span has appeared, and
+/// [`Span::close_at`] holds the first one's timestamp.
+const CLOSED: u8 = 4;
+
+/// What the render needs to know about one span.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// The span's first event's timestamp: the flow-arrow anchor.
+    anchor_at: u64,
+    /// The span's first event's lane, as a position in
+    /// [`TraceIndex::lane_ids`].
+    anchor_lane: u32,
+    /// The span's first closing event's timestamp, once [`CLOSED`]: an
+    /// opening event renders as a duration ending there.
+    close_at: u64,
+    /// [`SEEN`], [`OPENED`] and [`CLOSED`] bits.
+    flags: u8,
+}
+
+impl Span {
+    /// Folds one more event of this span, of kind `what` at `at`, into its
+    /// facts.
+    fn note(&mut self, what: EventKind, at: u64) {
+        if let Some(close) = note_flags(&mut self.flags, what, at) {
+            self.close_at = close;
+        }
+    }
+}
+
+/// Folds an event of kind `what` at `at` into a span's `flags`; returns
+/// `at` if the event is the span's first close, whose timestamp the span
+/// then records.
+fn note_flags(flags: &mut u8, what: EventKind, at: u64) -> Option<u64> {
+    if opens_span(what) {
+        *flags |= OPENED;
+    }
+    (closes_span(what) && *flags & CLOSED == 0).then(|| {
+        *flags |= CLOSED;
+        at
+    })
+}
+
+/// What the render needs to know about a stream, gathered one event at a
+/// time: the lanes it uses and the facts of every span.
+/// [`ChromeTraceSink`] fills it as events arrive, [`write_chrome_trace`]
+/// in one pass over its slice; [`TraceIndex::write`] then renders the
+/// stream for both.
 ///
-/// A kernel allocates span ids from one counter that starts at 1, and logs
-/// every id it allocates, so a kernel stream's ids never exceed its event
-/// count: they index `flat` directly and the stream never hashes. Larger
-/// ids come only from hand-built streams and go to `spill`. Correctness
+/// A kernel allocates span ids from one counter that starts at 1 and logs
+/// every id it allocates, so its ids are dense and stay near the count of
+/// events seen so far: `flat` holds their facts by id, and the stream
+/// never hashes. `flat` reaches ids up to twice the events seen plus
+/// [`FLAT_SLACK`]; larger ids come only from hand-built streams and go to
+/// `spill`, where they stay if `flat` later grows past them. Correctness
 /// never depends on that id property, and memory stays bounded by the
 /// event count for any input.
-struct SpanIndex {
-    /// `flat[id]` is 1 + span `id`'s position, or 0 while it is unseen.
-    /// Its `events + 1` entries cover ids `0..=events`.
-    flat: Vec<u32>,
-    /// Positions of ids past `flat`.
-    spill: sgx_sim::FastMap,
+struct TraceIndex {
+    /// Lanes seen, sorted (the header lists them in this order), each
+    /// with its position in `lane_ids`. Lane 0, the load channel, is
+    /// always listed.
+    lanes: Vec<(u64, u32)>,
+    /// Lanes by first appearance: what [`Span::anchor_lane`] indexes.
+    lane_ids: Vec<u64>,
+    /// Span facts by id, for the ids below its length.
+    flat: SpanTable,
+    /// Facts of the span ids `flat` did not reach when they first
+    /// appeared.
+    spill: HashMap<u64, Span>,
+    /// Events observed.
+    events: u64,
 }
 
-impl SpanIndex {
-    fn new(events: usize) -> Self {
-        // Positions are below `events`, so they fit the `u32` slots
-        // whenever the flat table is used at all.
-        let flat = if events < u32::MAX as usize {
-            vec![0; events + 1]
-        } else {
-            Vec::new()
-        };
-        SpanIndex {
-            flat,
-            spill: sgx_sim::FastMap::new(),
+/// How far past twice the events seen [`TraceIndex::flat`] reaches.
+const FLAT_SLACK: u64 = 1024;
+
+impl TraceIndex {
+    fn new() -> Self {
+        TraceIndex {
+            lanes: vec![(0, 0)],
+            lane_ids: vec![0],
+            flat: SpanTable::default(),
+            spill: HashMap::new(),
+            events: 0,
         }
     }
 
-    /// The position of span `id`, if it was seen.
+    /// The facts of span `id`, if it appeared.
     #[inline]
-    fn get(&self, id: u64) -> Option<usize> {
-        match usize::try_from(id).ok().and_then(|i| self.flat.get(i)) {
-            Some(&slot) => (slot as usize).checked_sub(1),
-            None => self.spill.get(id).map(|i| i as usize),
-        }
+    fn span(&self, id: u64) -> Option<Span> {
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| self.flat.get(i))
+            .or_else(|| self.spill.get(&id).copied())
     }
 
-    /// The position of span `id`, recording `next` as its position if it
-    /// is new.
-    #[inline]
-    fn get_or_insert(&mut self, id: u64, next: usize) -> usize {
-        match usize::try_from(id).ok().and_then(|i| self.flat.get_mut(i)) {
-            Some(slot) => {
-                if *slot == 0 {
-                    *slot = u32::try_from(next + 1)
-                        .expect("the flat table exists only below u32::MAX events");
-                }
-                *slot as usize - 1
+    /// Folds the stream's next event into the index.
+    fn observe(&mut self, e: &LoggedEvent) {
+        self.events += 1;
+        let lane = chrome_lane(e);
+        let lane = match self.lanes.binary_search_by_key(&lane, |&(l, _)| l) {
+            Ok(i) => self.lanes[i].1,
+            Err(i) => {
+                let at = u32::try_from(self.lane_ids.len()).expect("under 2^32 lanes");
+                self.lanes.insert(i, (lane, at));
+                self.lane_ids.push(lane);
+                at
             }
-            None => match self.spill.get(id) {
-                Some(i) => i as usize,
-                None => {
-                    self.spill.insert(id, next as u64);
-                    next
+        };
+        let (id, at) = (e.span.raw(), e.at.raw());
+        let flat = usize::try_from(id).ok();
+        if let Some(i) = flat.filter(|&i| self.flat.seen(i)) {
+            self.flat.note(i, e.what, at);
+        } else if let Some(span) = self.spill.get_mut(&id) {
+            span.note(e.what, at);
+        } else {
+            let mut span = Span {
+                anchor_at: at,
+                anchor_lane: lane,
+                close_at: 0,
+                flags: SEEN,
+            };
+            span.note(e.what, at);
+            let reach = self.events.saturating_mul(2).saturating_add(FLAT_SLACK);
+            match flat {
+                Some(i) if id <= reach => self.flat.push_at(i, span),
+                _ => {
+                    self.spill.insert(id, span);
                 }
-            },
+            }
         }
+    }
+
+    /// Writes `events`, the stream this index observed, to `w` as a Chrome
+    /// trace-event JSON document, in [`CHROME_FLUSH_BYTES`] chunks.
+    fn write(
+        &self,
+        events: impl IntoIterator<Item = LoggedEvent>,
+        w: &mut impl Write,
+    ) -> io::Result<()> {
+        // One record per line: the frame and its `,\n` separators are the
+        // file's layout; each record is one JSON object, written as
+        // constant key fragments around its values. The process record
+        // comes first, so every later record opens with its separator.
+        // The header and each kind's quoted name (with the keys around
+        // it) are formatted once; records go into a byte buffer, where
+        // an integer's digits go in with one copy.
+        let mut head = String::from(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+             {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
+        );
+        for &(lane, _) in &self.lanes {
+            head.push_str(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+            json::push_u64(&mut head, lane);
+            head.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
+            match lane {
+                0 => json::push_str(&mut head, "load channel"),
+                _ => json::push_str(&mut head, &format!("enclave {}", lane - 1)),
+            }
+            head.push_str("}}");
+        }
+        let names = EventKind::ALL.map(|kind| {
+            let mut s = String::from(",\"name\":");
+            json::push_str(&mut s, kind.name());
+            s.push_str(",\"args\":{\"span\":");
+            s.into_bytes()
+        });
+        let mut out = Vec::with_capacity(CHROME_FLUSH_BYTES + 1024);
+        out.extend_from_slice(head.as_bytes());
+        for e in events {
+            if out.len() >= CHROME_FLUSH_BYTES {
+                w.write_all(&out)?;
+                out.clear();
+            }
+            let lane = chrome_lane(&e);
+            let s = e.span.raw();
+            let at = e.at.raw();
+            let (opens, closes) = (opens_span(e.what), closes_span(e.what));
+            let mut done = None;
+            if opens || closes {
+                let span = self.span(s).expect("every span is indexed");
+                let close_at = (span.flags & CLOSED != 0).then_some(span.close_at);
+                if closes && close_at == Some(at) && span.flags & OPENED != 0 {
+                    // Rendered as the duration of its opening event;
+                    // closes with no opener (foreign stream) fall through
+                    // to an instant.
+                    continue;
+                }
+                done = close_at.filter(|_| opens);
+            }
+            out.extend_from_slice(match done {
+                Some(_) => b",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
+                None => b",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
+            });
+            json::push_u64_bytes(&mut out, lane);
+            out.extend_from_slice(b",\"ts\":");
+            json::push_u64_bytes(&mut out, at);
+            match done {
+                Some(done) => {
+                    out.extend_from_slice(b",\"dur\":");
+                    json::push_u64_bytes(&mut out, done.saturating_sub(at));
+                }
+                None => out.extend_from_slice(b",\"s\":\"t\""),
+            }
+            out.extend_from_slice(&names[e.what as usize]);
+            json::push_u64_bytes(&mut out, s);
+            if let Some(p) = e.parent {
+                out.extend_from_slice(b",\"parent\":");
+                json::push_u64_bytes(&mut out, p.raw());
+            }
+            if let Some(p) = e.page {
+                out.extend_from_slice(b",\"page\":");
+                json::push_u64_bytes(&mut out, p.raw());
+            }
+            if let Some(v) = e.value {
+                out.extend_from_slice(b",\"value\":");
+                json::push_u64_bytes(&mut out, v);
+            }
+            out.extend_from_slice(b"}}");
+            // One flow arrow per causal link, anchored at the parent span's
+            // first event. Links to spans absent from the stream draw
+            // nothing — a rendered arrow always references two emitted
+            // spans.
+            if let Some(p) = e.parent.and_then(|p| self.span(p.raw())) {
+                out.extend_from_slice(b",\n{\"ph\":\"s\",\"pid\":1,\"tid\":");
+                json::push_u64_bytes(&mut out, self.lane_ids[p.anchor_lane as usize]);
+                out.extend_from_slice(b",\"ts\":");
+                json::push_u64_bytes(&mut out, p.anchor_at);
+                out.extend_from_slice(b",\"id\":");
+                json::push_u64_bytes(&mut out, s);
+                out.extend_from_slice(
+                    b",\"name\":\"cause\",\"cat\":\"flow\"},\n\
+                     {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":",
+                );
+                json::push_u64_bytes(&mut out, lane);
+                out.extend_from_slice(b",\"ts\":");
+                json::push_u64_bytes(&mut out, at);
+                out.extend_from_slice(b",\"id\":");
+                json::push_u64_bytes(&mut out, s);
+                out.extend_from_slice(b",\"name\":\"cause\",\"cat\":\"flow\"}");
+            }
+        }
+        out.extend_from_slice(b"\n]}\n");
+        w.write_all(&out)
+    }
+
+    /// Bytes the index holds, counted by capacity.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.lanes.capacity() * size_of::<(u64, u32)>()
+            + self.lane_ids.capacity() * size_of::<u64>()
+            + self.flat.bytes()
+            + self.spill.capacity() * size_of::<(u64, Span)>()
+    }
+}
+
+/// Span facts by id, one chunked column per field; an id that has not
+/// appeared has no [`SEEN`] bit.
+#[derive(Default)]
+struct SpanTable {
+    anchor_at: Column<u64>,
+    anchor_lane: Column<u32>,
+    close_at: Column<u64>,
+    flags: Column<u8>,
+}
+
+impl SpanTable {
+    /// Whether id `i` appeared.
+    #[inline]
+    fn seen(&self, i: usize) -> bool {
+        self.flags.get(i).is_some_and(|&f| f & SEEN != 0)
+    }
+
+    /// The facts stored for id `i`, if that id appeared.
+    #[inline]
+    fn get(&self, i: usize) -> Option<Span> {
+        self.seen(i).then(|| Span {
+            anchor_at: self.anchor_at[i],
+            anchor_lane: self.anchor_lane[i],
+            close_at: self.close_at[i],
+            flags: self.flags[i],
+        })
+    }
+
+    /// Folds one more event of id `i`, which appeared before, into its
+    /// facts; see [`Span::note`].
+    #[inline]
+    fn note(&mut self, i: usize, what: EventKind, at: u64) {
+        if let Some(close) = note_flags(&mut self.flags[i], what, at) {
+            self.close_at[i] = close;
+        }
+    }
+
+    /// Stores `span` as the facts of id `i`, which has not appeared,
+    /// growing the table to reach it.
+    fn push_at(&mut self, i: usize, span: Span) {
+        while self.flags.len() < i {
+            self.push(Span::default());
+        }
+        if i == self.flags.len() {
+            self.push(span);
+        } else {
+            self.anchor_at[i] = span.anchor_at;
+            self.anchor_lane[i] = span.anchor_lane;
+            self.close_at[i] = span.close_at;
+            self.flags[i] = span.flags;
+        }
+    }
+
+    fn push(&mut self, span: Span) {
+        self.anchor_at.push(span.anchor_at);
+        self.anchor_lane.push(span.anchor_lane);
+        self.close_at.push(span.close_at);
+        self.flags.push(span.flags);
+    }
+
+    /// Bytes the table holds, counted by capacity.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.anchor_at.bytes()
+            + self.anchor_lane.bytes()
+            + self.close_at.bytes()
+            + self.flags.bytes()
+    }
+}
+
+/// Entries per [`Column`] chunk.
+const CHUNK: usize = 1 << 16;
+
+/// An append-only column stored in fixed-size chunks: it grows without
+/// ever moving what it holds, so a long stream never pays a reallocation's
+/// copy or its transient double footprint. A chunk is allocated whole, but
+/// its pages become resident only as entries fill them.
+struct Column<T> {
+    /// Every chunk but the last holds exactly [`CHUNK`] entries.
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column { chunks: Vec::new() }
+    }
+}
+
+impl<T> Column<T> {
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK + c.len())
+    }
+
+    fn push(&mut self, v: T) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(v),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(v);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&T> {
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    /// Bytes the column holds, counted by capacity.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        let entries: usize = self.chunks.iter().map(Vec::capacity).sum();
+        entries * std::mem::size_of::<T>() + self.chunks.capacity() * std::mem::size_of::<Vec<T>>()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Column<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Column<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+/// Bytes per [`EventLog`] chunk.
+const LOG_CHUNK: usize = 1 << 16;
+/// The longest encoding of one event: the header byte and five varints.
+const MAX_EVENT_BYTES: usize = 1 + 5 * varint::MAX_BYTES;
+/// Header bits below the presence bits: the kind's index in
+/// [`EventKind::ALL`].
+const KIND_BITS: u8 = 0x0F;
+/// Header bit: a `page` varint follows.
+const HAS_PAGE: u8 = 0x10;
+/// Header bit: a `value` varint follows.
+const HAS_VALUE: u8 = 0x20;
+/// Header bit: a `parent` varint follows.
+const HAS_PARENT: u8 = 0x40;
+const _: () = assert!(EventKind::ALL.len() <= KIND_BITS as usize + 1);
+
+/// An append-only event stream, a few bytes per event.
+///
+/// Each event is one header byte (the kind's index, plus presence bits for
+/// `page`, `value` and `parent`) followed by LEB128 varints: the zigzag
+/// deltas of `at` and `span` from the previous event and of `page` from
+/// the previous page, the raw `value`, and the zigzag of `span − parent`.
+/// Like a [`Column`], the log grows in fixed-size chunks, so it never moves
+/// what it holds; a chunk takes a new event only while it has room for the
+/// longest one, so an event never straddles two chunks.
+#[derive(Default)]
+struct EventLog {
+    chunks: Vec<Vec<u8>>,
+    /// What the next event's deltas are taken from.
+    prev: Deltas,
+}
+
+/// The delta bases of an [`EventLog`]: the previous event's `at` and
+/// `span`, and the previous page.
+#[derive(Clone, Copy, Default)]
+struct Deltas {
+    at: u64,
+    span: u64,
+    page: u64,
+}
+
+impl EventLog {
+    fn push(&mut self, e: &LoggedEvent) {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.len() + MAX_EVENT_BYTES > LOG_CHUNK)
+        {
+            self.chunks.push(Vec::with_capacity(LOG_CHUNK));
+        }
+        let out = self.chunks.last_mut().expect("a chunk with room");
+        let flag = |present: bool, bit: u8| if present { bit } else { 0 };
+        out.push(
+            e.what as u8
+                | flag(e.page.is_some(), HAS_PAGE)
+                | flag(e.value.is_some(), HAS_VALUE)
+                | flag(e.parent.is_some(), HAS_PARENT),
+        );
+        let (at, span) = (e.at.raw(), e.span.raw());
+        varint::push(out, zigzag(at.wrapping_sub(self.prev.at)));
+        varint::push(out, zigzag(span.wrapping_sub(self.prev.span)));
+        if let Some(p) = e.page {
+            varint::push(out, zigzag(p.raw().wrapping_sub(self.prev.page)));
+            self.prev.page = p.raw();
+        }
+        if let Some(v) = e.value {
+            varint::push(out, v);
+        }
+        if let Some(p) = e.parent {
+            varint::push(out, zigzag(span.wrapping_sub(p.raw())));
+        }
+        self.prev.at = at;
+        self.prev.span = span;
+    }
+
+    /// The logged events, decoded in order.
+    fn iter(&self) -> LogIter<'_> {
+        LogIter {
+            chunks: &self.chunks,
+            pos: 0,
+            prev: Deltas::default(),
+        }
+    }
+
+    /// Bytes the log holds, counted by capacity.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.chunks.iter().map(Vec::capacity).sum::<usize>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<u8>>()
+    }
+}
+
+/// Decodes an [`EventLog`].
+struct LogIter<'a> {
+    /// The chunk being decoded, then the rest.
+    chunks: &'a [Vec<u8>],
+    /// The next event's offset in `chunks[0]`.
+    pos: usize,
+    prev: Deltas,
+}
+
+impl Iterator for LogIter<'_> {
+    type Item = LoggedEvent;
+
+    fn next(&mut self) -> Option<LoggedEvent> {
+        while self.pos == self.chunks.first()?.len() {
+            self.chunks = &self.chunks[1..];
+            self.pos = 0;
+        }
+        let bytes = &self.chunks[0][..];
+        let mut pos = self.pos;
+        let head = bytes[pos];
+        pos += 1;
+        let mut read = || varint::read(bytes, &mut pos);
+        let at = self.prev.at.wrapping_add(unzigzag(read()));
+        let span = self.prev.span.wrapping_add(unzigzag(read()));
+        let page = (head & HAS_PAGE != 0).then(|| {
+            self.prev.page = self.prev.page.wrapping_add(unzigzag(read()));
+            VirtPage::new(self.prev.page)
+        });
+        let value = (head & HAS_VALUE != 0).then(&mut read);
+        let parent =
+            (head & HAS_PARENT != 0).then(|| SpanId::new(span.wrapping_sub(unzigzag(read()))));
+        self.pos = pos;
+        self.prev.at = at;
+        self.prev.span = span;
+        Some(LoggedEvent {
+            at: Cycles::new(at),
+            what: EventKind::ALL[usize::from(head & KIND_BITS)],
+            page,
+            value,
+            span: SpanId::new(span),
+            parent,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpanId;
-    use sgx_epc::VirtPage;
 
     fn ev(
         at: u64,
@@ -734,6 +1097,59 @@ mod tests {
             w.0.iter().sum::<usize>(),
             render_chrome_trace(&events).len()
         );
+    }
+
+    #[test]
+    fn event_kinds_are_numbered_in_declaration_order() {
+        for (i, &kind) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
+
+    /// The dev-scale microbenchmark under DFP, driven as `SimRun` drives
+    /// it: three sequential sweeps of 16,384 pages, 1,400 compute cycles
+    /// apart, through a 1,536-page EPC.
+    fn dev_microbenchmark_dfp_events() -> Vec<LoggedEvent> {
+        use crate::{CollectingSink, Kernel, KernelConfig};
+        use sgx_dfp::{MultiStreamPredictor, ProcessId, StreamConfig};
+
+        let mut kernel = Kernel::new(
+            KernelConfig::new(1_536),
+            Box::new(MultiStreamPredictor::new(StreamConfig::paper_defaults())),
+        );
+        let (sink, events) = CollectingSink::new();
+        kernel.subscribe(Box::new(sink));
+        let pid = ProcessId(0);
+        kernel
+            .register_enclave(pid, 16_384)
+            .expect("the ELRANGE fits");
+        let mut now = Cycles::ZERO;
+        for page in (0..3).flat_map(|_| 0..16_384).map(VirtPage::new) {
+            now += Cycles::new(1_400);
+            if kernel.app_access(now, pid, page).is_none() {
+                now = kernel.page_fault(now, pid, page).resume_at;
+            }
+        }
+        kernel.finish(now);
+        drop(kernel);
+        events.take()
+    }
+
+    /// The sink keeps a few bytes per event, never the events themselves.
+    /// Buffering the 72-byte events, plus the 40-byte record per span the
+    /// render then built, took about 103 bytes per event on this stream.
+    #[test]
+    fn chrome_sink_retains_a_few_bytes_per_event() {
+        let events = dev_microbenchmark_dfp_events();
+        assert!(events.len() > 300_000, "{} events", events.len());
+        let mut sink = ChromeTraceSink::new(io::sink());
+        for e in &events {
+            sink.on_event(e);
+        }
+        let per_event = sink.retained_bytes() as f64 / events.len() as f64;
+        eprintln!("{} events, {per_event:.2} bytes per event", events.len());
+        assert!(per_event < 32.0, "{per_event:.1} bytes per event");
+        assert!(sink.events().eq(events.iter().copied()));
     }
 
     #[test]

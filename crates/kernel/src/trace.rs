@@ -427,22 +427,7 @@ mod tests {
     #[test]
     fn counting_sink_tallies_every_kind() {
         let (mut sink, counts) = CountingSink::new();
-        let kinds = [
-            EventKind::Fault,
-            EventKind::DemandLoaded,
-            EventKind::PreloadStart,
-            EventKind::PreloadDone,
-            EventKind::EvictBackground,
-            EventKind::EvictForeground,
-            EventKind::PreloadAbort,
-            EventKind::SipLoaded,
-            EventKind::ValveStopped,
-            EventKind::SipPrefetchStart,
-            EventKind::FaultResolved,
-            EventKind::PreloadHit,
-            EventKind::StreamPredicted,
-            EventKind::RunEnd,
-        ];
+        let kinds = EventKind::ALL;
         for k in kinds {
             sink.on_event(&ev(1, k));
         }

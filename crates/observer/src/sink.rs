@@ -181,22 +181,7 @@ mod tests {
 
     #[test]
     fn only_preload_hit_is_private() {
-        let kinds = [
-            EventKind::Fault,
-            EventKind::DemandLoaded,
-            EventKind::PreloadStart,
-            EventKind::PreloadDone,
-            EventKind::EvictBackground,
-            EventKind::EvictForeground,
-            EventKind::PreloadAbort,
-            EventKind::SipLoaded,
-            EventKind::ValveStopped,
-            EventKind::SipPrefetchStart,
-            EventKind::FaultResolved,
-            EventKind::PreloadHit,
-            EventKind::StreamPredicted,
-            EventKind::RunEnd,
-        ];
+        let kinds = EventKind::ALL;
         let private: Vec<EventKind> = kinds
             .iter()
             .copied()

@@ -4,11 +4,12 @@
 //!
 //! Keys are `&'static str` written verbatim, in emission order. Strings
 //! escape `"`, `\`, `\n`, `\r` and `\t`, and every other char below 0x20
-//! as `\u00XX`. Integers print through [`push_u64`], which writes the same
-//! digits as `Display` two at a time from a lookup table, without
-//! `core::fmt`. An `f64` prints in its shortest round-trip `Display` form,
-//! or as `0` when non-finite. Values go straight into the caller's buffer,
-//! with no temporary `String`.
+//! as `\u00XX`. Integers print through [`push_u64`] (or
+//! [`push_u64_bytes`] into a byte buffer), which writes the same digits as
+//! `Display` two at a time from a lookup table, without `core::fmt`. An
+//! `f64` prints in its shortest round-trip `Display` form, or as `0` when
+//! non-finite. Values go straight into the caller's buffer, with no
+//! temporary `String`.
 //!
 //! ```
 //! use sgx_sim::json;
@@ -63,12 +64,12 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// Appends `v` in decimal: the same bytes as its `Display` form.
+/// Writes `v`'s decimal digits, the same bytes as its `Display` form, at
+/// the end of `buf`, and returns where they start.
 #[inline]
-pub fn push_u64(out: &mut String, mut v: u64) {
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> usize {
     // `u64::MAX` has 20 digits. The digits fill `buf` from its end, two
     // per division.
-    let mut buf = [0u8; 20];
     let mut at = buf.len();
     while v >= 100 {
         let pair = (v % 100) as usize * 2;
@@ -84,7 +85,25 @@ pub fn push_u64(out: &mut String, mut v: u64) {
         at -= 1;
         buf[at] = b'0' + v as u8;
     }
+    at
+}
+
+/// Appends `v` in decimal: the same bytes as its `Display` form.
+#[inline]
+pub fn push_u64(out: &mut String, v: u64) {
+    let mut buf = [0; 20];
+    let at = decimal(v, &mut buf);
     out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// [`push_u64`] into a byte buffer, where the digits go in with one copy
+/// instead of one `char` push each: for writers that emit millions of
+/// integers, such as the Chrome trace render.
+#[inline]
+pub fn push_u64_bytes(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0; 20];
+    let at = decimal(v, &mut buf);
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Appends `v` as a JSON number: its `Display` form when finite, `0`
@@ -298,6 +317,9 @@ mod tests {
             let mut out = String::new();
             push_u64(&mut out, v);
             assert_eq!(out, v.to_string());
+            let mut bytes = b"x".to_vec();
+            push_u64_bytes(&mut bytes, v);
+            assert_eq!(bytes, format!("x{v}").into_bytes());
         }
         let mut out = String::from("x");
         7u32.write_value(&mut out);

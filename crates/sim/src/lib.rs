@@ -12,6 +12,7 @@
 //! * [`FastMap`] / [`FastSet`] — open-addressing `u64` tables for the hot
 //!   paths.
 //! * [`json`] — the deterministic JSON writer every report serializes with.
+//! * [`varint`] — LEB128 varints and zigzag deltas for compact streams.
 //!
 //! # Examples
 //!
@@ -36,6 +37,7 @@ mod fastmap;
 pub mod json;
 mod rng;
 mod stats;
+pub mod varint;
 
 pub use cycles::Cycles;
 pub use fastmap::{FastMap, FastSet};

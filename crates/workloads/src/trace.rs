@@ -46,6 +46,7 @@ use std::io::Read;
 use std::path::Path;
 
 use sgx_epc::VirtPage;
+use sgx_sim::varint::{self, unzigzag, zigzag};
 use sgx_sim::Cycles;
 
 use crate::{Access, SiteId};
@@ -177,29 +178,6 @@ impl fmt::Display for TraceParseError {
 
 impl Error for TraceParseError {}
 
-/// Appends `v` as an LEB128 varint.
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-/// Maps a signed delta onto the unsigned varint space (zigzag).
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
 /// Builder for multi-section `.sgxt` traces: one section per thread, each
 /// delta-encoded independently.
 ///
@@ -240,16 +218,16 @@ impl SgxtWriter {
             .sections
             .checked_add(1)
             .expect("an .sgxt trace holds at most 65535 sections");
-        push_varint(&mut self.body, thread);
-        push_varint(&mut self.body, accesses.len() as u64);
+        varint::push(&mut self.body, thread);
+        varint::push(&mut self.body, accesses.len() as u64);
         let mut prev = 0u64;
         for a in accesses {
             let page = a.page.raw();
-            push_varint(&mut self.body, zigzag(page.wrapping_sub(prev) as i64));
+            varint::push(&mut self.body, zigzag(page.wrapping_sub(prev)));
             prev = page;
-            push_varint(&mut self.body, a.compute.raw());
-            push_varint(&mut self.body, u64::from(a.site.0));
-            push_varint(&mut self.body, u64::from(a.repeats.max(1) - 1));
+            varint::push(&mut self.body, a.compute.raw());
+            varint::push(&mut self.body, u64::from(a.site.0));
+            varint::push(&mut self.body, u64::from(a.repeats.max(1) - 1));
         }
         self
     }
@@ -431,7 +409,7 @@ impl<R: Read> SgxtReader<R> {
                 continue; // empty sections are legal
             }
             let delta = unzigzag(self.varint("page delta")?);
-            let page = self.prev_page.wrapping_add(delta as u64);
+            let page = self.prev_page.wrapping_add(delta);
             self.prev_page = page;
             let compute = self.varint("cycle gap")?;
             let site = self.u32_field("site id", u64::from(u32::MAX))?;
@@ -870,12 +848,12 @@ mod tests {
         let mut bad = w.finish();
         // Rewrite the section to declare one access with a giant site id.
         bad.truncate(8);
-        push_varint(&mut bad, 0); // thread
-        push_varint(&mut bad, 1); // count
-        push_varint(&mut bad, zigzag(1)); // page delta
-        push_varint(&mut bad, 5); // cycle gap
-        push_varint(&mut bad, u64::from(u32::MAX) + 1); // site id
-        push_varint(&mut bad, 0); // repeats - 1
+        varint::push(&mut bad, 0); // thread
+        varint::push(&mut bad, 1); // count
+        varint::push(&mut bad, zigzag(1)); // page delta
+        varint::push(&mut bad, 5); // cycle gap
+        varint::push(&mut bad, u64::from(u32::MAX) + 1); // site id
+        varint::push(&mut bad, 0); // repeats - 1
         let e = RecordedTrace::from_sgxt(&bad).unwrap_err();
         assert!(
             matches!(

@@ -4,9 +4,10 @@
 //! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):
 //! one fixed small run, in memory and streamed to a writer; a small
 //! two-enclave SIP+DFP run; and a hand-built stream with the shapes a
-//! kernel never emits. Campaign timeline files are byte-identical
-//! regardless of worker count, and every flow arrow the renderer draws
-//! references two emitted spans.
+//! kernel never emits. All three also pass through `ChromeTraceSink`,
+//! which renders from its own compact log of the stream. Campaign timeline
+//! files are byte-identical regardless of worker count, and every flow
+//! arrow the renderer draws references two emitted spans.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -228,6 +229,38 @@ fn streamed_render_through_short_writes_matches_golden() {
         out.0 == want,
         "streamed chrome trace diverged from the golden"
     );
+}
+
+/// Feeds `events` through a [`ChromeTraceSink`] that renders into `out`.
+fn render_through_sink(events: &[LoggedEvent], out: impl Write) {
+    let mut sink = ChromeTraceSink::new(out);
+    for e in events {
+        sink.on_event(e);
+    }
+    sink.finish().expect("the writer never fails");
+}
+
+/// The sink keeps its own compact log of the stream and renders from it:
+/// every golden stream fed through the sink, into a `Vec` and through the
+/// 7-byte trickle, gives the golden bytes.
+#[test]
+fn sink_render_matches_every_golden() {
+    for (name, events) in [
+        ("timeline_small.chrome.json", small_run_events()),
+        ("timeline_two_enclave.chrome.json", two_enclave_run_events()),
+        ("timeline_foreign.chrome.json", foreign_events()),
+    ] {
+        let want = std::fs::read(golden_path(name)).expect("golden trace");
+        let mut vec = Vec::new();
+        render_through_sink(&events, &mut vec);
+        assert!(vec == want, "{name}: the sink's render diverged");
+        let mut trickle = Trickle(Vec::new());
+        render_through_sink(&events, &mut trickle);
+        assert!(
+            trickle.0 == want,
+            "{name}: the sink's trickled render diverged"
+        );
+    }
 }
 
 /// A writer whose every write fails (its flush succeeds, so only the
