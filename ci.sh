@@ -14,18 +14,21 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -- -D warnings"
 # format_push_string keeps hand-formatted JSON out: reports serialize
-# through sgx_sim::json, text goes through write!.
-cargo clippy --workspace --all-targets -- -D warnings -D clippy::format_push_string
+# through sgx_sim::json, text goes through write!. This is the first stage
+# that resolves dependencies: without --locked it would silently rewrite a
+# Cargo.lock that a manifest edit left stale.
+cargo clippy --locked --workspace --all-targets -- -D warnings -D clippy::format_push_string
 
 echo "==> cargo doc --no-deps"
 # Our packages only: the vendored registry stand-ins don't doc cleanly.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
-  -p sgx-preloading -p sgx-preload-core -p sgx-fleet -p sgx-bench \
+  -p sgx-preloading -p sgx-preload-core -p sgx-bench \
   -p sgx-kernel -p sgx-epc -p sgx-dfp -p sgx-sip -p sgx-workloads \
   -p sgx-observer -p sgx-sim
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+# --locked fails the build when a manifest edit left Cargo.lock stale.
+cargo build --release --locked
 
 echo "==> full-scale Chrome trace digest, slice and sink paths"
 # The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) must keep

@@ -132,10 +132,10 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Runs `f(0..n)` on a `jobs`-worker work-stealing pool and returns the
 /// results in index order regardless of scheduling. This is the pool
-/// behind [`Campaign::run_with_jobs`] and the fleet layer's host shards:
-/// per-worker deques are round-robin seeded, and an idle worker steals
-/// from the back of the fullest sibling. `f` must produce a result that
-/// depends only on its index for parallel runs to stay deterministic.
+/// behind [`Campaign::run_with_jobs`] and the figure harness: per-worker
+/// deques are round-robin seeded, and an idle worker steals from the back
+/// of the fullest sibling. `f` must produce a result that depends only on
+/// its index for parallel runs to stay deterministic.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -68,5 +68,5 @@ pub use sgx_observer::{
     ParseLeakageMetricError, VariantLeakage,
 };
 pub use simrun::{SimError, SimRun};
-pub use simulator::{build_kernel, build_plan, AppSpec, AppSpecBuilder, SpecError};
+pub use simulator::{build_plan, AppSpec, AppSpecBuilder, SpecError};
 pub use userspace::{run_userspace_paging, UserPagingConfig};

@@ -41,8 +41,7 @@ pub struct RunReport {
     /// Preloaded pages later touched (this enclave's slice of
     /// `AccPreloadCounter`).
     pub preloads_touched: u64,
-    /// Preloaded pages evicted or torn down untouched — confirmed wasted
-    /// work.
+    /// Preloaded pages evicted untouched — confirmed wasted work.
     pub preloads_wasted: u64,
     /// Queued preloads cancelled by the abort path.
     pub preloads_aborted: u64,

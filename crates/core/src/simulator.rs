@@ -180,18 +180,16 @@ fn make_predictor(cfg: &SimConfig, scheme: Scheme) -> Box<dyn Predictor> {
     }
 }
 
-/// Builds the kernel a [`SimRun`](crate::SimRun) would drive for `cfg`
-/// under `scheme`:
-/// EPC sizing, per-operation costs, the scheme's predictor, the abort
-/// valve when the scheme uses one, plus any configured chaos schedule,
-/// tenant policy, and gauge-sampling interval. Exported so higher layers
-/// (the fleet simulator) can drive the same kernel directly.
+/// Builds the kernel a [`SimRun`](crate::SimRun) drives for `cfg` under
+/// `scheme`: EPC sizing, per-operation costs, the scheme's predictor, the
+/// abort valve when the scheme uses one, plus any configured chaos
+/// schedule, tenant policy, and gauge-sampling interval.
 ///
 /// # Errors
 ///
 /// [`KernelError`] when the configuration is unbuildable (e.g. zero EPC
 /// pages).
-pub fn build_kernel(cfg: &SimConfig, scheme: Scheme) -> Result<Kernel, KernelError> {
+fn build_kernel(cfg: &SimConfig, scheme: Scheme) -> Result<Kernel, KernelError> {
     let mut kcfg = KernelConfig::new(cfg.epc_pages).with_costs(cfg.costs);
     if scheme.uses_valve() {
         kcfg = kcfg.with_abort_policy(cfg.abort);

@@ -1,11 +1,9 @@
 //! Property pins for the string surfaces the CLI parses through:
-//! `FromStr` inverts `Display` for every [`Scheme`], [`ChaosPreset`],
-//! [`ArrivalProcess`], and [`PlacementPolicy`], under arbitrary
-//! per-character casing, and unknown names never parse.
+//! `FromStr` inverts `Display` for every [`Scheme`] and [`ChaosPreset`]
+//! under arbitrary per-character casing, and unknown names never parse.
 
 use proptest::prelude::*;
 
-use sgx_fleet::{ArrivalProcess, PlacementPolicy};
 use sgx_preload_core::{ChaosPreset, Scheme};
 
 const SCHEMES: [Scheme; 6] = [
@@ -89,77 +87,6 @@ proptest! {
             s.parse::<ChaosPreset>().is_ok(),
             ["none", "light", "heavy"].contains(&s.as_str()),
             "preset input {:?}", s
-        );
-    }
-
-    /// `parse(display(x)) == x` for every arrival process with non-zero
-    /// parameters; the process name survives arbitrary re-casing.
-    #[test]
-    fn arrival_parse_inverts_display(
-        kind in 0usize..3,
-        gap in 1u64..1 << 40,
-        burst in 1u32..1 << 16,
-        period in 1u64..1 << 40,
-        mask in any::<u64>(),
-    ) {
-        let p = match kind {
-            0 => ArrivalProcess::Poisson { mean_gap: gap },
-            1 => ArrivalProcess::Bursty { mean_gap: gap, burst },
-            _ => ArrivalProcess::Diurnal { mean_gap: gap, period },
-        };
-        let shown = p.to_string();
-        prop_assert_eq!(shown.parse::<ArrivalProcess>().unwrap(), p);
-        // Re-case the name only: parameters must parse as plain digits.
-        let (name, params) = shown.split_once(':').unwrap();
-        let mangled = format!("{}:{}", mangle_case(name, mask), params);
-        prop_assert_eq!(
-            mangled.parse::<ArrivalProcess>().unwrap(), p,
-            "mangled form {:?}", mangled
-        );
-    }
-
-    /// Zero parameters never parse, whichever position they land in.
-    #[test]
-    fn degenerate_arrivals_are_rejected(gap in 0u64..1 << 20, burst in 0u32..256) {
-        let poisson = format!("poisson:{gap}");
-        prop_assert_eq!(poisson.parse::<ArrivalProcess>().is_ok(), gap > 0);
-        let bursty = format!("bursty:{gap}x{burst}");
-        prop_assert_eq!(
-            bursty.parse::<ArrivalProcess>().is_ok(),
-            gap > 0 && burst > 0
-        );
-        let diurnal = format!("diurnal:{gap}x0");
-        prop_assert!(diurnal.parse::<ArrivalProcess>().is_err());
-    }
-
-    /// `parse(display(x)) == x` for every placement policy, however
-    /// cased, and random letter soup only parses on a documented alias.
-    #[test]
-    fn placement_parse_inverts_display(
-        i in 0usize..3,
-        mask in any::<u64>(),
-        n in 1usize..12,
-        raw in any::<u64>(),
-    ) {
-        let p = [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::Packed,
-            PlacementPolicy::LeastLoaded,
-        ][i];
-        prop_assert_eq!(p.to_string().parse::<PlacementPolicy>().unwrap(), p);
-        let mangled = mangle_case(&p.to_string(), mask);
-        prop_assert_eq!(
-            mangled.parse::<PlacementPolicy>().unwrap(), p,
-            "mangled form {:?}", mangled
-        );
-        let soup: String = (0..n)
-            .map(|i| (b'a' + ((raw >> (i * 5)) % 26) as u8) as char)
-            .collect();
-        prop_assert_eq!(
-            soup.parse::<PlacementPolicy>().is_ok(),
-            ["round-robin", "roundrobin", "rr", "packed", "least-loaded", "leastloaded"]
-                .contains(&soup.as_str()),
-            "placement input {:?}", soup
         );
     }
 }

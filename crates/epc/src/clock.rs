@@ -187,7 +187,7 @@ impl ClockRing {
         }
     }
 
-    /// Removes `token` (teardown, or the quota sweep's fallback victim).
+    /// Removes `token` (the quota sweep's fallback victim).
     /// Lazy: the position goes dead in place; sweeps skip it silently —
     /// exactly as the old list's unlink-and-advance behaved.
     pub(crate) fn remove(&mut self, token: u32) -> bool {
@@ -501,8 +501,7 @@ impl ClockQueue {
         Some(VirtPage::new(page))
     }
 
-    /// Removes a specific page (e.g., on enclave teardown). Returns `true`
-    /// if it was tracked.
+    /// Removes a specific page. Returns `true` if it was tracked.
     pub fn remove(&mut self, page: VirtPage) -> bool {
         match self.index.get(page.raw()) {
             Some(token) => {

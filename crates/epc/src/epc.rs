@@ -650,36 +650,6 @@ impl Epc {
         Some(self.finish_eviction(slot, scanned))
     }
 
-    /// Releases every resident page of `tenant`'s extent in one sweep —
-    /// the `EREMOVE` analog behind enclave teardown. Unlike the eviction
-    /// paths, nothing is written back and no victim scan runs: each page
-    /// is dropped from the replacement engine directly and its slot
-    /// recycled. Returns the released pages (as [`Eviction`] records with
-    /// `scanned == 0`) in ascending slot order, so callers can settle
-    /// per-slot bookkeeping; untouched preloads among them still count
-    /// toward [`Epc::preloads_evicted_untouched`] — teardown confirms the
-    /// speculation was wasted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenant` was never registered.
-    pub fn release_extent(&mut self, tenant: usize) -> Vec<Eviction> {
-        assert!(tenant < self.extents.len(), "unknown tenant extent");
-        let owner = u16::try_from(tenant).expect("too many tenants");
-        let mut released = Vec::new();
-        for slot in 0..self.slot_page.len() as u32 {
-            let i = slot as usize;
-            if self.slot_page[i] == NO_PAGE || self.slot_owner[i] != owner {
-                continue;
-            }
-            let removed = self.engine_remove(slot);
-            debug_assert!(removed, "resident slot missing from the engine");
-            released.push(self.finish_eviction(slot, 0));
-        }
-        debug_assert_eq!(self.extents[tenant].resident, 0);
-        released
-    }
-
     /// Total preloads that completed (the paper's `PreloadCounter`).
     pub fn preloads_completed(&self) -> u64 {
         self.preloads_completed
@@ -933,35 +903,6 @@ mod tests {
             assert_eq!(epc.resident_count(), 8);
             assert_eq!(epc.resident_pages().len(), 8);
         }
-    }
-
-    #[test]
-    fn release_extent_frees_only_the_tenant_and_bills_wasted_preloads() {
-        let mut epc = Epc::new(8);
-        let a = epc.register_extent(p(0), 100);
-        let b = epc.register_extent(p(1000), 100);
-        epc.insert(p(1), LoadOrigin::Demand).unwrap();
-        epc.insert(p(2), LoadOrigin::Preload).unwrap(); // never touched
-        epc.insert(p(3), LoadOrigin::Preload).unwrap();
-        epc.touch(p(3));
-        epc.insert(p(1000), LoadOrigin::Demand).unwrap();
-        let released = epc.release_extent(a);
-        assert_eq!(released.len(), 3);
-        assert!(released.iter().all(|ev| ev.scanned == 0));
-        assert_eq!(released.iter().filter(|ev| ev.wasted_preload).count(), 1);
-        assert_eq!(epc.preloads_evicted_untouched(), 1);
-        assert_eq!(epc.tenant_preloads_evicted_untouched(a), 1);
-        assert_eq!(epc.tenant_resident(a), 0);
-        assert_eq!(epc.tenant_resident(b), 1);
-        assert!(epc.is_resident(p(1000)));
-        assert_eq!(epc.resident_count(), 1);
-        // Released slots recycle: the extent refills cleanly.
-        epc.insert(p(1), LoadOrigin::Demand).unwrap();
-        epc.insert(p(2), LoadOrigin::Demand).unwrap();
-        assert_eq!(epc.tenant_resident(a), 2);
-        // An empty sweep on an already-clean extent is a no-op.
-        assert!(epc.release_extent(b).len() == 1);
-        assert!(epc.release_extent(b).is_empty());
     }
 
     #[test]

@@ -39,7 +39,6 @@ mod epc;
 mod page;
 mod replacement;
 mod sizing;
-mod startup;
 
 pub use bitmap::PresenceBitmap;
 pub use clock::ClockQueue;
@@ -48,7 +47,6 @@ pub use epc::{Epc, EpcFullError, Eviction, LoadOrigin, TenantQuota, TouchOutcome
 pub use page::{VirtPage, PAGE_SIZE_BYTES};
 pub use replacement::{FifoPolicy, LruPolicy, RandomPolicy, ReplacementPolicy, VictimPolicy};
 pub use sizing::EpcSizing;
-pub use startup::StartupModel;
 
 /// Usable EPC capacity in pages: the paper's ≈96 MiB after enclave metadata.
 pub const fn usable_epc_pages() -> u64 {

@@ -361,7 +361,7 @@ pub struct KernelStats {
     /// registered at that instant records it.
     pub dfp_stopped_at: Option<Cycles>,
     /// The [`CycleAttribution`] buckets settled so far, one field each
-    /// ([`Kernel::attribution`] adds unsettled channel work and the
+    /// ([`Kernel::tenant_attribution`] adds unsettled channel work and the
     /// residual). This one: the OS fault path plus demand/SIP ELDU and
     /// EAUG cycles.
     pub demand_fault: u64,
@@ -373,7 +373,7 @@ pub struct KernelStats {
     pub channel_wait: u64,
     /// Channel cycles of background loads whose page was touched.
     pub preload_work: u64,
-    /// Channel cycles of background loads evicted or torn down untouched.
+    /// Channel cycles of background loads evicted untouched.
     pub wasted_preload: u64,
     /// Replacement-scan stall cycles.
     pub clock_scan: u64,
@@ -843,57 +843,6 @@ impl Kernel {
         });
         self.committed.push(0);
         Ok(())
-    }
-
-    /// Tears down `pid`'s enclave instance — the fleet lifecycle hook.
-    ///
-    /// Every resident EPC page of the enclave's extent is dropped
-    /// `EREMOVE`-style (no write-back billed, no victim scan, no eviction
-    /// events) and its presence bitmap is cleared, so the next request
-    /// after a respawn faults its working set in from scratch. The
-    /// registration itself is retained: the pid, ELRANGE and tenant index
-    /// stay valid, and the caller bills the [`sgx_epc::StartupModel`]
-    /// build cost when it respawns the instance. Queued or in-flight
-    /// preloads targeting the enclave are allowed to complete — the
-    /// model's analog of asynchronous loads racing a teardown; pages they
-    /// land after this call are simply resident again.
-    ///
-    /// Returns the number of pages released. Untouched preloads among
-    /// them are settled as wasted work (attribution and EPC counters),
-    /// exactly as an eviction would have.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownOwner`] when `pid` (after resolving thread
-    /// aliases) has no registered enclave.
-    pub fn retire_enclave(&mut self, pid: ProcessId) -> Result<u64, KernelError> {
-        let owner = self.owner_pid(pid);
-        let Some(idx) = self.pid_index.get(owner.0 as u64) else {
-            return Err(KernelError::UnknownOwner(owner));
-        };
-        let idx = idx as usize;
-        let released = self.epc.release_extent(idx);
-        let freed = released.len() as u64;
-        for ev in released {
-            let slot = ev.slot as usize;
-            self.preload_done[slot] = u64::MAX;
-            // A staged page torn down before its first touch was wasted
-            // speculation, same as the eviction path.
-            if self.staged_span[slot] != 0 {
-                self.enclaves[idx].stats.wasted_preload += self.staged_cost[slot];
-                self.staged_span[slot] = 0;
-                self.staged_cost[slot] = 0;
-            }
-        }
-        let slot = &mut self.enclaves[idx];
-        slot.bitmap = PresenceBitmap::new(slot.pages);
-        // EREMOVE decommits: a respawned instance grows again via EAUG.
-        if self.edmm.is_some() {
-            self.ever[idx] = PresenceBitmap::new(slot.pages);
-            self.committed[idx] = 0;
-            self.edmm_at_ceiling = self.committed.iter().any(|&c| c >= self.edmm_ceiling);
-        }
-        Ok(freed)
     }
 
     /// Resolves a thread alias to the enclave-owning process.
@@ -2117,38 +2066,27 @@ impl Kernel {
         self.spans.count()
     }
 
-    /// Splits a kernel-wide run of `total` cycles into
+    /// Splits tenant `idx`'s run of `total` cycles into
     /// [`CycleAttribution`] buckets.
     ///
-    /// The overhead buckets are every enclave's ledger summed;
-    /// `app_compute` is the residual, so the buckets always sum exactly
-    /// to `total`. Staged-but-untouched pages and any trailing in-flight
-    /// load count as wasted speculation. If bookkeeping ever over-bills
-    /// (rare corner cases of the stall-overlap deduction), the excess is
-    /// clipped from the most-speculative buckets first, preserving the
-    /// invariant unconditionally.
-    pub fn attribution(&self, total: Cycles) -> CycleAttribution {
-        self.split(&self.stats(), None, total)
-    }
-
-    /// [`Kernel::attribution`] for tenant `idx` alone: its own ledger and
-    /// the unsettled work on its pages, split against its own `total`
-    /// with the same clip.
+    /// The overhead buckets are the enclave's own ledger plus the
+    /// unsettled work on its pages; `app_compute` is the residual, so the
+    /// buckets always sum exactly to `total`. Its staged-but-untouched
+    /// pages and a trailing in-flight load of its page count as wasted
+    /// speculation. If bookkeeping ever over-bills (rare corner cases of
+    /// the stall-overlap deduction), the excess is clipped from the
+    /// most-speculative buckets first, preserving the invariant
+    /// unconditionally.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= self.tenant_count()`.
     pub fn tenant_attribution(&self, idx: usize, total: Cycles) -> CycleAttribution {
-        self.split(&self.enclaves[idx].stats, Some(idx), total)
-    }
-
-    /// Splits `total` over `s`'s buckets plus the staged pages and
-    /// in-flight job of tenant `of` (every tenant when `None`).
-    fn split(&self, s: &KernelStats, of: Option<usize>, total: Cycles) -> CycleAttribution {
-        let mine = |page: VirtPage| of.is_none_or(|o| self.owner(page) == o);
+        let s = &self.enclaves[idx].stats;
+        let mine = |page: VirtPage| self.owner(page) == idx;
         let (mut wasted, mut scan, mut evict) = (s.wasted_preload, s.clock_scan, s.eviction);
         for (slot, &span) in self.staged_span.iter().enumerate() {
-            // A staged page is resident until touched, evicted or retired.
+            // A staged page is resident until touched or evicted.
             if span != 0 && self.epc.page_in_slot(slot as u32).is_some_and(mine) {
                 wasted += self.staged_cost[slot];
             }
@@ -2156,7 +2094,7 @@ impl Kernel {
         if let Some(f) = &self.in_flight {
             match f.job {
                 Job::Load { page, .. } if mine(page) => wasted += f.billed,
-                Job::Evict { owner } if of.is_none_or(|o| o == owner) => {
+                Job::Evict { owner } if owner == idx => {
                     let (stall, ewb) = f.evict_split();
                     scan += stall;
                     evict += ewb;
@@ -3151,62 +3089,5 @@ mod tests {
             k.epc().resident_count()
         );
         assert!(k.bitmap_consistent());
-    }
-
-    #[test]
-    fn retire_enclave_frees_pages_and_resets_the_bitmap() {
-        let mut k = kernel_with(64, Box::new(NoPredictor));
-        let other = ProcessId(2);
-        k.register_enclave(other, 1 << 16).unwrap();
-        let mut now = Cycles::ZERO;
-        for n in 0..8u64 {
-            now = k.page_fault(now, PID, p(n)).resume_at + Cycles::new(1);
-        }
-        now = k.page_fault(now, other, p(0)).resume_at + Cycles::new(1);
-        assert_eq!(k.epc().tenant_resident(0), 8);
-        let freed = k.retire_enclave(PID).unwrap();
-        assert_eq!(freed, 8);
-        assert_eq!(k.epc().tenant_resident(0), 0);
-        // The bystander enclave kept its page; bitmaps stay consistent.
-        assert_eq!(k.epc().tenant_resident(1), 1);
-        assert!(k.app_access(now, other, p(0)).is_some());
-        assert!(k.bitmap_consistent());
-        // Respawn: the same pid faults its working set back in cold.
-        let faults_before = k.stats().faults;
-        assert!(k.app_access(now, PID, p(0)).is_none());
-        now = k.page_fault(now, PID, p(0)).resume_at;
-        assert_eq!(k.stats().faults, faults_before + 1);
-        assert!(k.app_access(now, PID, p(0)).is_some());
-        // No write-back was billed for the teardown itself.
-        assert_eq!(k.stats().background_evictions, 0);
-        assert_eq!(k.stats().foreground_evictions, 0);
-    }
-
-    #[test]
-    fn retire_enclave_settles_untouched_preloads_as_wasted() {
-        // Degree 2: a fault on 0 preloads 1 and 2 in the background.
-        let mut k = kernel_with(64, Box::new(NextLinePredictor::new(2)));
-        let r = k.page_fault(Cycles::ZERO, PID, p(0));
-        // Let both preloads complete, touch neither.
-        let settle = r.resume_at + Cycles::new(10_000);
-        assert!(k.app_access(settle, PID, p(0)).is_some());
-        let freed = k.retire_enclave(PID).unwrap();
-        assert!(freed >= 2, "page 0 plus completed preloads, got {freed}");
-        assert!(k.epc().preloads_evicted_untouched() >= 1);
-        assert!(k.bitmap_consistent());
-    }
-
-    #[test]
-    fn retire_enclave_unknown_pid_errors() {
-        let mut k = kernel_with(16, Box::new(NoPredictor));
-        let e = k.retire_enclave(ProcessId(9)).unwrap_err();
-        assert_eq!(e, KernelError::UnknownOwner(ProcessId(9)));
-        // A thread alias resolves to its owner and retires the enclave.
-        k.register_thread(PID, ProcessId(3)).unwrap();
-        let mut now = Cycles::ZERO;
-        now = k.page_fault(now, ProcessId(3), p(5)).resume_at;
-        let _ = now;
-        assert_eq!(k.retire_enclave(ProcessId(3)).unwrap(), 1);
-        assert_eq!(k.epc().tenant_resident(0), 0);
     }
 }

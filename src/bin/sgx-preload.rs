@@ -51,10 +51,6 @@ COMMANDS:
                                check the graceful-degradation invariants
     contend                    co-run a victim with an aggressor enclave and
                                report per-tenant fairness telemetry
-    fleet                      simulate a serving fleet: N hosts × M service
-                               enclaves under an open-loop arrival process,
-                               with cold-start billing, SLO latency
-                               percentiles and per-host EPC telemetry
     leakage                    run the side-channel leakage observatory: for
                                each secret pair × scheme, replay both
                                secret-labelled variants past an untrusted-OS
@@ -159,35 +155,6 @@ chaos OPTIONS:
                                    cycle ratio exceeds F
     --json-out <file>              write the differential report as JSON
 
-fleet OPTIONS:
-    --hosts <N>                    simulated hosts (default 8)
-    --enclaves <N>                 service enclaves per host (default 4)
-    --arrival <spec>               poisson[:GAP] | bursty[:GAPxBURST] |
-                                   diurnal[:GAP/PERIOD] (default
-                                   poisson:2097152)
-    --placement <p>                round-robin | packed | least-loaded
-                                   (default round-robin)
-    --duration <N>                 fleet horizon in cycles (default 16777216)
-    --fleet-seed <N>               fleet master seed (default 42); host and
-                                   service seeds are derived positionally
-    --scheme <s>                   kernel scheme on every host (default dfp)
-    --slo <N>                      latency SLO in cycles (default 500000)
-    --shed-after <N>               shed requests queued longer than N cycles
-                                   (0 = never shed; default 4000000)
-    --idle-timeout <N>             tear an enclave down after N idle cycles,
-                                   re-billing the cold start on the next
-                                   request (0 = keep warm; default 0)
-    --migrate                      enable plan-time migration of the heaviest
-                                   service off hosts under sustained EPC
-                                   pressure
-    --jobs <N>                     worker threads; the report is byte-identical
-                                   for every worker count
-    --series-out <dir>             per-host EPC gauge series to
-                                   <dir>/host_<i>.series.csv
-    --json-out <file>              write the canonical fleet report JSON
-                                   (excludes jobs/wall time, so it is
-                                   byte-identical across --jobs)
-
 leakage OPTIONS:
     --pairs <a,b,..>               secret pairs (default: all —
                                    branch-halves,lookup-order,dfp-echo)
@@ -221,7 +188,7 @@ struct Args {
 }
 
 /// Flags that take no value; their presence means `true`.
-const BOOL_FLAGS: [&str; 4] = ["hist", "attr", "migrate", "diff"];
+const BOOL_FLAGS: [&str; 3] = ["hist", "attr", "diff"];
 
 impl Args {
     fn parse(argv: &[String]) -> Result<Args, String> {
@@ -341,12 +308,23 @@ impl Args {
             }
             cfg = cfg.with_epc_pages(epc);
         }
+        // The predictor asserts both stream knobs positive, and sizes its
+        // buffers by them: past the EPC they only grow without bound.
+        let stream_knob = |key: &str| -> Result<Option<u64>, String> {
+            match self.parsed::<u64>(key)? {
+                Some(n) if n == 0 || n > cfg.epc_pages => Err(format!(
+                    "--{key} must be between 1 and the EPC's {} pages",
+                    cfg.epc_pages
+                )),
+                n => Ok(n),
+            }
+        };
         let mut stream = StreamConfig::paper_defaults();
-        if let Some(ll) = self.parsed::<u64>("load-length")? {
+        if let Some(ll) = stream_knob("load-length")? {
             stream = stream.with_load_length(ll);
         }
-        if let Some(len) = self.parsed::<usize>("list-len")? {
-            stream = stream.with_list_len(len);
+        if let Some(len) = stream_knob("list-len")? {
+            stream = stream.with_list_len(len as usize);
         }
         cfg = cfg.with_stream(stream);
         if let Some(t) = self.parsed::<f64>("threshold")? {
@@ -1317,57 +1295,6 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fleet(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    let hosts = args.parsed::<usize>("hosts")?.unwrap_or(8);
-    let enclaves = args.parsed::<usize>("enclaves")?.unwrap_or(4);
-    let arrival = match args.get("arrival") {
-        None => ArrivalProcess::default(),
-        Some(s) => s.parse::<ArrivalProcess>().map_err(|e| e.to_string())?,
-    };
-    let placement = match args.get("placement") {
-        None => PlacementPolicy::default(),
-        Some(s) => s.parse::<PlacementPolicy>().map_err(|e| e.to_string())?,
-    };
-    let scheme = args
-        .get("scheme")
-        .unwrap_or("dfp")
-        .parse::<Scheme>()
-        .map_err(|e| e.to_string())?;
-    let mut builder = FleetSpec::new(hosts, enclaves)
-        .seed(args.parsed::<u64>("fleet-seed")?.unwrap_or(42))
-        .arrival(arrival)
-        .placement(placement)
-        .scheme(scheme)
-        .config(cfg)
-        .migrate(args.flag("migrate"));
-    if let Some(d) = args.parsed::<u64>("duration")? {
-        builder = builder.duration(d);
-    }
-    if let Some(s) = args.parsed::<u64>("slo")? {
-        builder = builder.slo(s);
-    }
-    if let Some(s) = args.parsed::<u64>("shed-after")? {
-        builder = builder.shed_after(s);
-    }
-    if let Some(t) = args.parsed::<u64>("idle-timeout")? {
-        builder = builder.idle_timeout(t);
-    }
-    if let Some(dir) = args.get("series-out") {
-        builder = builder.series_dir(dir);
-    }
-    let spec = builder.build().map_err(|e| e.to_string())?;
-    let report = spec.run(args.jobs()?).map_err(|e| e.to_string())?;
-    print!("{report}");
-
-    if let Some(path) = args.get("json-out") {
-        std::fs::write(path, report.to_canonical_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
 type Handler = fn(&Args) -> Result<(), String>;
 
 /// Resolves a command name — for `trace`, the name plus its subcommand
@@ -1388,7 +1315,6 @@ fn handler(command: &str) -> Result<Handler, String> {
         "timeline" => cmd_timeline,
         "chaos" => cmd_chaos,
         "contend" => cmd_contend,
-        "fleet" => cmd_fleet,
         "leakage" => cmd_leakage,
         "help" | "--help" | "-h" => |_| {
             print!("{USAGE}");

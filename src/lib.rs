@@ -20,7 +20,6 @@
 //! | [`workloads`] | `sgx-workloads` | the 18 evaluated programs as page-level models |
 //! | [`observer`] | `sgx-observer` | untrusted-OS observer, side-channel leakage metrics |
 //! | [`core`] | `sgx-preload-core` | schemes, configs, the simulator, reports |
-//! | [`fleet`] | `sgx-fleet` | fleet-scale serving: hosts × enclaves, arrivals, SLOs |
 //!
 //! The most common entry points are re-exported at the top level, and the
 //! blessed public surface is collected in [`prelude`] — new code should
@@ -57,7 +56,6 @@
 
 pub use sgx_dfp as dfp;
 pub use sgx_epc as epc;
-pub use sgx_fleet as fleet;
 pub use sgx_kernel as kernel;
 pub use sgx_observer as observer;
 pub use sgx_preload_core as core;
@@ -71,10 +69,6 @@ pub use sgx_dfp::{
     StreamConfig, StrideConfidentPredictor, StridePredictor,
 };
 pub use sgx_epc::{CostModel, EpcSizing, VictimPolicy, VirtPage};
-pub use sgx_fleet::{
-    ArrivalProcess, FleetError, FleetReport, FleetSpec, FleetSpecBuilder, HostReport,
-    LatencySummary, PlacementPolicy,
-};
 pub use sgx_kernel::{
     render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink,
     CycleAttribution, EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError,
@@ -85,8 +79,8 @@ pub use sgx_observer::{
     ParseLeakageMetricError, VariantLeakage,
 };
 pub use sgx_preload_core::{
-    build_kernel, build_plan, derive_cell_seed, effective_jobs, run_indexed, run_userspace_paging,
-    AppSpec, AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
+    build_plan, derive_cell_seed, effective_jobs, run_indexed, run_userspace_paging, AppSpec,
+    AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
     ChaosPreset, ChaosSchedule, ChaosStats, ElrangeError, EventCounts, FaultInjector, LeakageSpec,
     RunReport, Scheme, SeedMode, SimConfig, SimError, SimRun, SpecError, TenantPolicy, TenantQuota,
     TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
@@ -99,14 +93,11 @@ pub use sgx_workloads::{
 };
 
 /// The blessed public surface in one import: entry points ([`SimRun`],
-/// [`Campaign`], [`FleetSpec`]), their configs, enums (parse through
+/// [`Campaign`]), their configs, enums (parse through
 /// `FromStr`), reports, errors, and the streaming sink traits. New code
 /// should reach the simulator through this front door; anything outside
 /// it is a substrate detail that may move between releases.
 pub mod prelude {
-    pub use sgx_fleet::{
-        ArrivalProcess, FleetError, FleetReport, FleetSpec, FleetSpecBuilder, PlacementPolicy,
-    };
     pub use sgx_kernel::{
         ChaosPreset, ChaosSchedule, CountingSink, GaugeSample, JsonlWriterSink, TimeSeriesSink,
         TraceSink,

@@ -430,48 +430,6 @@ fn timeline_streams_kernel_events() {
 }
 
 #[test]
-fn fleet_json_matches_the_golden_at_any_worker_count() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_fleet_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let golden = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_small.json"),
-    )
-    .unwrap();
-    for jobs in ["1", "4"] {
-        let path = dir.join(format!("fleet_j{jobs}.json"));
-        run_ok(&[
-            "fleet",
-            "--hosts",
-            "4",
-            "--enclaves",
-            "3",
-            "--fleet-seed",
-            "2020",
-            "--scale",
-            "64",
-            "--arrival",
-            "bursty:262144x4",
-            "--placement",
-            "least-loaded",
-            "--duration",
-            "8388608",
-            "--idle-timeout",
-            "1048576",
-            "--jobs",
-            jobs,
-            "--json-out",
-            path.to_str().unwrap(),
-        ]);
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            golden,
-            "fleet --jobs {jobs} drifted from tests/golden/fleet_small.json"
-        );
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn campaign_runs_the_diverse_families_and_honours_predictor() {
     let dir = std::env::temp_dir().join("sgx_preload_cli_campaign_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -714,9 +672,10 @@ fn helpful_errors() {
     assert!(run_err(&["run", "--bench", "nope"]).contains("unknown benchmark"));
     assert!(run_err(&["run", "--bench", "lbm", "--scheme", "warp"]).contains("unknown scheme"));
     assert!(run_err(&["frobnicate"]).contains("unknown command"));
-    for removed in ["throughput", "replay"] {
+    for removed in ["throughput", "replay", "fleet"] {
         assert!(run_err(&[removed]).contains("unknown command"), "{removed}");
     }
+    assert!(!run_ok(&["help"]).contains("fleet"));
     assert!(run_err(&[]).contains("USAGE"));
     assert!(run_err(&["run", "--bench", "lbm", "--threshold", "7"]).contains("must be in [0, 1]"));
     for cmd in [&["run", "--bench", "lbm"][..], &["contend"]] {
@@ -724,6 +683,26 @@ fn helpful_errors() {
             let args = [cmd, &["--scale", bad]].concat();
             let err = run_err(&args);
             assert!(err.contains(&format!("invalid --scale {bad:?}")), "{err}");
+        }
+    }
+    // Stream knobs must be positive and fit the run's EPC, under every
+    // command that builds a DFP kernel.
+    let one_past = (sgx_preloading::Scale::DEV.epc_pages() + 1).to_string();
+    for cmd in [
+        &["run", "--bench", "lbm", "--scheme", "dfp"][..],
+        &["suite"],
+        &["campaign"],
+        &["contend"],
+        &["leakage"],
+    ] {
+        for knob in ["--load-length", "--list-len"] {
+            for bad in ["0", &one_past] {
+                let err = run_err(&[cmd, &[knob, bad]].concat());
+                assert!(
+                    err.contains(&format!("{knob} must be between 1 and")),
+                    "{err}"
+                );
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! EDMM dynamic-EPC invariants (DESIGN.md §8).
+//! EDMM dynamic-EPC invariants (DESIGN.md §7).
 //!
 //! The grow-before-evict contract: while every enclave is below its
 //! committed-page ceiling the background reclaimer stays parked and
@@ -146,7 +146,7 @@ fn eaug_cycles_land_in_demand_fault_attribution_and_books_sum() {
     let end = touch_all(&mut k, 60);
     let stats = *k.edmm_stats().unwrap();
     assert!(stats.eaug_cycles > 0);
-    let attr = k.attribution(end);
+    let attr = k.tenant_attribution(0, end);
     assert!(
         attr.demand_fault >= stats.eaug_cycles,
         "EAUG is billed to the demand-fault bucket"
