@@ -461,13 +461,6 @@ impl Epc {
         }
     }
 
-    /// Evicts the policy's victim, returning it, or `None` if the EPC is
-    /// empty.
-    pub fn evict_victim(&mut self) -> Option<Eviction> {
-        let slot = self.engine_evict()?;
-        Some(self.finish_eviction(slot, self.engine_last_scan()))
-    }
-
     /// Removes an already-chosen victim (by slot) from the residency table
     /// and settles the accounting shared by every eviction path. The
     /// engine must already have dropped the slot.
@@ -595,24 +588,25 @@ impl Epc {
     }
 
     /// `true` when at least one tenant is above its soft quota — the
-    /// precondition for the quota-aware reclaim path.
+    /// precondition for quota-aware victim selection.
     pub fn any_over_soft_quota(&self) -> bool {
         self.extents.iter().any(|e| e.over_soft())
     }
 
-    /// Quota-aware victim selection: evicts the first victim (in policy
-    /// order) owned by a tenant above its soft quota, falling back to the
-    /// plain policy victim when no tenant is over quota or no such page is
-    /// found within one full sweep.
+    /// Evicts the policy's victim, returning it, or `None` if the EPC is
+    /// empty.
     ///
-    /// Victims skipped during the search re-enter the policy cold, so the
-    /// search itself acts like a CLOCK sweep over them. This path is only
-    /// reachable with quotas configured; the unpartitioned default always
-    /// takes [`Epc::evict_victim`] and is bit-identical to the pre-quota
-    /// behaviour.
-    pub fn evict_victim_quota_aware(&mut self) -> Option<Eviction> {
+    /// While some tenant is above its soft quota, the victim is the first
+    /// one (in policy order) owned by such a tenant, falling back to the
+    /// plain policy victim when no such page is found within one full
+    /// sweep. Victims skipped during the search re-enter the policy cold,
+    /// so the search itself acts like a CLOCK sweep over them. Without a
+    /// tenant over quota — always, when no quota is set — this is the
+    /// plain policy victim.
+    pub fn evict_victim(&mut self) -> Option<Eviction> {
         if !self.any_over_soft_quota() {
-            return self.evict_victim();
+            let slot = self.engine_evict()?;
+            return Some(self.finish_eviction(slot, self.engine_last_scan()));
         }
         // Pop policy victims until one belongs to an over-quota tenant,
         // bounded by one pass over the resident set.
@@ -863,13 +857,13 @@ mod tests {
         epc.insert(p(2), LoadOrigin::Demand).unwrap();
         assert!(epc.over_soft_quota(a));
         assert!(!epc.over_soft_quota(b));
-        let ev = epc.evict_victim_quota_aware().unwrap();
+        let ev = epc.evict_victim().unwrap();
         assert_eq!(epc.owner_of(ev.page), Some(a));
         assert_eq!(epc.tenant_resident(a), 1);
         assert_eq!(epc.tenant_resident(b), 1);
         // Nobody over quota any more: falls through to the plain victim.
         assert!(!epc.any_over_soft_quota());
-        assert!(epc.evict_victim_quota_aware().is_some());
+        assert!(epc.evict_victim().is_some());
     }
 
     #[test]
@@ -885,7 +879,7 @@ mod tests {
         b.touch(p(2));
         for _ in 0..4 {
             let va = a.evict_victim().unwrap();
-            let vb = b.evict_victim_quota_aware().unwrap();
+            let vb = b.evict_victim().unwrap();
             assert_eq!(va, vb);
         }
     }

@@ -21,6 +21,8 @@
 //! Each capability owns an independent forked RNG (see [`sgx_sim::mix`]),
 //! so enabling one capability never perturbs the draw stream of another.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 use sgx_epc::VirtPage;
@@ -474,9 +476,129 @@ impl fmt::Debug for FaultInjector {
     }
 }
 
+/// The chaos layer's state inside a kernel: the injector plus what its
+/// injections leave pending — dropped preloads waiting out their backoff,
+/// and the usable-EPC pages a pressure spike withholds.
+#[derive(Debug)]
+pub(crate) struct Chaos {
+    pub(crate) injector: FaultInjector,
+    /// Dropped preloads waiting out their backoff as `(due, drop order,
+    /// page, batch)`, earliest due on top. The drop order is the count of
+    /// retries scheduled so far; `batch` is the raw id of the
+    /// prediction-batch span that queued the page (0 = none), so the
+    /// retried load still parents the original batch.
+    retries: BinaryHeap<Reverse<(Cycles, u64, VirtPage, u64)>>,
+    /// Retry attempts consumed per dropped page.
+    attempts: BTreeMap<VirtPage, u32>,
+    /// Usable-EPC pages withheld by an active pressure spike.
+    withheld: u64,
+    /// When the active pressure spike ends.
+    withheld_until: Cycles,
+    /// Scratch for the retries one release lets out, reused.
+    due: Vec<(u64, VirtPage, u64)>,
+}
+
+impl Chaos {
+    pub(crate) fn new(schedule: ChaosSchedule) -> Self {
+        Chaos {
+            injector: FaultInjector::new(schedule),
+            retries: BinaryHeap::new(),
+            attempts: BTreeMap::new(),
+            withheld: 0,
+            withheld_until: Cycles::ZERO,
+            due: Vec::new(),
+        }
+    }
+
+    /// `free` EPC slots as the scheduler sees them at `t`: minus the pages
+    /// an active pressure spike withholds.
+    #[inline]
+    pub(crate) fn usable(&self, free: u64, t: Cycles) -> u64 {
+        let withheld = if t < self.withheld_until {
+            self.withheld
+        } else {
+            0
+        };
+        free.saturating_sub(withheld)
+    }
+
+    /// Per popped preload at `t`: whether the injector drops it. A dropped
+    /// page waits out a backoff retry, or is abandoned once its retry
+    /// budget is spent.
+    pub(crate) fn drop_preload(&mut self, t: Cycles, page: VirtPage, batch: u64) -> bool {
+        if !self.injector.drop_preload() {
+            return false;
+        }
+        let attempt = self.attempts.get(&page).copied().unwrap_or(0);
+        match self.injector.retry_backoff(attempt) {
+            Some(backoff) => {
+                self.attempts.insert(page, attempt + 1);
+                let order = self.injector.stats.retries_scheduled;
+                self.retries
+                    .push(Reverse((t + backoff, order, page, batch)));
+            }
+            None => self.forget(page),
+        }
+        true
+    }
+
+    /// Clears `page`'s retry attempts: its preload started, or its retry
+    /// was discarded.
+    pub(crate) fn forget(&mut self, page: VirtPage) {
+        self.attempts.remove(&page);
+    }
+
+    /// Lets out the retries due at `t` — every pending retry once
+    /// preloading has `stopped` — in drop order, offering each
+    /// `(page, batch)` to `requeue`. A page it declines forfeits its
+    /// remaining attempts.
+    pub(crate) fn release(
+        &mut self,
+        t: Cycles,
+        stopped: bool,
+        mut requeue: impl FnMut(VirtPage, u64) -> bool,
+    ) {
+        while let Some(&Reverse((at, order, page, batch))) = self.retries.peek() {
+            if at > t && !stopped {
+                break;
+            }
+            self.retries.pop();
+            self.due.push((order, page, batch));
+        }
+        self.due.sort_unstable();
+        for (_, page, batch) in self.due.drain(..) {
+            if !requeue(page, batch) {
+                self.attempts.remove(&page);
+            }
+        }
+    }
+
+    /// When the earliest pending retry falls due.
+    pub(crate) fn next_retry(&self) -> Option<Cycles> {
+        self.retries.peek().map(|r| r.0 .0)
+    }
+
+    /// Retries currently waiting out a backoff.
+    pub(crate) fn pending_retries(&self) -> usize {
+        self.retries.len()
+    }
+
+    /// Per fault at `now`: a pressure spike may start withholding pages
+    /// (never all `capacity` of them); returns whether the valve is
+    /// force-tripped, which a `stopped` valve never is.
+    pub(crate) fn on_fault(&mut self, now: Cycles, capacity: u64, stopped: bool) -> bool {
+        if let Some((pages, duration)) = self.injector.epc_spike() {
+            self.withheld = pages.min(capacity.saturating_sub(1));
+            self.withheld_until = now + duration;
+        }
+        !stopped && self.injector.force_valve()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::*;
 
     #[test]
     fn zero_schedule_never_fires_and_never_draws() {
@@ -584,5 +706,184 @@ mod tests {
         s.clear();
         ChaosSchedule::none().with_drop(f64::NAN).write_json(&mut s);
         assert!(s.contains("\"drop_rate\":0,"), "{s}");
+    }
+
+    // ---- the chaos layer inside a kernel ----
+
+    fn chaos_kernel(epc: u64, predictor: Box<dyn Predictor>, sched: ChaosSchedule) -> Kernel {
+        let mut cfg = KernelConfig::new(epc).with_costs(tiny_costs());
+        cfg.chaos = Some(sched);
+        let mut k = Kernel::new(cfg, predictor);
+        k.register_enclave(PID, 1 << 20).unwrap();
+        k
+    }
+
+    #[test]
+    fn zero_chaos_schedule_is_bit_identical_to_no_injector() {
+        let mut plain = kernel_with(16, Box::new(NextLinePredictor::new(3)));
+        let mut chaos = chaos_kernel(
+            16,
+            Box::new(NextLinePredictor::new(3)),
+            ChaosSchedule::none().with_seed(12345),
+        );
+        let end_a = drive(&mut plain, 300, 3, 64);
+        let end_b = drive(&mut chaos, 300, 3, 64);
+        assert_eq!(end_a, end_b, "zero schedule must not change timing");
+        let (a, b) = (plain.stats(), chaos.stats());
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.preloads_started, b.preloads_started);
+        assert_eq!(a.preloads_aborted, b.preloads_aborted);
+        assert_eq!(a.background_evictions, b.background_evictions);
+        assert_eq!(a.foreground_evictions, b.foreground_evictions);
+        assert_eq!(a.fault_service.sum(), b.fault_service.sum());
+        assert_eq!(chaos.chaos_stats(), Some(&ChaosStats::default()));
+    }
+
+    #[test]
+    fn dropped_preloads_retry_with_backoff_then_abandon() {
+        // Certain drop: every popped preload is dropped; two retries each.
+        let sched = ChaosSchedule::none()
+            .with_seed(1)
+            .with_drop(1.0)
+            .with_retry(2, Cycles::new(100));
+        let mut k = chaos_kernel(64, Box::new(NextLinePredictor::new(1)), sched);
+        let r = k.page_fault(Cycles::ZERO, PID, p(0)); // queues p1
+                                                       // Idle time lets the drop → backoff → redrop cycle play out.
+        assert!(k
+            .app_access(r.resume_at + Cycles::new(5_000), PID, p(0))
+            .is_some());
+        assert_eq!(k.stats().preloads_started, 0, "every preload was dropped");
+        let cs = *k.chaos_stats().unwrap();
+        assert_eq!(cs.preloads_dropped, 3, "initial pop + two retries");
+        assert_eq!(cs.retries_scheduled, 2);
+        assert_eq!(cs.retries_abandoned, 1);
+        assert_eq!(k.chaos_retry_queue_len(), 0);
+        // The page is still loadable on demand — degradation, not loss.
+        let r1 = k.page_fault(Cycles::new(10_000), PID, p(1));
+        assert_eq!(r1.kind, FaultServicing::DemandLoaded);
+    }
+
+    #[test]
+    fn forced_valve_flap_latches_like_the_real_valve() {
+        let sched = ChaosSchedule::none().with_seed(2).with_valve_flap(1.0);
+        let mut k = chaos_kernel(256, Box::new(NextLinePredictor::new(4)), sched);
+        let (sink, counts) = crate::CountingSink::new();
+        k.subscribe(Box::new(sink));
+        drive(&mut k, 100, 7, 4096);
+        assert!(k.is_preload_stopped(), "first fault force-trips the valve");
+        assert!(k.stats().dfp_stopped_at.is_some());
+        assert_eq!(
+            k.stats().preloads_started,
+            0,
+            "no preload survives the trip"
+        );
+        let c = counts.get();
+        assert_eq!(c.valve_stops, 1, "the latch absorbs further flaps");
+        assert_eq!(c.preload_starts, 0);
+        assert_eq!(k.chaos_stats().unwrap().valve_trips, 1);
+        // Stats reconcile with the stream under injection.
+        assert_eq!(c.faults, k.stats().faults);
+        assert_eq!(c.preload_aborts, k.stats().preloads_aborted);
+    }
+
+    #[test]
+    fn epc_spike_withholds_usable_slots() {
+        // Spike deeper than the EPC on every fault: the scheduler sees
+        // zero usable slots and pays foreground evictions even though
+        // real capacity is never full.
+        let sched =
+            ChaosSchedule::none()
+                .with_seed(3)
+                .with_epc_spike(1.0, 1 << 20, Cycles::new(1_000_000));
+        let mut k = chaos_kernel(64, Box::new(NoPredictor), sched);
+        let mut now = Cycles::ZERO;
+        for i in 0..20 {
+            now = k.page_fault(now, PID, p(i)).resume_at + Cycles::new(10);
+        }
+        let evictions = k.stats().background_evictions + k.stats().foreground_evictions;
+        assert!(evictions > 0, "spike forces evictions");
+        assert!(
+            k.epc().resident_count() < k.epc().capacity(),
+            "real EPC never filled"
+        );
+        assert!(k.chaos_stats().unwrap().epc_spikes > 0);
+        assert!(k.bitmap_consistent());
+        // Every faulted page still ended resident at its load: contents
+        // were never lost, only time.
+        assert_eq!(k.stats().faults, 20);
+        assert_eq!(k.stats().demand_loads, 20);
+    }
+
+    #[test]
+    fn delayed_preloads_complete_late_but_complete() {
+        let sched = ChaosSchedule::none()
+            .with_seed(4)
+            .with_delay(1.0, Cycles::new(1_000));
+        let mut k = chaos_kernel(64, Box::new(NextLinePredictor::new(1)), sched);
+        let _ = k.page_fault(Cycles::ZERO, PID, p(0)); // preload p1 at 115
+                                                       // Undelayed the preload lands at 215; delayed it lands at 1215.
+        assert!(k.app_access(Cycles::new(500), PID, p(1)).is_none());
+        let r = k.page_fault(Cycles::new(500), PID, p(1));
+        assert_eq!(r.kind, FaultServicing::WaitedForInflight);
+        assert_eq!(k.chaos_stats().unwrap().preloads_delayed, 1);
+        assert!(k.app_access(r.resume_at, PID, p(1)).is_some());
+    }
+
+    #[test]
+    fn scan_stalls_slow_evictions_without_losing_pages() {
+        let sched = ChaosSchedule::none()
+            .with_seed(5)
+            .with_scan_stall(1.0, Cycles::new(500));
+        let mut k = chaos_kernel(4, Box::new(NoPredictor), sched);
+        drive(&mut k, 32, 1, 16);
+        let cs = *k.chaos_stats().unwrap();
+        assert!(cs.scan_stalls > 0, "every eviction stalls");
+        assert_eq!(cs.stall_cycles, cs.scan_stalls * 500);
+        assert_eq!(k.epc().resident_count() + k.epc().free_slots(), 4);
+        assert!(k.bitmap_consistent());
+    }
+
+    #[test]
+    fn spurious_storms_flow_through_the_normal_enqueue_filter() {
+        let sched = ChaosSchedule::none().with_seed(6).with_spurious(1.0, 8);
+        let mut k = chaos_kernel(256, Box::new(NoPredictor), sched);
+        let (sink, counts) = crate::CountingSink::new();
+        k.subscribe(Box::new(sink));
+        drive(&mut k, 60, 11, 4096);
+        let cs = *k.chaos_stats().unwrap();
+        assert!(cs.spurious_pages > 0, "storms fired");
+        // Storm pages become ordinary queued preloads: started or aborted
+        // or skipped, all reconciling with the event stream.
+        let c = counts.get();
+        let s = k.stats();
+        assert!(s.preloads_enqueued > 0, "storm pages entered the queue");
+        assert_eq!(c.preload_starts, s.preloads_started);
+        assert_eq!(c.preload_aborts, s.preloads_aborted);
+        assert_eq!(c.faults, s.faults);
+        assert!(k.bitmap_consistent());
+    }
+
+    #[test]
+    fn heavy_chaos_preserves_accounting_and_terminates() {
+        let mut k = chaos_kernel(
+            32,
+            Box::new(NextLinePredictor::new(4)),
+            ChaosSchedule::heavy(77).with_valve_flap(0.01),
+        );
+        let (sink, counts) = crate::CountingSink::new();
+        k.subscribe(Box::new(sink));
+        drive(&mut k, 500, 3, 128);
+        let c = counts.get();
+        let s = k.stats();
+        assert_eq!(c.faults, s.faults);
+        assert_eq!(c.faults_resolved, s.faults);
+        assert_eq!(c.demand_loads, s.demand_loads);
+        assert_eq!(c.preload_starts, s.preloads_started);
+        assert_eq!(c.preload_aborts, s.preloads_aborted);
+        assert_eq!(c.background_evictions, s.background_evictions);
+        assert_eq!(c.foreground_evictions, s.foreground_evictions);
+        assert_eq!(c.valve_stops, u64::from(s.dfp_stopped_at.is_some()));
+        assert!(k.chaos_stats().unwrap().total_injections() > 0);
+        assert!(k.bitmap_consistent());
     }
 }

@@ -77,11 +77,6 @@ impl SpanAlloc {
         self.next += 1;
         SpanId(self.next)
     }
-
-    /// How many spans have been allocated so far.
-    pub(crate) fn count(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -91,13 +86,11 @@ mod tests {
     #[test]
     fn allocation_is_monotonic_from_one() {
         let mut a = SpanAlloc::default();
-        assert_eq!(a.count(), 0);
         let first = a.next();
         assert_eq!(first, SpanId::new(1));
         let second = a.next();
         assert!(first < second);
         assert_eq!(second.raw(), 2);
-        assert_eq!(a.count(), 2);
     }
 
     #[test]

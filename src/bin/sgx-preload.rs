@@ -72,8 +72,6 @@ suite/campaign OPTIONS:
     --jobs <N>                     worker threads (default: $SGX_PRELOAD_JOBS,
                                    else available parallelism); results are
                                    identical for every worker count
-    --campaign-seed <N>            campaign master seed (default: 42);
-                                   campaign derives per-cell seeds from it
     --json-out <file>              write the full campaign report as JSON
     --trace-out <dir>              stream each cell's paging events to
                                    <dir>/<index>_<label>.jsonl
@@ -85,6 +83,8 @@ suite/campaign OPTIONS:
                                    total cycles per subsystem bucket)
 
 campaign OPTIONS:
+    --campaign-seed <N>            campaign master seed (default: 42);
+                                   campaign derives per-cell seeds from it
     --benches <a,b,..>             comma-separated benchmarks (default: all)
     --schemes <a,b,..>             comma-separated schemes (default: all kernel
                                    schemes: baseline,dfp,dfp-stop,sip,hybrid;
@@ -190,8 +190,23 @@ struct Args {
 /// Flags that take no value; their presence means `true`.
 const BOOL_FLAGS: [&str; 3] = ["hist", "attr", "diff"];
 
+/// The flags [`Args::config`] reads, which every command that builds a
+/// `SimConfig` accepts, space-separated.
+const CONFIG_FLAGS: &str = "scale seed epc-pages load-length list-len threshold early predictor \
+    epc-ceiling";
+
+/// The output flags `suite`, `campaign` and `leakage` share.
+const GRID_FLAGS: &str = "jobs json-out trace-out timeline-out";
+
+/// The flags `chaos` reads beyond `CONFIG_FLAGS`.
+const CHAOS_FLAGS: &str = "bench scheme chaos-seed preset drop retries backoff delay \
+    delay-cycles spurious spurious-burst epc-spike epc-spike-pages epc-spike-cycles scan-stall \
+    scan-stall-cycles valve-flap max-slowdown json-out";
+
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parses `command`'s flags, rejecting any flag not in one of the
+    /// space-separated `known` lists — the flags its handler reads.
+    fn parse(command: &str, known: &[&str], argv: &[String]) -> Result<Args, String> {
         let mut flags = HashMap::new();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
@@ -199,6 +214,9 @@ impl Args {
                 .strip_prefix("--")
                 .or_else(|| a.strip_prefix('-'))
                 .ok_or_else(|| format!("unexpected argument {a:?}"))?;
+            if !known.iter().flat_map(|l| l.split(' ')).any(|k| k == key) {
+                return Err(format!("unknown flag {a} for `{command}`"));
+            }
             if BOOL_FLAGS.contains(&key) {
                 flags.insert(key.to_string(), "true".to_string());
                 continue;
@@ -719,8 +737,15 @@ fn cmd_trace_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the chaos schedule from `--preset` plus per-capability knobs.
-fn chaos_schedule(args: &Args) -> Result<sgx_preloading::ChaosSchedule, String> {
+/// The largest value a chaos cycle knob accepts: 500× the heavy preset's
+/// longest (its 2,000,000-cycle EPC spike). Even after the 32 doublings a
+/// retry backoff can take (4.3 × 10^18 cycles), it stays inside the
+/// simulated clock's range.
+const MAX_CHAOS_CYCLES: u64 = 1_000_000_000;
+
+/// Builds the chaos schedule from `--preset` plus per-capability knobs,
+/// bounding the spurious burst by the run's `epc_pages`.
+fn chaos_schedule(args: &Args, epc_pages: u64) -> Result<sgx_preloading::ChaosSchedule, String> {
     let seed = args.parsed::<u64>("chaos-seed")?.unwrap_or(1);
     let preset = match args.get("preset") {
         None => ChaosPreset::None,
@@ -735,11 +760,19 @@ fn chaos_schedule(args: &Args) -> Result<sgx_preloading::ChaosSchedule, String> 
             r => Ok(r),
         }
     };
+    let cycles = |key: &str| -> Result<Option<Cycles>, String> {
+        match args.parsed::<u64>(key)? {
+            Some(c) if c > MAX_CHAOS_CYCLES => {
+                Err(format!("--{key} must be at most {MAX_CHAOS_CYCLES} cycles"))
+            }
+            c => Ok(c.map(Cycles::new)),
+        }
+    };
     if let Some(r) = rate("drop")? {
         s = s.with_drop(r);
     }
     let retries = args.parsed::<u32>("retries")?;
-    let backoff = args.parsed::<u64>("backoff")?.map(Cycles::new);
+    let backoff = cycles("backoff")?;
     if retries.is_some() || backoff.is_some() {
         s = s.with_retry(
             retries.unwrap_or(s.max_retries),
@@ -747,20 +780,27 @@ fn chaos_schedule(args: &Args) -> Result<sgx_preloading::ChaosSchedule, String> 
         );
     }
     if let Some(r) = rate("delay")? {
-        let cycles = args.parsed::<u64>("delay-cycles")?.unwrap_or(20_000);
-        s = s.with_delay(r, Cycles::new(cycles));
+        let delay = cycles("delay-cycles")?.unwrap_or(Cycles::new(20_000));
+        s = s.with_delay(r, delay);
     }
     if let Some(r) = rate("spurious")? {
-        s = s.with_spurious(r, args.parsed::<u64>("spurious-burst")?.unwrap_or(4));
+        // Each storm collects its whole burst into one buffer.
+        let burst = args.parsed::<u64>("spurious-burst")?.unwrap_or(4);
+        if burst > epc_pages {
+            return Err(format!(
+                "--spurious-burst must be at most the EPC's {epc_pages} pages"
+            ));
+        }
+        s = s.with_spurious(r, burst);
     }
     if let Some(r) = rate("epc-spike")? {
         let pages = args.parsed::<u64>("epc-spike-pages")?.unwrap_or(64);
-        let cycles = args.parsed::<u64>("epc-spike-cycles")?.unwrap_or(500_000);
-        s = s.with_epc_spike(r, pages, Cycles::new(cycles));
+        let duration = cycles("epc-spike-cycles")?.unwrap_or(Cycles::new(500_000));
+        s = s.with_epc_spike(r, pages, duration);
     }
     if let Some(r) = rate("scan-stall")? {
-        let cycles = args.parsed::<u64>("scan-stall-cycles")?.unwrap_or(5_000);
-        s = s.with_scan_stall(r, Cycles::new(cycles));
+        let stall = cycles("scan-stall-cycles")?.unwrap_or(Cycles::new(5_000));
+        s = s.with_scan_stall(r, stall);
     }
     if let Some(r) = rate("valve-flap")? {
         s = s.with_valve_flap(r);
@@ -778,7 +818,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if scheme.is_user_level() {
         return Err("chaos injects kernel faults; the user-level runtime has none".into());
     }
-    let sched = chaos_schedule(args)?;
+    let sched = chaos_schedule(args, cfg.epc_pages)?;
     if sched.is_none() {
         return Err(
             "the schedule is all-zero; enable a preset (--preset light) or a rate knob".into(),
@@ -1298,34 +1338,69 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
 type Handler = fn(&Args) -> Result<(), String>;
 
 /// Resolves a command name — for `trace`, the name plus its subcommand
-/// (`trace record`) — to its handler.
-fn handler(command: &str) -> Result<Handler, String> {
-    let handler: Handler = match command {
-        "list" => |_| {
-            cmd_list();
-            Ok(())
-        },
-        "run" => cmd_run,
-        "suite" => cmd_suite,
-        "campaign" => cmd_campaign,
-        "profile" => cmd_profile,
-        "trace record" => cmd_trace_record,
-        "trace convert" => cmd_trace_convert,
-        "trace replay" => cmd_trace_replay,
-        "timeline" => cmd_timeline,
-        "chaos" => cmd_chaos,
-        "contend" => cmd_contend,
-        "leakage" => cmd_leakage,
-        "help" | "--help" | "-h" => |_| {
-            print!("{USAGE}");
-            Ok(())
-        },
+/// (`trace record`) — to its handler and the lists of flags it reads.
+fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> {
+    let command: (Handler, &[&str]) = match command {
+        "list" => (
+            |_| {
+                cmd_list();
+                Ok(())
+            },
+            &[],
+        ),
+        "run" => (cmd_run, &[CONFIG_FLAGS, "bench scheme jsonl hist"]),
+        "suite" => (cmd_suite, &[CONFIG_FLAGS, GRID_FLAGS, "hist attr"]),
+        "campaign" => (
+            cmd_campaign,
+            &[
+                CONFIG_FLAGS,
+                GRID_FLAGS,
+                "benches schemes campaign-seed hist attr",
+            ],
+        ),
+        "profile" => (cmd_profile, &[CONFIG_FLAGS, "bench"]),
+        "trace record" => (cmd_trace_record, &[CONFIG_FLAGS, "bench n out"]),
+        "trace convert" => (cmd_trace_convert, &["in out"]),
+        "trace replay" => (
+            cmd_trace_replay,
+            &[CONFIG_FLAGS, "trace scheme source-bench diff"],
+        ),
+        "timeline" => (
+            cmd_timeline,
+            &[
+                CONFIG_FLAGS,
+                "bench scheme n chrome-out series-out series-every attr json-out",
+            ],
+        ),
+        "chaos" => (cmd_chaos, &[CONFIG_FLAGS, CHAOS_FLAGS]),
+        "contend" => (
+            cmd_contend,
+            &[
+                CONFIG_FLAGS,
+                "scheme victim aggressor policy weights json-out",
+            ],
+        ),
+        "leakage" => (
+            cmd_leakage,
+            &[
+                CONFIG_FLAGS,
+                GRID_FLAGS,
+                "pairs schemes window tolerance campaign-seed",
+            ],
+        ),
+        "help" | "--help" | "-h" => (
+            |_| {
+                print!("{USAGE}");
+                Ok(())
+            },
+            &[],
+        ),
         trace if trace == "trace" || trace.starts_with("trace ") => {
             return Err("trace needs a subcommand: record | convert | replay".into())
         }
         other => return Err(format!("unknown command {other:?}")),
     };
-    Ok(handler)
+    Ok(command)
 }
 
 fn main() -> ExitCode {
@@ -1338,8 +1413,8 @@ fn main() -> ExitCode {
         [trace, sub, flags @ ..] if trace == "trace" => (format!("trace {sub}"), flags),
         [command, flags @ ..] => (command.clone(), flags),
     };
-    let result = handler(&command).and_then(|run| {
-        let args = Args::parse(flags).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+    let result = handler(&command).and_then(|(run, known)| {
+        let args = Args::parse(&command, known, flags).map_err(|e| format!("{e}\n\n{USAGE}"))?;
         run(&args)
     });
     match result {

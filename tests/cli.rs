@@ -685,6 +685,42 @@ fn helpful_errors() {
             assert!(err.contains(&format!("invalid --scale {bad:?}")), "{err}");
         }
     }
+    // A flag the command does not read is an error, not a silent default.
+    let err = run_err(&[
+        "run",
+        "--bench",
+        "lbm",
+        "--scheme",
+        "dfp",
+        "--stream-list",
+        "0",
+    ]);
+    assert!(
+        err.contains("unknown flag --stream-list for `run`"),
+        "{err}"
+    );
+    let err = run_err(&["suite", "--bench", "lbm"]);
+    assert!(err.contains("unknown flag --bench for `suite`"), "{err}");
+    // Chaos cycle knobs stop at 10^9 and the storm burst at the EPC, so
+    // neither the clock nor the storm buffer can overflow.
+    let max = u64::MAX.to_string();
+    for (knobs, flag) in [
+        (&["--delay", "1", "--delay-cycles"][..], "--delay-cycles"),
+        (&["--drop", "1", "--retries", "3", "--backoff"], "--backoff"),
+        (
+            &["--epc-spike", "1", "--epc-spike-cycles"],
+            "--epc-spike-cycles",
+        ),
+        (
+            &["--scan-stall", "1", "--scan-stall-cycles"],
+            "--scan-stall-cycles",
+        ),
+        (&["--spurious", "1", "--spurious-burst"], "--spurious-burst"),
+    ] {
+        let chaos = ["chaos", "--bench", "lbm", "--scheme", "dfp"];
+        let err = run_err(&[&chaos[..], knobs, &[&max]].concat());
+        assert!(err.contains(&format!("{flag} must be at most")), "{err}");
+    }
     // Stream knobs must be positive and fit the run's EPC, under every
     // command that builds a DFP kernel.
     let one_past = (sgx_preloading::Scale::DEV.epc_pages() + 1).to_string();
