@@ -20,7 +20,7 @@ use std::path::Path;
 
 use sgx_dfp::{MultiStreamPredictor, NoPredictor, Predictor, ProcessId, StreamConfig};
 use sgx_epc::{usable_epc_pages, VictimPolicy, PAGE_SIZE_BYTES};
-use sgx_kernel::{ChaosPreset, HistogramSink, Kernel, KernelConfig, TraceHistograms};
+use sgx_kernel::{HistogramSink, Kernel, KernelConfig, TraceHistograms};
 use sgx_observer::OramModel;
 use sgx_preload_core::{
     build_plan, effective_jobs, run_indexed, AppSpec, PredictorKind, RunReport, Scheme, SimConfig,
@@ -59,14 +59,9 @@ pub enum Point {
     Epc(u64),
     /// SIP notification hoisting distance, 0 = conservative (§3.2): `d=N`.
     Distance(usize),
-    /// A chaos preset under schedule seed 7: `chaos=<preset>`.
-    Chaos(ChaosPreset),
     /// The predictor of DFP schemes (§4.1): `pred=<kind>`.
     Predictor(PredictorKind),
 }
-
-/// The chaos schedule seed every `chaos=` point runs under.
-const CHAOS_SEED: u64 = 7;
 
 impl Point {
     /// The label suffix (empty for [`Point::Base`]).
@@ -78,7 +73,6 @@ impl Point {
             Point::Threshold(t) => format!("threshold={:.1}%", t * 100.0),
             Point::Epc(m) => format!("epc={m}x"),
             Point::Distance(d) => format!("d={d}"),
-            Point::Chaos(preset) => format!("chaos={preset}"),
             Point::Predictor(kind) => format!("pred={kind}"),
         }
     }
@@ -94,7 +88,6 @@ impl Point {
             Point::Threshold(t) => base.with_sip(SipConfig::paper_defaults().with_threshold(t)),
             Point::Epc(m) => base.with_epc_pages(base.epc_pages * m),
             Point::Distance(d) => base.with_placement(NotifyPlacement::Early { distance: d }),
-            Point::Chaos(preset) => base.with_chaos(preset.schedule(CHAOS_SEED)),
             Point::Predictor(kind) => base.with_predictor(kind),
         }
     }
@@ -103,7 +96,7 @@ impl Point {
     /// plan, no predictor and no valve, so no stream, SIP or placement
     /// setting reaches it.
     fn reaches_baseline(self) -> bool {
-        matches!(self, Point::Base | Point::Epc(_) | Point::Chaos(_))
+        matches!(self, Point::Base | Point::Epc(_))
     }
 }
 
@@ -426,8 +419,6 @@ figures! {
     dist_fault_latency + "dist_fault_latency_buckets" =>
         |p| p.histograms(&LATENCY_BENCHES, &LATENCY_SCHEMES);
     dist_preload_lead => |p| p.histograms(&LEAD_BENCHES, &LEAD_SCHEMES);
-    chaos_degradation =>
-        |p| p.sweep(&CHAOS_BENCHES, &CHAOS_SCHEMES, &ChaosPreset::ALL.map(Point::Chaos));
     fairness_isolation => |_| {};
 }
 
@@ -1362,39 +1353,6 @@ fn dist_preload_lead(r: &Reports) -> Output {
     Output::of(vec![lead])
 }
 
-const CHAOS_BENCHES: [Benchmark; 3] = [Microbenchmark, Lbm, Deepsjeng];
-const CHAOS_SCHEMES: [Scheme; 3] = [Baseline, Dfp, DfpStop];
-
-/// The cycle overhead of seeded fault injection per scheme, against the
-/// uninjected run: injection shifts when paging work happens, never what.
-fn chaos_degradation(r: &Reports) -> Output {
-    let mut t = ResultTable::new(
-        "chaos_degradation",
-        "slowdown under seeded fault injection, vs. the clean run",
-        "bounded degradation: drops/delays/stalls/spikes cost cycles, never correctness",
-    );
-    t.columns(vec![
-        "base light",
-        "base heavy",
-        "DFP light",
-        "DFP heavy",
-        "stop light",
-        "stop heavy",
-    ]);
-    for bench in CHAOS_BENCHES {
-        let mut cells = Vec::new();
-        for scheme in CHAOS_SCHEMES {
-            let clean = r.get(bench, scheme).total_cycles.raw();
-            for preset in [ChaosPreset::Light, ChaosPreset::Heavy] {
-                let injected = r.at(bench, scheme, Point::Chaos(preset)).total_cycles.raw();
-                cells.push(pct(injected as f64 / clean as f64 - 1.0));
-            }
-        }
-        t.row(bench.name(), cells);
-    }
-    Output::of(vec![t])
-}
-
 /// The fairness victim: 40 sweeps, overlapping most of the aggressor's run,
 /// of 40% of the EPC, comfortably inside a 1:1 share (50%).
 fn victim(cfg: &SimConfig) -> AppSpec {
@@ -1421,7 +1379,7 @@ fn aggressor(cfg: &SimConfig) -> AppSpec {
     .expect("non-empty ELRANGE")
 }
 
-/// Fairness under an adversarial neighbour (DESIGN.md §4.3): unpartitioned
+/// Fairness under an adversarial neighbour (DESIGN.md §4.2): unpartitioned
 /// and under the fair 1:1 tenant policy.
 fn fairness_isolation(r: &Reports) -> Output {
     let cfg = r.cfg();
@@ -1460,7 +1418,7 @@ fn fairness_isolation(r: &Reports) -> Output {
         "fairness_isolation",
         "resweeping victim (40% EPC) vs mixed-blood aggressor, fair 1:1 policy",
         "§5.6 defers contention fairness to partitioning literature; \
-         DESIGN.md §4.3 implements it",
+         DESIGN.md §4.2 implements it",
     );
     t.columns(vec![
         "cycles",
@@ -1513,7 +1471,6 @@ mod tests {
             &NOTIFY_DISTANCES.map(Point::Distance),
             &PREDICTORS.map(Point::Predictor),
             &EPC_MULTIPLES.map(Point::Epc),
-            &ChaosPreset::ALL.map(Point::Chaos),
         ]
         .concat();
         let dropped: Vec<Point> = declared

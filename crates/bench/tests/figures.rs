@@ -1,6 +1,7 @@
 //! The figure table at dev scale: every table matches its golden under
-//! `tests/golden/figures/` and is well-formed CSV, a figure run alone gives
-//! the tables it gives in the full run, and every distinct run is one cell.
+//! `tests/golden/figures/` and is well-formed CSV, `results/` holds exactly
+//! the CSVs the figures write, a figure run alone gives the tables it
+//! gives in the full run, and every distinct run is one cell.
 //!
 //! After an intentional change, regenerate the goldens with:
 //!
@@ -21,6 +22,14 @@ const UPDATE_ENV: &str = "SGX_GOLDEN_UPDATE";
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/figures")
+}
+
+/// The file names in `dir`.
+fn file_names(dir: &std::path::Path) -> HashSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{} ({e})", dir.display()))
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect()
 }
 
 fn all() -> Vec<&'static Figure> {
@@ -84,11 +93,22 @@ fn every_table_matches_its_golden() {
         "tables differ from their goldens: {differing:?}"
     );
     // No golden outlives its table.
-    let files: HashSet<String> = std::fs::read_dir(&dir)
-        .expect("golden dir")
-        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+    assert_eq!(file_names(&dir), ids);
+}
+
+/// The committed full-scale CSVs are exactly what a figure run writes:
+/// one per table plus the raw series, so no result outlives its figure.
+#[test]
+fn results_hold_exactly_the_figures_csvs() {
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let written: HashSet<String> = full_run()
+        .iter()
+        .flat_map(|o| {
+            let tables = o.tables.iter().map(|t| format!("{}.csv", t.id()));
+            tables.chain(o.series.iter().map(|(name, _)| name.clone()))
+        })
         .collect();
-    assert_eq!(files, ids);
+    assert_eq!(file_names(&results), written);
 }
 
 #[test]
@@ -144,7 +164,7 @@ fn every_distinct_run_is_one_cell() {
     assert_eq!(fig9.cells().len(), 2 + 2 * 8);
     // threshold=5.0% is the paper default: fig10 reads the same cell.
     assert!(fig9.cells().iter().any(|c| c.label == "deepsjeng/SIP"));
-    assert_eq!(plan.cells().len(), 172);
+    assert_eq!(plan.cells().len(), 154);
 }
 
 #[cfg(debug_assertions)]

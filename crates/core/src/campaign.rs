@@ -69,9 +69,9 @@ use crate::{RunReport, Scheme, SimConfig, SimError, SimRun};
 pub const JOBS_ENV: &str = "SGX_PRELOAD_JOBS";
 
 /// Derives the seed for the cell at `cell_index` from the campaign seed —
-/// the same stable SplitMix64-style hash ([`sgx_sim::mix`]) the chaos
-/// layer forks its capability streams with, so the mapping is identical
-/// across runs, platforms and worker counts.
+/// the same stable SplitMix64-style hash ([`sgx_sim::mix`]) that
+/// [`sgx_sim::DetRng::fork`] uses, so the mapping is identical across
+/// runs, platforms and worker counts.
 pub fn derive_cell_seed(campaign_seed: u64, cell_index: usize) -> u64 {
     sgx_sim::mix(campaign_seed, cell_index as u64)
 }
@@ -353,11 +353,11 @@ impl Campaign {
     }
 
     /// The `benches × schemes × points` sweep: [`Campaign::grid`]
-    /// extended with a third axis of named configs — chaos schedules,
-    /// tenant policies, predictors. Cells are labeled
+    /// extended with a third axis of named configs — EPC sizes, tenant
+    /// policies, predictors. Cells are labeled
     /// `bench/scheme/<axis>=<label>` and enumerated benchmark-major, then
     /// scheme, then point, so one bench/scheme pair's points are adjacent
-    /// and A/B comparisons against a reference point (e.g. `chaos=none`)
+    /// and A/B comparisons against a reference point (e.g. `tenant=none`)
     /// line up. Schemes a point does not affect (e.g.
     /// [`Scheme::Baseline`] on a predictor axis) still get one cell per
     /// point, so every comparison column is complete.
@@ -914,7 +914,7 @@ impl fmt::Display for CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgx_kernel::{ChaosSchedule, TenantPolicy};
+    use sgx_kernel::TenantPolicy;
     use sgx_workloads::Scale;
 
     fn tiny_cfg() -> SimConfig {
@@ -1026,24 +1026,20 @@ mod tests {
             13,
             &[Benchmark::Microbenchmark],
             &[Scheme::Dfp],
-            "chaos",
+            "epc",
             &[
-                ("none", cfg),
-                ("light", cfg.with_chaos(ChaosSchedule::light(1))),
+                ("full", cfg),
+                ("half", cfg.with_epc_pages(cfg.epc_pages / 2)),
             ],
         );
         let labels: Vec<&str> = c.cells().iter().map(|c| c.label.as_str()).collect();
         assert_eq!(
             labels,
-            [
-                "microbenchmark/DFP/chaos=none",
-                "microbenchmark/DFP/chaos=light"
-            ]
+            ["microbenchmark/DFP/epc=full", "microbenchmark/DFP/epc=half"]
         );
-        assert!(c.cells()[0].cfg.chaos.is_none());
-        assert!(!c.cells()[1].cfg.chaos.is_none());
+        assert_eq!(c.cells()[1].cfg.epc_pages * 2, cfg.epc_pages);
         let r = c.with_seed_mode(SeedMode::Shared).run_serial().unwrap();
-        // Same workload either way; chaos only perturbs the kernel.
+        // Same workload either way; the EPC size only perturbs the kernel.
         assert_eq!(r.cells[0].report.accesses, r.cells[1].report.accesses);
 
         let c = Campaign::sweep(

@@ -2,7 +2,7 @@
 
 use sgx_dfp::{AbortPolicy, PredictorKind, StreamConfig};
 use sgx_epc::{CostModel, EpcSizing};
-use sgx_kernel::{ChaosSchedule, TenantPolicy};
+use sgx_kernel::TenantPolicy;
 use sgx_sim::Cycles;
 use sgx_sip::{NotifyPlacement, SipConfig};
 use sgx_workloads::Scale;
@@ -54,10 +54,6 @@ pub struct SimConfig {
     pub user_paging: UserPagingConfig,
     /// Master seed for workload generation.
     pub seed: u64,
-    /// Deterministic fault-injection schedule. The default
-    /// ([`ChaosSchedule::none`]) never draws and leaves runs bit-identical
-    /// to a kernel with no injector installed.
-    pub chaos: ChaosSchedule,
     /// Multi-tenant EPC scheduling policy. The default
     /// ([`TenantPolicy::none`]) keeps the shared-everything driver
     /// behaviour, bit-identically; per-enclave telemetry is collected
@@ -92,7 +88,6 @@ impl SimConfig {
             placement: NotifyPlacement::Conservative,
             user_paging: UserPagingConfig::defaults_for(scale.epc_pages()),
             seed: 42,
-            chaos: ChaosSchedule::none(),
             tenant: TenantPolicy::none(),
             series_interval: 0,
         }
@@ -162,14 +157,6 @@ impl SimConfig {
         self
     }
 
-    /// Installs a deterministic fault-injection schedule (the chaos
-    /// layer). The injector draws from its own seeded streams, so the
-    /// workload generation under [`SimConfig::seed`] is unperturbed.
-    pub fn with_chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
     /// Installs a multi-tenant EPC scheduling policy: per-enclave soft
     /// quotas, weighted preload arbitration and admission control.
     /// Shares map to enclaves in registration order.
@@ -216,16 +203,6 @@ mod tests {
         assert_eq!(c.epc_pages, 99);
         assert_eq!(c.seed, 7);
         assert_eq!(c.scale, Scale::FULL);
-    }
-
-    #[test]
-    fn chaos_defaults_off_and_overrides() {
-        let c = SimConfig::at_scale(Scale::DEV);
-        assert!(c.chaos.is_none());
-        let c = c.with_chaos(ChaosSchedule::light(9));
-        assert!(!c.chaos.is_none());
-        assert_eq!(c.chaos.seed, 9);
-        assert_eq!(c.seed, 42, "workload seed untouched by chaos");
     }
 
     #[test]

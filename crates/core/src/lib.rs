@@ -58,10 +58,8 @@ pub use scheme::{ParseSchemeError, Scheme};
 pub use sgx_dfp::{ParsePredictorKindError, PredictorKind};
 pub use sgx_epc::{EpcSizing, TenantQuota};
 pub use sgx_kernel::{
-    render_chrome_trace, write_chrome_trace, ChaosPreset, ChaosSchedule, ChaosStats,
-    ChromeTraceSink, CycleAttribution, EventCounts, FaultInjector, GaugeSample,
-    ParseChaosPresetError, SeriesFormat, SpanId, TenantPolicy, TenantShare, TimeSeriesSink,
-    MAX_TENANTS,
+    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CycleAttribution, EventCounts,
+    GaugeSample, SeriesFormat, SpanId, TenantPolicy, TenantShare, TimeSeriesSink, MAX_TENANTS,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,

@@ -2,8 +2,8 @@
 //!
 //! A [`TraceReplay`] packages a loaded [`RecordedTrace`] so it plugs into
 //! [`SimRun`](crate::SimRun) and [`Campaign`](crate::Campaign) exactly
-//! like a synthetic [`Benchmark`] — through `AppSpec`, chaos schedules,
-//! tenant policy, and the user-level scheme alike.
+//! like a synthetic [`Benchmark`] — through `AppSpec`, tenant policy,
+//! and the user-level scheme alike.
 //!
 //! The replay contract: a trace recorded from
 //! `bench.build(InputSet::Ref, cfg.scale, cfg.seed)` and replayed with

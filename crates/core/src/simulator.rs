@@ -182,8 +182,8 @@ fn make_predictor(cfg: &SimConfig, scheme: Scheme) -> Box<dyn Predictor> {
 
 /// Builds the kernel a [`SimRun`](crate::SimRun) drives for `cfg` under
 /// `scheme`: EPC sizing, per-operation costs, the scheme's predictor, the
-/// abort valve when the scheme uses one, plus any configured chaos
-/// schedule, tenant policy, and gauge-sampling interval.
+/// abort valve when the scheme uses one, plus any configured tenant
+/// policy and gauge-sampling interval.
 ///
 /// # Errors
 ///
@@ -196,9 +196,6 @@ fn build_kernel(cfg: &SimConfig, scheme: Scheme) -> Result<Kernel, KernelError> 
     }
     if scheme.uses_edmm() {
         kcfg = kcfg.with_edmm(cfg.epc_sizing);
-    }
-    if !cfg.chaos.is_none() {
-        kcfg.chaos = Some(cfg.chaos);
     }
     if !cfg.tenant.is_none() {
         kcfg.tenant = Some(cfg.tenant);
@@ -306,9 +303,9 @@ pub(crate) fn run_kernel_apps(
                 st.sip_notifies += 1;
             }
         }
-        // Chaos pressure can evict a just-SIP-loaded page before the touch
-        // lands, so the access after a notification can still fault; it
-        // takes the demand path instead of crediting a phantom hit.
+        // The touch after a notification goes through `app_access` like
+        // any other: residency is the kernel's to report, not assumed from
+        // the load, so a page gone by the touch takes the demand path.
         match kernel.app_access(st.now, st.pid, access.page) {
             Some(_) => st.epc_hits += 1,
             None => {

@@ -106,10 +106,10 @@ proptest! {
         }
     }
 
-    /// Capacity invariant: whatever fault sequence arrives — including the
-    /// page soup a chaos mispredict storm induces — the `stream_list`
-    /// never exceeds its configured length, and every fault is accounted
-    /// as exactly one match or one miss.
+    /// Capacity invariant: whatever fault sequence arrives — including
+    /// uniformly random page soup — the `stream_list` never exceeds its
+    /// configured length, and every fault is accounted as exactly one
+    /// match or one miss.
     #[test]
     fn stream_list_never_exceeds_capacity(
         faults in proptest::collection::vec(0u64..1u64 << 32, 1..400),
@@ -171,7 +171,7 @@ proptest! {
     /// within the match window keeps predicting, and its first predicted
     /// page is strictly increasing — even with up to `list_len - 1`
     /// self-advancing interloper streams interleaved arbitrarily (the
-    /// shape a chaos spurious-fault storm produces).
+    /// shape one loop walking several arrays at once produces).
     #[test]
     fn walk_tail_is_monotone_under_interleaved_streams(
         schedule in proptest::collection::vec((0usize..8, 1u64..5), 1..300),

@@ -67,7 +67,7 @@ impl Arbiter {
     }
 
     /// Queues `page` for preloading, tagged with its prediction batch's
-    /// raw span id (0 = none). Returns `false` on a duplicate.
+    /// raw span id. Returns `false` on a duplicate.
     #[inline]
     pub(super) fn enqueue(&mut self, page: VirtPage, batch: u64) -> bool {
         let q = self.queue_of(locate(page).0);

@@ -7,7 +7,6 @@ use sgx_sim::Cycles;
 
 use super::edmm::Edmm;
 use super::{locate, EventKind, Kernel};
-use crate::chaos::Chaos;
 use crate::SpanId;
 
 #[derive(Debug, Clone, Copy)]
@@ -31,21 +30,12 @@ pub(super) struct InFlight {
     /// starts at the job's cost and is reduced by any overlap with app
     /// stalls (those cycles are already billed to the stall buckets).
     pub(super) billed: u64,
-    /// The chaos scan-stall portion of an eviction's cost, so the billed
-    /// remainder splits between `clock_scan` and `eviction`.
-    scan_extra: u64,
 }
 
 impl InFlight {
     #[inline]
     pub(super) fn is_load_of(&self, page: VirtPage) -> bool {
         matches!(self.job, Job::Load { page: p, .. } if p == page)
-    }
-
-    /// An eviction's billed cycles as `(clock_scan, eviction)`.
-    pub(super) fn evict_split(&self) -> (u64, u64) {
-        let scan = self.billed.min(self.scan_extra);
-        (scan, self.billed - scan)
     }
 }
 
@@ -65,8 +55,7 @@ impl Kernel {
                 break;
             }
             let t = self.channel_free_at;
-            self.release_retries(t);
-            let free = self.usable_free_slots(t);
+            let free = self.epc.free_slots();
             if self.wm.start_reclaim(free) && !self.edmm.as_ref().is_some_and(Edmm::defers_reclaim)
             {
                 self.reclaiming = true;
@@ -83,17 +72,16 @@ impl Kernel {
             let fair_evict =
                 self.reclaiming && !(want_preload && free > 0 && !self.bg_evicted_last);
             if (must_evict || fair_evict) && self.epc.resident_count() > 0 {
-                let (owner, span, stall) = self.evict(t, EventKind::EvictBackground, None);
+                let (owner, span) = self.evict(t, EventKind::EvictBackground, None);
                 self.ledger.stats[owner].background_evictions += 1;
                 self.bg_evicted_last = true;
-                let done = t + self.costs.ewb + stall;
+                let done = t + self.costs.ewb;
                 self.in_flight = Some(InFlight {
                     job: Job::Evict { owner },
                     done_at: done,
                     span,
                     parent: None,
                     billed: self.dispatch_billed(t, done),
-                    scan_extra: stall.raw(),
                 });
                 continue;
             }
@@ -108,28 +96,10 @@ impl Kernel {
                     }
                     continue;
                 }
-                // Chaos: only speculative (DFP) batches are droppable —
-                // SIP requests are explicit application demands. A dropped
-                // page keeps its batch tag so a backoff retry still
-                // parents the original prediction batch.
-                let preload = matches!(origin, LoadOrigin::Preload);
-                if preload
-                    && self
-                        .chaos
-                        .as_mut()
-                        .is_some_and(|c| c.drop_preload(t, page, batch))
-                {
-                    continue;
-                }
                 let span = self.spans.next();
-                let mut eldu = self.costs.eldu;
-                let parent = if preload {
-                    if let Some(c) = &mut self.chaos {
-                        c.forget(page);
-                        eldu += c.injector.delay_preload().unwrap_or(Cycles::ZERO);
-                    }
+                let parent = if matches!(origin, LoadOrigin::Preload) {
                     self.ledger.stats[owner].preloads_started += 1;
-                    let parent = (batch != 0).then(|| SpanId::new(batch));
+                    let parent = Some(SpanId::new(batch));
                     self.log(t, EventKind::PreloadStart, Some(page), None, span, parent);
                     parent
                 } else {
@@ -138,64 +108,19 @@ impl Kernel {
                     None
                 };
                 self.bg_evicted_last = false;
-                self.channel_busy += eldu;
-                let done = t + eldu;
+                self.channel_busy += self.costs.eldu;
+                let done = t + self.costs.eldu;
                 self.in_flight = Some(InFlight {
                     job: Job::Load { page, origin },
                     done_at: done,
                     span,
                     parent,
                     billed: self.dispatch_billed(t, done),
-                    scan_extra: 0,
                 });
-                continue;
-            }
-            // An idle channel with a pending chaos retry: jump to the
-            // earliest backoff expiry `now` has already passed so the
-            // retry can start (the channel was idle in between anyway).
-            // `nb > t` guarantees progress; a latched valve discarded
-            // every retry above, so none can drive a jump.
-            if let Some(next) = self
-                .chaos
-                .as_ref()
-                .and_then(Chaos::next_retry)
-                .filter(|&nb| nb > t && nb <= now)
-            {
-                self.channel_free_at = next;
                 continue;
             }
             break;
         }
-    }
-
-    /// Re-queues dropped preloads whose backoff has expired. Retries
-    /// respect the valve latch: once preloading stops, every pending retry
-    /// is discarded, due or not, rather than re-queued.
-    fn release_retries(&mut self, t: Cycles) {
-        let Some(chaos) = &mut self.chaos else {
-            return;
-        };
-        let (epc, arbiter, in_flight) = (&self.epc, &mut self.arbiter, self.in_flight);
-        let stopped = self.preload_stopped;
-        // Re-entry is not a new enqueue for the stats: the page was
-        // already accounted for when first predicted, and it carries the
-        // original batch tag so lineage survives the backoff.
-        chaos.release(t, stopped, |page, batch| {
-            !(stopped
-                || epc.is_resident(page)
-                || arbiter.queued(page)
-                || matches!(in_flight, Some(f) if f.is_load_of(page)))
-                && arbiter.enqueue(page, batch)
-        });
-    }
-
-    /// Free EPC slots as the scheduler sees them: real free slots minus any
-    /// pages withheld by an active chaos pressure spike. Real capacity is
-    /// untouched — a load that reaches the channel always has a slot.
-    #[inline]
-    pub(super) fn usable_free_slots(&self, t: Cycles) -> u64 {
-        let free = self.epc.free_slots();
-        self.chaos.as_ref().map_or(free, |c| c.usable(free, t))
     }
 
     /// Waits from `from` for the in-flight load a blocked `requester`
@@ -239,24 +164,18 @@ impl Kernel {
         if matches!(origin, LoadOrigin::Demand) {
             st.channel_wait_cycles += t - from;
         }
-        if self.usable_free_slots(t) == 0 && self.epc.resident_count() > 0 {
-            let (victim, _, stall) = self.evict(t, EventKind::EvictForeground, Some(cause));
+        if self.epc.free_slots() == 0 && self.epc.resident_count() > 0 {
+            let (victim, _) = self.evict(t, EventKind::EvictForeground, Some(cause));
             self.ledger.stats[victim].foreground_evictions += 1;
-            let st = &mut self.ledger.stats[requester];
-            st.clock_scan += stall.raw();
-            st.eviction += self.costs.ewb.raw();
-            t += self.costs.ewb + stall;
+            self.ledger.stats[requester].eviction += self.costs.ewb.raw();
+            t += self.costs.ewb;
         }
         let done = t + self.costs.eldu;
         self.channel_free_at = done;
         self.channel_busy += self.costs.eldu;
         self.ledger.stats[requester].demand_fault += self.costs.eldu.raw();
-        // A chaos pressure spike only shrinks the scheduler's view of the
-        // free pool, never real capacity, so a slot is always available
-        // here (freed above, or hidden-but-real).
-        self.epc
-            .insert(page, origin)
-            .expect("a real free slot exists");
+        // Either a slot was free or the eviction above freed one.
+        self.epc.insert(page, origin).expect("a free slot exists");
         self.mark_resident(page);
         done
     }
@@ -286,26 +205,16 @@ impl Kernel {
                     f.parent,
                 );
             }
-            Job::Evict { owner } => {
-                let (scan, ewb) = f.evict_split();
-                let st = &mut self.ledger.stats[owner];
-                st.clock_scan += scan;
-                st.eviction += ewb;
-            }
+            Job::Evict { owner } => self.ledger.stats[owner].eviction += f.billed,
         }
     }
 
     /// Evicts the replacement policy's victim now (state change at job
     /// start) for the reclaimer or, parented by `cause`, inside a blocking
     /// load. Logs it as `kind`, settles the victim's staging and bills the
-    /// channel its EWB. Returns the victim's enclave, the eviction's span
-    /// and any chaos scan stall, which lengthens the job.
-    fn evict(
-        &mut self,
-        t: Cycles,
-        kind: EventKind,
-        cause: Option<SpanId>,
-    ) -> (usize, SpanId, Cycles) {
+    /// channel its EWB. Returns the victim's enclave and the eviction's
+    /// span.
+    fn evict(&mut self, t: Cycles, kind: EventKind, cause: Option<SpanId>) -> (usize, SpanId) {
         let ev = self
             .epc
             .evict_victim()
@@ -315,13 +224,8 @@ impl Kernel {
         self.settle_eviction(ev.slot as usize, owner, ev.scanned);
         let span = self.spans.next();
         self.log(t, kind, Some(ev.page), Some(ev.scanned), span, cause);
-        let stall = self
-            .chaos
-            .as_mut()
-            .and_then(|c| c.injector.scan_stall())
-            .unwrap_or(Cycles::ZERO);
-        self.channel_busy += self.costs.ewb + stall;
-        (owner, span, stall)
+        self.channel_busy += self.costs.ewb;
+        (owner, span)
     }
 
     /// Load-channel utilization over `[0, now]`.

@@ -10,9 +10,9 @@ use super::{locate, Kernel};
 
 /// EDMM telemetry, exposed via [`Kernel::edmm_stats`] when dynamic EPC
 /// sizing is configured. Kept apart from [`KernelStats`](crate::KernelStats)
-/// (like [`ChaosStats`](crate::ChaosStats)) so the streamed-event
-/// reconciliation — kernel counters versus sink-reconstructed event
-/// counts — is untouched by the growth bookkeeping.
+/// so the streamed-event reconciliation — kernel counters versus
+/// sink-reconstructed event counts — is untouched by the growth
+/// bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdmmStats {
     /// Faults serviced by EAUG growth instead of a swap-in load.
@@ -119,7 +119,7 @@ impl Kernel {
         // an in-flight background load will insert into at completion.
         let reserved =
             matches!(self.in_flight, Some(f) if matches!(f.job, Job::Load { .. })) as u64;
-        let slot_free = self.usable_free_slots(t) > reserved;
+        let slot_free = self.epc.free_slots() > reserved;
         let eaug = self.costs.eaug;
         if !self.edmm.as_mut()?.grow(ten, locate(g).1, slot_free, eaug) {
             return None;

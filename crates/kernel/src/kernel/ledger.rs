@@ -88,8 +88,6 @@ pub struct KernelStats {
     pub preload_work: u64,
     /// Channel cycles of background loads evicted untouched.
     pub wasted_preload: u64,
-    /// Replacement-scan stall cycles.
-    pub clock_scan: u64,
     /// EWB write-back cycles.
     pub eviction: u64,
 }
@@ -131,7 +129,6 @@ impl KernelStats {
         self.channel_wait += o.channel_wait;
         self.preload_work += o.preload_work;
         self.wasted_preload += o.wasted_preload;
-        self.clock_scan += o.clock_scan;
         self.eviction += o.eviction;
     }
 }
@@ -168,7 +165,6 @@ impl Default for KernelStats {
             channel_wait: 0,
             preload_work: 0,
             wasted_preload: 0,
-            clock_scan: 0,
             eviction: 0,
         }
     }
@@ -401,7 +397,7 @@ impl Kernel {
         let l = &self.ledger;
         let s = &l.stats[idx];
         let mine = |page: VirtPage| self.owner(page) == idx;
-        let (mut wasted, mut scan, mut evict) = (s.wasted_preload, s.clock_scan, s.eviction);
+        let (mut wasted, mut evict) = (s.wasted_preload, s.eviction);
         for (slot, &span) in l.staged_span.iter().enumerate() {
             // A staged page is resident until touched or evicted.
             if span != 0 && self.epc.page_in_slot(slot as u32).is_some_and(mine) {
@@ -411,11 +407,7 @@ impl Kernel {
         if let Some(f) = &self.in_flight {
             match f.job {
                 Job::Load { page, .. } if mine(page) => wasted += f.billed,
-                Job::Evict { owner } if owner == idx => {
-                    let (stall, ewb) = f.evict_split();
-                    scan += stall;
-                    evict += ewb;
-                }
+                Job::Evict { owner } if owner == idx => evict += f.billed,
                 _ => {}
             }
         }
@@ -423,7 +415,6 @@ impl Kernel {
             wasted,
             s.preload_work,
             evict,
-            scan,
             s.channel_wait,
             s.demand_fault,
             s.aex_eresume,
@@ -434,7 +425,7 @@ impl Kernel {
             *b -= cut;
             excess -= cut;
         }
-        let [wasted_preload, preload_work, eviction, clock_scan, channel_wait, demand_fault, aex_eresume] =
+        let [wasted_preload, preload_work, eviction, channel_wait, demand_fault, aex_eresume] =
             buckets;
         let overhead = buckets.iter().sum::<u64>();
         CycleAttribution {
@@ -444,7 +435,7 @@ impl Kernel {
             channel_wait,
             preload_work,
             wasted_preload,
-            clock_scan,
+            clock_scan: 0,
             eviction,
         }
     }

@@ -39,9 +39,8 @@ pub use self::edmm::EdmmStats;
 pub use self::event::{EventKind, LoggedEvent};
 pub use self::ledger::KernelStats;
 use self::{arbiter::Arbiter, channel::InFlight, edmm::Edmm, ledger::Ledger};
-use crate::chaos::Chaos;
 use crate::span::SpanAlloc;
-use crate::{ChaosSchedule, ChaosStats, SpanId, TenantPolicy, TraceSink, Watermarks};
+use crate::{SpanId, TenantPolicy, TraceSink, Watermarks};
 
 /// Virtual-page gap between consecutive enclaves' ELRANGEs, so that no
 /// stream prediction can run off the end of one enclave into the next.
@@ -77,9 +76,6 @@ pub struct KernelConfig {
     pub abort_policy: Option<AbortPolicy>,
     /// EPC victim-selection policy (driver default: CLOCK).
     pub victim_policy: VictimPolicy,
-    /// Deterministic fault-injection schedule; `None` (or an all-zero
-    /// schedule) leaves the run undisturbed.
-    pub chaos: Option<ChaosSchedule>,
     /// Multi-tenant scheduling policy; `None` (or [`TenantPolicy::none`])
     /// keeps the shared-everything driver behaviour, bit-identically.
     pub tenant: Option<TenantPolicy>,
@@ -99,7 +95,6 @@ impl KernelConfig {
             watermarks: None,
             abort_policy: None,
             victim_policy: VictimPolicy::Clock,
-            chaos: None,
             tenant: None,
             edmm: None,
         }
@@ -254,7 +249,7 @@ pub struct Kernel {
     thread_owner: FastMap,
     predictor: Box<dyn Predictor>,
     valve: Option<AbortValve>,
-    /// The DFP-stop latch, set by the valve or a chaos force-flap.
+    /// The DFP-stop latch, set by the valve.
     preload_stopped: bool,
     arbiter: Arbiter,
     in_flight: Option<InFlight>,
@@ -263,10 +258,6 @@ pub struct Kernel {
     reclaiming: bool,
     bg_evicted_last: bool,
     ledger: Ledger,
-    /// The chaos layer, if installed. A `None` (or an injector with an
-    /// all-zero schedule, which never draws) leaves every path identical
-    /// to an uninjected run.
-    chaos: Option<Chaos>,
     /// EDMM dynamic sizing, if configured; `None` is the SGX1 model.
     edmm: Option<Edmm>,
     /// Monotonic span-id allocator; ids are assigned whether or not any
@@ -329,7 +320,6 @@ impl Kernel {
             reclaiming: false,
             bg_evicted_last: false,
             ledger: Ledger::new(cfg.epc_pages),
-            chaos: cfg.chaos.map(Chaos::new),
             edmm: cfg.edmm.map(|s| Edmm::new(s, cfg.epc_pages)),
             spans: SpanAlloc::default(),
             pred_buf: Vec::new(),
@@ -492,11 +482,10 @@ impl Kernel {
         }
     }
 
-    /// Latches the DFP stop: aborts the queues and records the stop. Both
-    /// the real valve and the chaos force-flap funnel through here, so the
-    /// "once stopped, zero further preloads" invariant has a single owner.
-    /// The latch names no enclave: each flushed page is billed to its
-    /// owner, and every enclave records the stop.
+    /// Latches the DFP stop: aborts the queues and records the stop, so
+    /// the "once stopped, zero further preloads" invariant has a single
+    /// owner. The latch names no enclave: each flushed page is billed to
+    /// its owner, and every enclave records the stop.
     fn stop_preloading(&mut self, now: Cycles, cause: SpanId) {
         self.preload_stopped = true;
         let mut flushed = Vec::new();
@@ -520,7 +509,7 @@ impl Kernel {
         );
     }
 
-    fn enqueue_predictions(&mut self, ten: usize, pred: &[VirtPage], batch: Option<SpanId>) {
+    fn enqueue_predictions(&mut self, ten: usize, pred: &[VirtPage], batch: SpanId) {
         // Admission control: under memory pressure (free pool below the
         // reclaimer's low watermark) an enclave already above its soft
         // share may not queue more speculation — the whole batch is shed.
@@ -542,10 +531,8 @@ impl Kernel {
             {
                 continue;
             }
-            // A genuine batch tags the node for lineage; a chaos storm
-            // (no batch) enqueues untagged so its loads don't inherit a
-            // bogus parent.
-            if self.arbiter.enqueue(page, batch.map_or(0, SpanId::raw)) {
+            // The batch tags the node for lineage.
+            if self.arbiter.enqueue(page, batch.raw()) {
                 self.ledger.stats[ten].preloads_enqueued += 1;
             }
         }
@@ -606,17 +593,6 @@ impl Kernel {
             });
         self.log(now, EventKind::Fault, Some(g), None, fspan, cause);
         self.valve_check(t, fspan);
-        // Per-fault chaos runs right after the real valve check so a
-        // forced trip takes the same latch path (and the latch absorbs any
-        // further flap attempts).
-        let (capacity, stopped) = (self.epc.capacity(), self.preload_stopped);
-        if self
-            .chaos
-            .as_mut()
-            .is_some_and(|c| c.on_fault(t, capacity, stopped))
-        {
-            self.stop_preloading(t, fspan);
-        }
 
         let (kind, handler_done) = if self.epc.is_resident(g) {
             self.ledger.stats[ten].faults_found_resident += 1;
@@ -641,7 +617,7 @@ impl Kernel {
                     let (dropped, batch) = self.arbiter.abort_for(ten);
                     if dropped > 0 {
                         let aspan = self.spans.next();
-                        let parent = (batch != 0).then(|| SpanId::new(batch));
+                        let parent = Some(SpanId::new(batch));
                         let value = Some(dropped);
                         self.log(t, EventKind::PreloadAbort, Some(g), value, aspan, parent);
                     }
@@ -668,33 +644,23 @@ impl Kernel {
             let mut pred = std::mem::take(&mut self.pred_buf);
             pred.clear();
             self.predictor.on_fault_into(t, pid, g, &mut pred);
-            let predicted = pred.len() as u64;
-            let batch = (predicted > 0).then(|| {
+            if !pred.is_empty() {
+                let predicted = pred.len() as u64;
                 self.ledger.stats[ten]
                     .stream_len
                     .record(Cycles::new(predicted));
-                let b = self.spans.next();
+                let batch = self.spans.next();
                 self.log(
                     t,
                     EventKind::StreamPredicted,
                     Some(g),
                     Some(predicted),
-                    b,
+                    batch,
                     Some(fspan),
                 );
-                b
-            });
-            self.enqueue_predictions(ten, &pred, batch);
-            self.pred_buf = pred;
-            // Chaos: a spurious mispredict storm rides in with the genuine
-            // prediction, through the same range/dedup/enqueue filter.
-            if let Some(c) = &mut self.chaos {
-                let slot = &self.enclaves[ten];
-                let storm = c.injector.spurious_storm(slot.base, slot.pages);
-                if !storm.is_empty() {
-                    self.enqueue_predictions(ten, &storm, None);
-                }
+                self.enqueue_predictions(ten, &pred, batch);
             }
+            self.pred_buf = pred;
         }
 
         let resume_at = handler_done + self.costs.eresume;
@@ -789,18 +755,6 @@ impl Kernel {
         self.advance(now);
         self.maybe_sample(now);
         self.flush_events();
-    }
-
-    /// Chaos-injection telemetry, if an injector is installed. Kept apart
-    /// from [`KernelStats`] so injection bookkeeping never disturbs the
-    /// streamed-event reconciliation.
-    pub fn chaos_stats(&self) -> Option<&ChaosStats> {
-        self.chaos.as_ref().map(|c| c.injector.stats())
-    }
-
-    /// Preload retries currently waiting out a chaos backoff.
-    pub fn chaos_retry_queue_len(&self) -> usize {
-        self.chaos.as_ref().map_or(0, Chaos::pending_retries)
     }
 
     /// The EPC state (read-only).

@@ -11,11 +11,6 @@
 //!   `ksgxswapd` analogue), which keeps free EPC pages available so a
 //!   typical demand fault costs AEX + ELDU + ERESUME ≈ 64k cycles.
 //! * [`PreloadQueue`] — the preload worker's abortable page queue.
-//! * [`FaultInjector`] — a deterministic, seeded chaos layer
-//!   ([`ChaosSchedule`]) that drops/delays preload batches, injects
-//!   mispredict storms, spikes EPC pressure, stalls CLOCK scans and
-//!   force-flaps the DFP-stop valve — used to prove the abort machinery
-//!   degrades gracefully.
 //!
 //! Timing is driven lazily by the application thread; see
 //! [`Kernel`] for the model's rules.
@@ -68,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chaos;
 mod kernel;
 mod queue;
 pub mod span;
@@ -77,7 +71,6 @@ mod timeline;
 mod trace;
 mod watermark;
 
-pub use chaos::{ChaosPreset, ChaosSchedule, ChaosStats, FaultInjector, ParseChaosPresetError};
 pub use kernel::{
     EdmmStats, EventKind, FaultResolution, FaultServicing, Kernel, KernelConfig, KernelError,
     KernelStats, LoggedEvent,

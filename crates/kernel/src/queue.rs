@@ -7,7 +7,7 @@
 //! order so the kernel can bill each one to the batch that queued it.
 //!
 //! Each queue node carries the raw id of the prediction-batch span that
-//! queued it (0 = none, e.g. a chaos storm), so batch lineage travels with
+//! queued it (0 = none, as for SIP prefetches), so batch lineage travels with
 //! the node instead of through a side table probed on every transition.
 //! The membership map doubles as the tag store: one probe answers both
 //! "is it queued?" and "which batch?".

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | `Fault` / `FaultResolved` | the preload/prefetch span that staged the page, or `None` (cold fault) |
 //! | `StreamPredicted` (the batch span) | the triggering fault's span |
-//! | `PreloadStart` / `PreloadDone` | the prediction-batch span (`None` for SIP prefetches and chaos storms) |
+//! | `PreloadStart` / `PreloadDone` | the prediction-batch span (`None` for SIP prefetches) |
 //! | `PreloadHit` | the staging load's span |
 //! | `DemandLoaded` | the fault's span |
 //! | `PreloadAbort` | the aborted batch's span |

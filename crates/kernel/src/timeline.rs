@@ -47,8 +47,9 @@ pub struct CycleAttribution {
     /// Channel cycles spent on preloads/prefetches evicted or abandoned
     /// untouched (wasted speculation).
     pub wasted_preload: u64,
-    /// Replacement-scan stall cycles (zero under the paper's cost model,
-    /// which prices CLOCK sweeps at zero; chaos scan stalls land here).
+    /// Replacement-scan stall cycles. Always 0: the cost model prices
+    /// CLOCK sweeps at zero and nothing else stalls a scan. The key stays
+    /// so the report schema keeps its shape until its next version bump.
     pub clock_scan: u64,
     /// EWB cycles spent writing victims back (foreground and background).
     pub eviction: u64,

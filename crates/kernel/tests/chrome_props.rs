@@ -80,7 +80,7 @@ fn event() -> impl Strategy<Value = LoggedEvent> {
 }
 
 /// The Chrome trace of `events`, written plainly from the format's
-/// definition (DESIGN.md §4.4): sorted lanes in the header, an opening
+/// definition (DESIGN.md §4.3): sorted lanes in the header, an opening
 /// event as a duration to its span's first close, that close folded into
 /// it, and one flow arrow per link to an emitted parent, anchored at the
 /// parent's first event.

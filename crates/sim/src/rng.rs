@@ -10,10 +10,9 @@
 /// SplitMix64-style mix of `(seed, salt)` into a new 64-bit seed.
 ///
 /// This is the one seed-derivation function of the workspace: [`DetRng::fork`]
-/// uses it to give workload phases independent streams, the campaign engine
-/// uses it for positional per-cell seeds, and the kernel's fault injector
-/// uses it to give every chaos capability its own draw stream. Keeping them
-/// on one function means a seed printed anywhere reproduces everywhere.
+/// uses it to give workload phases independent streams, and the campaign
+/// engine uses it for positional per-cell seeds. Keeping them on one
+/// function means a seed printed anywhere reproduces everywhere.
 pub fn mix(seed: u64, salt: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(salt.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -21,8 +21,8 @@ use sgx_preloading::prelude::*;
 use sgx_preloading::sim::json::{self, Value};
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
-    build_plan, effective_jobs, profile_stream, write_chrome_trace, CollectingSink, CountingSink,
-    EpcSizing, HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
+    build_plan, effective_jobs, profile_stream, write_chrome_trace, CollectingSink, EpcSizing,
+    HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
     DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
 
@@ -47,8 +47,6 @@ COMMANDS:
     timeline                   run one benchmark and export its causal span
                                timeline (event table, Chrome trace, gauge
                                series, cycle attribution)
-    chaos                      run a benchmark under fault injection and
-                               check the graceful-degradation invariants
     contend                    co-run a victim with an aggressor enclave and
                                report per-tenant fairness telemetry
     leakage                    run the side-channel leakage observatory: for
@@ -138,23 +136,6 @@ timeline OPTIONS:
     --json-out <file>              write a timeline summary (event/span counts,
                                    attribution, invariant checks) as JSON
 
-chaos OPTIONS:
-    --bench <name> --scheme <s>    workload and scheme (scheme default: baseline)
-    --chaos-seed <N>               seed for the injector's own RNG streams
-                                   (default 1; independent of --seed)
-    --preset <none|light|heavy>    baseline schedule the knobs below refine
-    --drop <F>                     P(drop a popped preload)       [0, 1]
-    --retries <N> --backoff <C>    retry budget / base backoff for drops
-    --delay <F> --delay-cycles <C>             preload ELDU delay
-    --spurious <F> --spurious-burst <N>        mispredict storms
-    --epc-spike <F> --epc-spike-pages <N> --epc-spike-cycles <C>
-                                   transient EPC pressure (withheld slots)
-    --scan-stall <F> --scan-stall-cycles <C>   CLOCK-scan stalls
-    --valve-flap <F>               P(force the DFP-stop valve per fault)
-    --max-slowdown <F>             fail (exit 1) if injected/uninjected
-                                   cycle ratio exceeds F
-    --json-out <file>              write the differential report as JSON
-
 leakage OPTIONS:
     --pairs <a,b,..>               secret pairs (default: all —
                                    branch-halves,lookup-order,dfp-echo)
@@ -197,11 +178,6 @@ const CONFIG_FLAGS: &str = "scale seed epc-pages load-length list-len threshold 
 
 /// The output flags `suite`, `campaign` and `leakage` share.
 const GRID_FLAGS: &str = "jobs json-out trace-out timeline-out";
-
-/// The flags `chaos` reads beyond `CONFIG_FLAGS`.
-const CHAOS_FLAGS: &str = "bench scheme chaos-seed preset drop retries backoff delay \
-    delay-cycles spurious spurious-burst epc-spike epc-spike-pages epc-spike-cycles scan-stall \
-    scan-stall-cycles valve-flap max-slowdown json-out";
 
 impl Args {
     /// Parses `command`'s flags, rejecting any flag not in one of the
@@ -737,186 +713,6 @@ fn cmd_trace_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The largest value a chaos cycle knob accepts: 500× the heavy preset's
-/// longest (its 2,000,000-cycle EPC spike). Even after the 32 doublings a
-/// retry backoff can take (4.3 × 10^18 cycles), it stays inside the
-/// simulated clock's range.
-const MAX_CHAOS_CYCLES: u64 = 1_000_000_000;
-
-/// Builds the chaos schedule from `--preset` plus per-capability knobs,
-/// bounding the spurious burst by the run's `epc_pages`.
-fn chaos_schedule(args: &Args, epc_pages: u64) -> Result<sgx_preloading::ChaosSchedule, String> {
-    let seed = args.parsed::<u64>("chaos-seed")?.unwrap_or(1);
-    let preset = match args.get("preset") {
-        None => ChaosPreset::None,
-        Some(p) => p
-            .parse::<ChaosPreset>()
-            .map_err(|e| format!("--preset: {e}"))?,
-    };
-    let mut s = preset.schedule(seed).with_seed(seed);
-    let rate = |key: &str| -> Result<Option<f64>, String> {
-        match args.parsed::<f64>(key)? {
-            Some(r) if !(0.0..=1.0).contains(&r) => Err(format!("--{key} must be in [0, 1]")),
-            r => Ok(r),
-        }
-    };
-    let cycles = |key: &str| -> Result<Option<Cycles>, String> {
-        match args.parsed::<u64>(key)? {
-            Some(c) if c > MAX_CHAOS_CYCLES => {
-                Err(format!("--{key} must be at most {MAX_CHAOS_CYCLES} cycles"))
-            }
-            c => Ok(c.map(Cycles::new)),
-        }
-    };
-    if let Some(r) = rate("drop")? {
-        s = s.with_drop(r);
-    }
-    let retries = args.parsed::<u32>("retries")?;
-    let backoff = cycles("backoff")?;
-    if retries.is_some() || backoff.is_some() {
-        s = s.with_retry(
-            retries.unwrap_or(s.max_retries),
-            backoff.unwrap_or(s.retry_backoff),
-        );
-    }
-    if let Some(r) = rate("delay")? {
-        let delay = cycles("delay-cycles")?.unwrap_or(Cycles::new(20_000));
-        s = s.with_delay(r, delay);
-    }
-    if let Some(r) = rate("spurious")? {
-        // Each storm collects its whole burst into one buffer.
-        let burst = args.parsed::<u64>("spurious-burst")?.unwrap_or(4);
-        if burst > epc_pages {
-            return Err(format!(
-                "--spurious-burst must be at most the EPC's {epc_pages} pages"
-            ));
-        }
-        s = s.with_spurious(r, burst);
-    }
-    if let Some(r) = rate("epc-spike")? {
-        let pages = args.parsed::<u64>("epc-spike-pages")?.unwrap_or(64);
-        let duration = cycles("epc-spike-cycles")?.unwrap_or(Cycles::new(500_000));
-        s = s.with_epc_spike(r, pages, duration);
-    }
-    if let Some(r) = rate("scan-stall")? {
-        let stall = cycles("scan-stall-cycles")?.unwrap_or(Cycles::new(5_000));
-        s = s.with_scan_stall(r, stall);
-    }
-    if let Some(r) = rate("valve-flap")? {
-        s = s.with_valve_flap(r);
-    }
-    Ok(s)
-}
-
-/// The differential chaos run: uninjected reference vs injected run of
-/// the same workload, with the graceful-degradation invariants checked.
-/// Any violation (or a `--max-slowdown` breach) exits nonzero.
-fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    let bench = args.bench()?;
-    let scheme = args.scheme()?;
-    if scheme.is_user_level() {
-        return Err("chaos injects kernel faults; the user-level runtime has none".into());
-    }
-    let sched = chaos_schedule(args, cfg.epc_pages)?;
-    if sched.is_none() {
-        return Err(
-            "the schedule is all-zero; enable a preset (--preset light) or a rate knob".into(),
-        );
-    }
-
-    let base = SimRun::new(&cfg)
-        .scheme(scheme)
-        .bench(bench)
-        .run_one()
-        .map_err(|e| e.to_string())?;
-    let (counting, counts) = CountingSink::new();
-    let (collecting, events) = CollectingSink::new();
-    let injected = SimRun::new(&cfg.with_chaos(sched))
-        .scheme(scheme)
-        .bench(bench)
-        .sink(Box::new(counting))
-        .sink(Box::new(collecting))
-        .run_one()
-        .map_err(|e| e.to_string())?;
-    let c = counts.get();
-    let events = events.borrow();
-
-    let mut violations: Vec<String> = Vec::new();
-    if injected.accesses != base.accesses {
-        violations.push(format!(
-            "access count changed under injection ({} vs {})",
-            injected.accesses, base.accesses
-        ));
-    }
-    if injected.faults != c.faults {
-        violations.push(format!(
-            "KernelStats.faults {} disagrees with the event stream's {}",
-            injected.faults, c.faults
-        ));
-    }
-    if injected.preloads_started != c.preload_starts {
-        violations.push(format!(
-            "KernelStats.preloads_started {} disagrees with the event stream's {}",
-            injected.preloads_started, c.preload_starts
-        ));
-    }
-    if let Some(stop) = events
-        .iter()
-        .position(|e| e.what == EventKind::ValveStopped)
-    {
-        if events[stop..]
-            .iter()
-            .any(|e| e.what == EventKind::PreloadStart)
-        {
-            violations.push("a preload started after the valve latched".into());
-        }
-    }
-    let slowdown = injected.total_cycles.raw() as f64 / base.total_cycles.raw().max(1) as f64;
-    if let Some(max) = args.parsed::<f64>("max-slowdown")? {
-        if slowdown > max {
-            violations.push(format!(
-                "slowdown {slowdown:.3}x exceeds --max-slowdown {max}"
-            ));
-        }
-    }
-
-    println!(
-        "chaos {}/{}: {} -> {} cycles ({:.3}x), {} faults -> {}, valve stops {}",
-        bench.name(),
-        scheme.name(),
-        base.total_cycles,
-        injected.total_cycles,
-        slowdown,
-        base.faults,
-        injected.faults,
-        c.valve_stops,
-    );
-    let mut json = String::new();
-    json::obj(&mut json, |o| {
-        o.field("bench", bench.name())
-            .field("scheme", scheme.name())
-            .with("chaos", |out| sched.write_json(out))
-            .field("baseline_total_cycles", base.total_cycles)
-            .field("chaos_total_cycles", injected.total_cycles)
-            .field("slowdown", slowdown)
-            .obj("invariants", |i| {
-                i.arr("violations", &violations, Value::write_value);
-            })
-            .with("events", |out| c.write_json(out));
-    });
-    write_json_out(args, &json)?;
-
-    if !violations.is_empty() {
-        return Err(format!(
-            "graceful-degradation invariants violated: {}",
-            violations.join("; ")
-        ));
-    }
-    println!("invariants hold (accounting, valve latch, termination)");
-    Ok(())
-}
-
 /// Resolves `--policy` / `--weights` into a [`TenantPolicy`] for two
 /// enclaves (victim = tenant 0, aggressor = tenant 1).
 fn tenant_policy_arg(args: &Args, epc_pages: u64) -> Result<TenantPolicy, String> {
@@ -1225,7 +1021,7 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         }
     }
 
-    // The lineage invariants the span model promises (DESIGN.md §4.4).
+    // The lineage invariants the span model promises (DESIGN.md §4.3).
     let mut violations: Vec<String> = Vec::new();
     let emitted: BTreeSet<u64> = events.iter().map(|e| e.span.raw()).collect();
     let preload_spans: BTreeSet<u64> = events
@@ -1372,7 +1168,6 @@ fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> 
                 "bench scheme n chrome-out series-out series-every attr json-out",
             ],
         ),
-        "chaos" => (cmd_chaos, &[CONFIG_FLAGS, CHAOS_FLAGS]),
         "contend" => (
             cmd_contend,
             &[

@@ -81,9 +81,9 @@ pub use sgx_observer::{
 pub use sgx_preload_core::{
     build_plan, derive_cell_seed, effective_jobs, run_indexed, run_userspace_paging, AppSpec,
     AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
-    ChaosPreset, ChaosSchedule, ChaosStats, ElrangeError, EventCounts, FaultInjector, LeakageSpec,
-    RunReport, Scheme, SeedMode, SimConfig, SimError, SimRun, SpecError, TenantPolicy, TenantQuota,
-    TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
+    ElrangeError, EventCounts, LeakageSpec, RunReport, Scheme, SeedMode, SimConfig, SimError,
+    SimRun, SpecError, TenantPolicy, TenantQuota, TenantShare, TraceReplay, UserPagingConfig,
+    DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};
 pub use sgx_sip::{profile_stream, InstrumentationPlan, NotifyPlacement, SipConfig};
@@ -98,10 +98,7 @@ pub use sgx_workloads::{
 /// should reach the simulator through this front door; anything outside
 /// it is a substrate detail that may move between releases.
 pub mod prelude {
-    pub use sgx_kernel::{
-        ChaosPreset, ChaosSchedule, CountingSink, GaugeSample, JsonlWriterSink, TimeSeriesSink,
-        TraceSink,
-    };
+    pub use sgx_kernel::{CountingSink, GaugeSample, JsonlWriterSink, TimeSeriesSink, TraceSink};
     pub use sgx_observer::{
         is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,
         VariantLeakage,

@@ -1,60 +1,51 @@
-//! Property tests for the per-subsystem cycle attribution (DESIGN.md §4.4).
+//! Property tests for the per-subsystem cycle attribution (DESIGN.md §4.3).
 //!
 //! The contract: the eight buckets are non-negative (they are `u64` by
 //! construction) and sum *exactly* to the run's total cycles — no cycle is
-//! counted twice and none goes missing — on every workload × scheme ×
-//! chaos-preset combination. Schemes that never preload never bill the
-//! preload buckets, and every resolved fault's causal parent is a preload
-//! span.
+//! counted twice and none goes missing — on every workload × scheme
+//! combination. Schemes that never preload never bill the preload
+//! buckets, and every resolved fault's causal parent is a preload span.
+//! `tests/random_runs.rs` checks the same books on random traces, EPC
+//! sizes, cost models and co-runs.
 
 use std::collections::BTreeSet;
 
 use sgx_preloading::kernel::EventKind;
-use sgx_preloading::{Benchmark, ChaosPreset, CollectingSink, Scale, Scheme, SimConfig, SimRun};
+use sgx_preloading::{Benchmark, CollectingSink, Scale, Scheme, SimConfig, SimRun};
 
-fn cfg(preset: ChaosPreset) -> SimConfig {
-    let cfg = SimConfig::at_scale(Scale::new(64));
-    match preset {
-        ChaosPreset::None => cfg,
-        _ => {
-            let seed = cfg.seed;
-            cfg.with_chaos(preset.schedule(seed))
-        }
-    }
+fn cfg() -> SimConfig {
+    SimConfig::at_scale(Scale::new(64))
 }
 
 #[test]
-fn buckets_sum_to_total_on_every_workload_scheme_and_preset() {
+fn buckets_sum_to_total_on_every_workload_and_scheme() {
     for bench in Benchmark::ALL {
         for scheme in Scheme::ALL {
-            for preset in ChaosPreset::ALL {
-                let r = SimRun::new(&cfg(preset))
-                    .scheme(scheme)
-                    .bench(bench)
-                    .run_one()
-                    .expect("kernel scheme on a known benchmark");
-                let a = &r.attribution;
-                assert_eq!(
-                    a.total(),
-                    r.total_cycles.raw(),
-                    "{}/{}/{}: buckets must sum to the run total",
-                    bench.name(),
-                    scheme.name(),
-                    preset.name(),
-                );
-                // `buckets()` walks every field exactly once: the table
-                // view and the struct agree.
-                let by_hand: u64 = a.buckets().iter().map(|&(_, v)| v).sum();
-                assert_eq!(by_hand, a.total());
-            }
+            let r = SimRun::new(&cfg())
+                .scheme(scheme)
+                .bench(bench)
+                .run_one()
+                .expect("kernel scheme on a known benchmark");
+            let a = &r.attribution;
+            assert_eq!(
+                a.total(),
+                r.total_cycles.raw(),
+                "{}/{}: buckets must sum to the run total",
+                bench.name(),
+                scheme.name(),
+            );
+            // `buckets()` walks every field exactly once: the table view
+            // and the struct agree.
+            let by_hand: u64 = a.buckets().iter().map(|&(_, v)| v).sum();
+            assert_eq!(by_hand, a.total());
         }
     }
 }
 
 #[test]
-fn baseline_without_chaos_never_bills_preload_buckets() {
+fn baseline_never_bills_preload_buckets() {
     for bench in Benchmark::ALL {
-        let r = SimRun::new(&cfg(ChaosPreset::None))
+        let r = SimRun::new(&cfg())
             .bench(bench)
             .run_one()
             .expect("baseline on a known benchmark");
@@ -86,60 +77,57 @@ fn user_level_attribution_reconciles_too() {
 #[test]
 fn fault_resolved_parents_are_preload_spans() {
     for scheme in Scheme::ALL {
-        for preset in ChaosPreset::ALL {
-            let (sink, collected) = CollectingSink::new();
-            let _ = SimRun::new(&cfg(preset))
-                .scheme(scheme)
-                .bench(Benchmark::MixedBlood)
-                .sink(Box::new(sink))
-                .run_one()
-                .expect("kernel scheme on a known benchmark");
-            let events = collected.borrow();
-            let preload_spans: BTreeSet<u64> = events
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e.what,
-                        EventKind::PreloadStart | EventKind::SipPrefetchStart
-                    )
-                })
-                .map(|e| e.span.raw())
-                .collect();
-            let mut linked = 0u64;
-            for e in events.iter() {
-                if e.what != EventKind::FaultResolved {
-                    continue;
-                }
-                if let Some(p) = e.parent {
-                    assert!(
-                        preload_spans.contains(&p.raw()),
-                        "{}/{}: fault-resolved at {} parents {p}, not a preload",
-                        scheme.name(),
-                        preset.name(),
-                        e.at,
-                    );
-                    linked += 1;
-                }
+        let (sink, collected) = CollectingSink::new();
+        let _ = SimRun::new(&cfg())
+            .scheme(scheme)
+            .bench(Benchmark::MixedBlood)
+            .sink(Box::new(sink))
+            .run_one()
+            .expect("kernel scheme on a known benchmark");
+        let events = collected.borrow();
+        let preload_spans: BTreeSet<u64> = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.what,
+                    EventKind::PreloadStart | EventKind::SipPrefetchStart
+                )
+            })
+            .map(|e| e.span.raw())
+            .collect();
+        let mut linked = 0u64;
+        for e in events.iter() {
+            if e.what != EventKind::FaultResolved {
+                continue;
             }
-            // SIP alone serves instrumented pages with blocking loads, so
-            // its faults rarely collide with in-flight work; the DFP
-            // family must race at least once on this workload.
-            if scheme.uses_dfp() && preset == ChaosPreset::None {
+            if let Some(p) = e.parent {
                 assert!(
-                    linked > 0,
-                    "{}: a DFP scheme should race at least one fault \
-                     against an in-flight preload on this workload",
-                    scheme.name()
+                    preload_spans.contains(&p.raw()),
+                    "{}: fault-resolved at {} parents {p}, not a preload",
+                    scheme.name(),
+                    e.at,
                 );
+                linked += 1;
             }
+        }
+        // SIP alone serves instrumented pages with blocking loads, so its
+        // faults rarely collide with in-flight work; the DFP family must
+        // race at least once on this workload.
+        if scheme.uses_dfp() {
+            assert!(
+                linked > 0,
+                "{}: a DFP scheme should race at least one fault \
+                 against an in-flight preload on this workload",
+                scheme.name()
+            );
         }
     }
 }
 
 /// Per-enclave books on a shared kernel: in 2- and 3-enclave co-runs
-/// under every preloading arm and chaos preset, each app's buckets sum
-/// to its own total, its world switches are its own faults', and its
-/// channel-wait bucket covers its demand-fault channel wait.
+/// under every preloading arm, each app's buckets sum to its own total,
+/// its world switches are its own faults', and its channel-wait bucket
+/// covers its demand-fault channel wait.
 #[test]
 fn every_app_balances_its_own_books_on_a_shared_kernel() {
     let benches = [
@@ -154,28 +142,26 @@ fn every_app_balances_its_own_books_on_a_shared_kernel() {
             Scheme::DfpStop,
             Scheme::Hybrid,
         ] {
-            for preset in ChaosPreset::ALL {
-                let c = cfg(preset);
-                let reports = benches[..n]
-                    .iter()
-                    .fold(SimRun::new(&c).scheme(scheme), |run, &b| run.bench(b))
-                    .run()
-                    .expect("co-run of known benchmarks");
-                let switch = c.costs.aex.raw() + c.costs.eresume.raw();
-                for r in &reports {
-                    let ctx = format!("{n} apps/{scheme}/{}/{}", preset.name(), r.label);
-                    let a = &r.attribution;
-                    assert_eq!(a.total(), r.total_cycles.raw(), "{ctx}: sums to its total");
-                    assert_eq!(
-                        a.aex_eresume,
-                        r.faults * switch,
-                        "{ctx}: its world switches"
-                    );
-                    assert!(
-                        a.channel_wait >= r.channel_wait_cycles.raw(),
-                        "{ctx}: channel wait"
-                    );
-                }
+            let c = cfg();
+            let reports = benches[..n]
+                .iter()
+                .fold(SimRun::new(&c).scheme(scheme), |run, &b| run.bench(b))
+                .run()
+                .expect("co-run of known benchmarks");
+            let switch = c.costs.aex.raw() + c.costs.eresume.raw();
+            for r in &reports {
+                let ctx = format!("{n} apps/{scheme}/{}", r.label);
+                let a = &r.attribution;
+                assert_eq!(a.total(), r.total_cycles.raw(), "{ctx}: sums to its total");
+                assert_eq!(
+                    a.aex_eresume,
+                    r.faults * switch,
+                    "{ctx}: its world switches"
+                );
+                assert!(
+                    a.channel_wait >= r.channel_wait_cycles.raw(),
+                    "{ctx}: channel wait"
+                );
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Chrome-trace export regression tests (DESIGN.md §4.4).
+//! Chrome-trace export regression tests (DESIGN.md §4.3).
 //!
 //! Three rendered traces are pinned as golden files under `tests/golden/`
 //! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):

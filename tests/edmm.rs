@@ -5,15 +5,15 @@
 //! first-touch faults are serviced by EAUG instead of the swap path;
 //! every EAUG cycle lands in the demand-fault attribution bucket and the
 //! books still sum to the run total; the streamed event counts still
-//! reconcile with `KernelStats` under chaos; and configurations that do
+//! reconcile with `KernelStats` under growth; and configurations that do
 //! not opt into EDMM are bit-identical to a kernel that has never heard
 //! of it.
 
 use sgx_preloading::epc::EpcSizing;
 use sgx_preloading::kernel::{Kernel, KernelConfig, Watermarks};
 use sgx_preloading::{
-    Benchmark, ChaosPreset, CountingSink, Cycles, NoPredictor, ProcessId, Scale, Scheme, SimConfig,
-    SimRun, VirtPage,
+    Benchmark, CountingSink, Cycles, NoPredictor, ProcessId, Scale, Scheme, SimConfig, SimRun,
+    VirtPage,
 };
 
 const DIVERSE: [Benchmark; 4] = [
@@ -176,9 +176,8 @@ fn edmm_scheme_attribution_reconciles_on_every_diversity_family() {
 }
 
 #[test]
-fn stream_counts_reconcile_with_kernel_stats_under_chaos() {
-    let base = SimConfig::at_scale(Scale::new(64));
-    let cfg = base.with_chaos(ChaosPreset::Light.schedule(base.seed));
+fn stream_counts_reconcile_with_kernel_stats_under_edmm() {
+    let cfg = SimConfig::at_scale(Scale::new(64));
     for scheme in [Scheme::Edmm, Scheme::EdmmDfpStop] {
         for bench in DIVERSE {
             let (sink, counts) = CountingSink::new();

@@ -32,23 +32,6 @@ fn small_campaign() -> Campaign {
     )
 }
 
-/// The exact campaign `tests/golden/campaign_chaos_small.json` pins.
-fn small_chaos_campaign() -> Campaign {
-    let cfg = SimConfig::at_scale(Scale::new(64));
-    Campaign::sweep(
-        "chaos_small",
-        2021,
-        &[Benchmark::Microbenchmark, Benchmark::Deepsjeng],
-        &[Scheme::Dfp, Scheme::DfpStop],
-        "chaos",
-        &[
-            ("none", cfg.with_chaos(ChaosSchedule::none())),
-            ("light", cfg.with_chaos(ChaosSchedule::light(9))),
-            ("heavy", cfg.with_chaos(ChaosSchedule::heavy(9))),
-        ],
-    )
-}
-
 #[test]
 fn campaign_golden_bits_survive_the_rewrite_at_jobs_1_and_4() {
     let want = golden("campaign_small.json");
@@ -61,22 +44,6 @@ fn campaign_golden_bits_survive_the_rewrite_at_jobs_1_and_4() {
                 .to_canonical_json(),
             want,
             "campaign_small.json diverged at --jobs {jobs}"
-        );
-    }
-}
-
-#[test]
-fn chaos_campaign_golden_bits_survive_the_rewrite_at_jobs_1_and_4() {
-    let want = golden("campaign_chaos_small.json");
-    let campaign = small_chaos_campaign();
-    for jobs in [1, 4] {
-        assert_eq!(
-            campaign
-                .run_with_jobs(jobs)
-                .expect("campaign run failed")
-                .to_canonical_json(),
-            want,
-            "campaign_chaos_small.json diverged at --jobs {jobs}"
         );
     }
 }
@@ -99,11 +66,13 @@ fn timeline_golden_bits_survive_the_rewrite() {
     );
 }
 
-/// Every workload × kernel scheme × chaos preset × tenant policy, run
+/// Every workload × kernel scheme × EPC size × tenant policy, run
 /// serially and with four workers: the two reports must agree bit for
 /// bit (stats, attribution, percentiles, tenant telemetry — the whole
 /// canonical rendering). The tiny scale keeps the 540-cell grid cheap;
-/// the axes, not the resolution, are what the rewrite must survive.
+/// the axes, not the resolution, are what the rewrite must survive. The
+/// EPC axis halves the EPC twice, so each workload meets three reclaim
+/// pressures.
 #[test]
 fn full_grid_is_byte_identical_serial_vs_parallel() {
     let cfg = SimConfig::at_scale(Scale::new(256));
@@ -114,23 +83,23 @@ fn full_grid_is_byte_identical_serial_vs_parallel() {
         Scheme::Sip,
         Scheme::Hybrid,
     ];
-    let tenants = [
-        ("none", TenantPolicy::none()),
-        ("fair2", TenantPolicy::fair(2, cfg.epc_pages)),
-    ];
-    for (tlabel, policy) in tenants {
-        let cfg = cfg.with_tenant_policy(policy);
+    for fair in [false, true] {
+        // Each EPC size gets its own fair shares.
+        let point = |pages: u64| {
+            let cfg = cfg.with_epc_pages(pages);
+            if fair {
+                cfg.with_tenant_policy(TenantPolicy::fair(2, pages))
+            } else {
+                cfg
+            }
+        };
         let campaign = Campaign::sweep(
             "equivalence_full",
             2026,
             &Benchmark::ALL,
             &schemes,
-            "chaos",
-            &[
-                ("none", cfg.with_chaos(ChaosSchedule::none())),
-                ("light", cfg.with_chaos(ChaosSchedule::light(7))),
-                ("heavy", cfg.with_chaos(ChaosSchedule::heavy(7))),
-            ],
+            "epc",
+            &[("96", point(96)), ("48", point(48)), ("24", point(24))],
         );
         let serial = campaign
             .run_with_jobs(1)
@@ -142,7 +111,7 @@ fn full_grid_is_byte_identical_serial_vs_parallel() {
             .to_canonical_json();
         assert_eq!(
             serial, parallel,
-            "tenant={tlabel}: serial and 4-worker grids diverged"
+            "fair={fair}: serial and 4-worker grids diverged"
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Acceptance bar for the multi-tenant EPC scheduling layer (DESIGN.md
-//! §4.3). A sequential victim resweeps a working set that fits inside its
+//! §4.2). A sequential victim resweeps a working set that fits inside its
 //! 1:1 share while a mixed-blood aggressor streams far past its own.
 //! Unpartitioned, global CLOCK evicts the victim's set between sweeps;
 //! under `TenantPolicy::fair` the quota-aware reclaimer takes pages from

@@ -15,7 +15,6 @@
 
 use std::path::PathBuf;
 
-use sgx_preloading::observer::shannon_entropy;
 use sgx_preloading::prelude::*;
 use sgx_preloading::EventCounts;
 
@@ -87,50 +86,6 @@ fn observer_reconstructs_exactly_the_os_visible_counts() {
         "every suppressed event must be tallied"
     );
     assert_eq!(obs.observed_events(), full.total() - full.preload_hits);
-}
-
-/// A mispredict storm (spurious preloads of pages drawn uniformly from
-/// the enclave's ELRANGE) only adds noise to the load channel the OS
-/// watches: on a workload with a concentrated hot set, ramping the
-/// storm rate monotonically raises the channel-page entropy toward
-/// uniform, and lengthens the observed channel sequence.
-#[test]
-fn spurious_storms_only_add_entropy_to_the_load_channel() {
-    let cfg = SimConfig::at_scale(Scale::new(64));
-    let observe = |rate: f64| {
-        let cfg = if rate == 0.0 {
-            cfg
-        } else {
-            cfg.with_chaos(ChaosSchedule::none().with_seed(7).with_spurious(rate, 8))
-        };
-        let (observer, obs) = ObserverSink::new();
-        SimRun::new(&cfg)
-            .scheme(Scheme::Dfp)
-            .bench(Benchmark::KvStore)
-            .sink(Box::new(observer))
-            .run_one()
-            .expect("DFP run failed");
-        let obs = obs.borrow();
-        (shannon_entropy(&obs.channel_pages), obs.channel_pages.len())
-    };
-    let ramp: Vec<(f64, (f64, usize))> = [0.0, 0.1, 0.3]
-        .into_iter()
-        .map(|r| (r, observe(r)))
-        .collect();
-    for pair in ramp.windows(2) {
-        let (lo_rate, (lo_entropy, lo_len)) = pair[0];
-        let (hi_rate, (hi_entropy, hi_len)) = pair[1];
-        assert!(
-            hi_len > lo_len,
-            "storm rate {hi_rate} must lengthen the observed load channel \
-             over rate {lo_rate} ({hi_len} vs {lo_len})"
-        );
-        assert!(
-            hi_entropy >= lo_entropy,
-            "storm rate {hi_rate} must not reduce channel entropy below \
-             rate {lo_rate}'s ({hi_entropy:.4} vs {lo_entropy:.4})"
-        );
-    }
 }
 
 /// The leakage grid is deterministic: serial and 4-worker runs agree

@@ -216,19 +216,17 @@ fn campaign_trace_dir_streams_one_jsonl_file_per_cell() {
 }
 
 /// Per-enclave telemetry is reconstructible from the event stream alone:
-/// on a 3-enclave contention run — with and without chaos — partitioning
-/// the stream by ELRANGE owner and tallying [`EventCounts`] per enclave
-/// reproduces the kernel's own per-tenant counters exactly. Faults, demand
-/// loads and aborts attribute to the faulting enclave; preload starts,
-/// completions and evictions to the page's owner — both reduce to the
-/// page's ELRANGE because tenant mode scopes demand aborts to the
-/// faulter's queue.
+/// on a 3-enclave contention run, partitioning the stream by ELRANGE
+/// owner and tallying [`EventCounts`] per enclave reproduces the kernel's
+/// own per-tenant counters exactly. Faults, demand loads and aborts
+/// attribute to the faulting enclave; preload starts, completions and
+/// evictions to the page's owner — both reduce to the page's ELRANGE
+/// because tenant mode scopes demand aborts to the faulter's queue.
 #[test]
-fn per_enclave_event_counts_match_tenant_stats_under_contention_and_chaos() {
+fn per_enclave_event_counts_match_tenant_stats_under_contention() {
     use sgx_preloading::kernel::{Kernel, KernelConfig};
     use sgx_preloading::{
-        ChaosSchedule, EventCounts, InputSet, MultiStreamPredictor, ProcessId, StreamConfig,
-        TenantPolicy,
+        EventCounts, InputSet, MultiStreamPredictor, ProcessId, StreamConfig, TenantPolicy,
     };
 
     // Consecutive ELRANGEs are 2^24 pages apart, so an event's enclave is
@@ -236,51 +234,47 @@ fn per_enclave_event_counts_match_tenant_stats_under_contention_and_chaos() {
     const STRIDE_SHIFT: u32 = 24;
 
     let c = cfg();
-    for chaos in [None, Some(ChaosSchedule::light(17))] {
-        let mut kcfg = KernelConfig::new(c.epc_pages).with_costs(c.costs);
-        kcfg.chaos = chaos;
-        kcfg.tenant = Some(TenantPolicy::fair(3, c.epc_pages));
-        let mut k = Kernel::new(
-            kcfg,
-            Box::new(MultiStreamPredictor::new(StreamConfig::paper_defaults())),
-        );
-        let (sink, events) = CollectingSink::new();
-        k.subscribe(Box::new(sink));
+    let mut kcfg = KernelConfig::new(c.epc_pages).with_costs(c.costs);
+    kcfg.tenant = Some(TenantPolicy::fair(3, c.epc_pages));
+    let mut k = Kernel::new(
+        kcfg,
+        Box::new(MultiStreamPredictor::new(StreamConfig::paper_defaults())),
+    );
+    let (sink, events) = CollectingSink::new();
+    k.subscribe(Box::new(sink));
 
-        let pids = [ProcessId(0), ProcessId(1), ProcessId(2)];
-        for pid in pids {
-            k.register_enclave(pid, Benchmark::Lbm.elrange_pages(c.scale))
-                .unwrap();
-        }
-        // The same min-next-instant interleave the SimRun engine uses.
-        let mut streams: Vec<_> = (0..3u64)
-            .map(|i| Benchmark::Lbm.build(InputSet::Ref, c.scale, c.seed + i))
-            .collect();
-        let mut clocks = [Cycles::ZERO; 3];
-        let mut pending: Vec<_> = streams.iter_mut().map(|s| s.next()).collect();
-        while let Some(i) = (0..3)
-            .filter(|&i| pending[i].is_some())
-            .min_by_key(|&i| clocks[i] + pending[i].as_ref().unwrap().compute)
-        {
-            let a = pending[i].take().unwrap();
-            let now = clocks[i] + a.compute;
-            clocks[i] = match k.app_access(now, pids[i], a.page) {
-                Some(_) => now,
-                None => k.page_fault(now, pids[i], a.page).resume_at,
-            };
-            pending[i] = streams[i].next();
-        }
+    let pids = [ProcessId(0), ProcessId(1), ProcessId(2)];
+    for pid in pids {
+        k.register_enclave(pid, Benchmark::Lbm.elrange_pages(c.scale))
+            .unwrap();
+    }
+    // The same min-next-instant interleave the SimRun engine uses.
+    let mut streams: Vec<_> = (0..3u64)
+        .map(|i| Benchmark::Lbm.build(InputSet::Ref, c.scale, c.seed + i))
+        .collect();
+    let mut clocks = [Cycles::ZERO; 3];
+    let mut pending: Vec<_> = streams.iter_mut().map(|s| s.next()).collect();
+    while let Some(i) = (0..3)
+        .filter(|&i| pending[i].is_some())
+        .min_by_key(|&i| clocks[i] + pending[i].as_ref().unwrap().compute)
+    {
+        let a = pending[i].take().unwrap();
+        let now = clocks[i] + a.compute;
+        clocks[i] = match k.app_access(now, pids[i], a.page) {
+            Some(_) => now,
+            None => k.page_fault(now, pids[i], a.page).resume_at,
+        };
+        pending[i] = streams[i].next();
+    }
 
-        let mut per = vec![EventCounts::default(); 3];
-        for e in events.borrow().iter() {
-            let page = e.page.expect("every event of a DFP run names a page");
-            per[(page.raw() >> STRIDE_SHIFT) as usize].record(e);
-        }
-        for (i, counts) in per.iter().enumerate() {
-            let ctx = format!("enclave {i}, chaos={}", chaos.is_some());
-            assert!(counts.faults > 0, "{ctx}: contention faults");
-            assert_eq!(*counts, k.tenant_events(i), "{ctx}");
-        }
+    let mut per = vec![EventCounts::default(); 3];
+    for e in events.borrow().iter() {
+        let page = e.page.expect("every event of a DFP run names a page");
+        per[(page.raw() >> STRIDE_SHIFT) as usize].record(e);
+    }
+    for (i, counts) in per.iter().enumerate() {
+        assert!(counts.faults > 0, "enclave {i}: contention faults");
+        assert_eq!(*counts, k.tenant_events(i), "enclave {i}");
     }
 }
 

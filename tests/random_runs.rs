@@ -1,0 +1,316 @@
+//! Random runs: seeded random traces, EPC sizes, stream settings, cost
+//! models, tenant policies and co-runs drive every kernel path the
+//! benchmarks reach — foreground evictions, the valve latch, waits on
+//! in-flight loads, wasted and shed preloads, aborts across enclaves —
+//! and every run's books must balance.
+//!
+//! Each case runs under seven kernel schemes, as one to three enclaves
+//! on one kernel. Every app's attribution sums to its total with its own
+//! world switches, the event stream split by ELRANGE owner reproduces
+//! each app's counters, fault lineage points at preload spans, and no
+//! preload starts after the valve latches. The reach counts at the end
+//! keep the test from passing on runs that never reach those paths, and
+//! the apps whose books over-bill are pinned by name.
+//!
+//! A failure names its seed; `random_case(seed)` rebuilds the case.
+
+use std::collections::{BTreeSet, HashMap};
+
+use sgx_preloading::kernel::EventKind;
+use sgx_preloading::sim::DetRng;
+use sgx_preloading::{
+    profile_stream, AbortPolicy, Access, AppSpec, CollectingSink, CostModel, Cycles, EpcSizing,
+    EventCounts, InstrumentationPlan, RecordedTrace, RunReport, Scale, Scheme, SimConfig, SimRun,
+    SiteId, StreamConfig, TenantPolicy, VirtPage,
+};
+
+const SCHEMES: [Scheme; 7] = [
+    Scheme::Baseline,
+    Scheme::Dfp,
+    Scheme::DfpStop,
+    Scheme::Sip,
+    Scheme::Hybrid,
+    Scheme::Edmm,
+    Scheme::EdmmDfpStop,
+];
+
+/// Consecutive ELRANGEs are 2^24 pages apart, so an event's enclave is
+/// its page's high bits.
+const ENCLAVE_SHIFT: u32 = 24;
+
+/// The apps whose overhead buckets exceed their total, so that the clip in
+/// `Kernel::tenant_attribution` zeroes their `app_compute`. Two known
+/// paths over-bill. Seeds 0 and 20 are two-enclave co-runs: work on one
+/// enclave's pages completes in the other's kernel calls while the first
+/// is stalled further ahead, and the kernel-wide stall window misses the
+/// overlap. Seed 57 runs alone under EDMM: growth faults leave the load
+/// channel's clock behind, so a later preload starts before its
+/// prediction and spans several stalls, of which only the last is
+/// deducted. A fix shortens this list; a new over-billing path lengthens
+/// it.
+const CLIPPED: [&str; 7] = [
+    "seed 0, DFP, app0",
+    "seed 0, DFP-stop, app0",
+    "seed 0, edmm+dfp-stop, app0",
+    "seed 20, DFP, app0",
+    "seed 20, DFP-stop, app0",
+    "seed 20, edmm+dfp-stop, app0",
+    "seed 57, edmm+dfp-stop, app0",
+];
+
+/// One random input: a configuration and one trace per enclave, each
+/// with its ELRANGE.
+struct Case {
+    cfg: SimConfig,
+    apps: Vec<(RecordedTrace, u64)>,
+}
+
+/// A trace of 200–3,200 accesses inside `elrange` pages: bursts of
+/// sequential runs, strides of 2–8, uniform random pages and an 8-page
+/// hot set, each pattern at its own few sites, with compute gaps of 0,
+/// under 2k or under 200k cycles.
+fn random_trace(rng: &mut DetRng, elrange: u64) -> RecordedTrace {
+    let len = rng.uniform_range(200, 3_201) as usize;
+    let hot: Vec<u64> = (0..8).map(|_| rng.uniform(elrange)).collect();
+    let mut accesses = Vec::with_capacity(len);
+    let mut page = rng.uniform(elrange);
+    while accesses.len() < len {
+        let pattern = rng.uniform(4);
+        let site = SiteId((pattern * 4 + rng.uniform(4)) as u32);
+        let stride = rng.uniform_range(2, 9);
+        let max_gap = [1, 2_000, 200_000][rng.uniform(3) as usize];
+        for _ in 0..rng.uniform_range(1, 65) {
+            page = match pattern {
+                0 => page + 1,
+                1 => page + stride,
+                2 => rng.uniform(elrange),
+                _ => hot[rng.uniform(8) as usize],
+            } % elrange;
+            let compute = Cycles::new(rng.uniform(max_gap));
+            accesses.push(Access::new(VirtPage::new(page), compute, site));
+        }
+    }
+    accesses.truncate(len);
+    RecordedTrace::from_accesses(accesses)
+}
+
+/// Draws case `seed`: an EPC of 8–256 pages, 1–3 traces with ELRANGEs of
+/// 1–6× the EPC, `LOADLENGTH` 1–8, stream lists of 1–64 entries, each
+/// cost from ½× to 2× its default, a valve scaled to the short traces,
+/// tenant policy `none` or `fair(n)`, and an EDMM ceiling.
+fn random_case(seed: u64) -> Case {
+    let mut rng = DetRng::seed_from(seed);
+    let epc = rng.uniform_range(8, 257);
+    let n = rng.uniform_range(1, 4) as usize;
+    let apps = (0..n)
+        .map(|_| {
+            let elrange = epc * rng.uniform_range(1, 7);
+            (random_trace(&mut rng, elrange), elrange)
+        })
+        .collect();
+    let mut vary = |c: Cycles| Cycles::new(rng.uniform_range(c.raw() / 2, c.raw() * 2 + 1));
+    let d = CostModel::paper_defaults();
+    let costs = CostModel {
+        aex: vary(d.aex),
+        eldu: vary(d.eldu),
+        eresume: vary(d.eresume),
+        ewb: vary(d.ewb),
+        non_epc_fault: vary(d.non_epc_fault),
+        os_fault_path: vary(d.os_fault_path),
+        bitmap_check: vary(d.bitmap_check),
+        notify: vary(d.notify),
+        eaug: vary(d.eaug),
+    };
+    let stream = StreamConfig::paper_defaults()
+        .with_load_length(rng.uniform_range(1, 9))
+        .with_list_len(rng.uniform_range(1, 65) as usize);
+    let abort = AbortPolicy::paper_defaults()
+        .with_slack(rng.uniform(64))
+        .with_check_interval(Cycles::new(rng.uniform_range(20_000, 2_000_000)));
+    let ceiling = EpcSizing::physical().with_ceiling(rng.uniform_range(1, epc + 1));
+    let mut cfg = SimConfig::at_scale(Scale::DEV)
+        .with_epc_pages(epc)
+        .with_costs(costs)
+        .with_stream(stream)
+        .with_abort(abort)
+        .with_epc_sizing(ceiling);
+    if rng.chance(0.5) {
+        cfg = cfg.with_tenant_policy(TenantPolicy::fair(n, epc));
+    }
+    Case { cfg, apps }
+}
+
+/// How many runs reached each path the checks guard.
+#[derive(Debug, Default)]
+struct Reach {
+    foreground_evictions: u64,
+    valve_latched: u64,
+    waited_inflight: u64,
+    wasted_preloads: u64,
+    shed: u64,
+    cross_enclave_aborts: u64,
+    /// Apps with compute whose `app_compute` reads 0.
+    clipped: Vec<String>,
+}
+
+/// Runs case `seed` under `scheme` and checks every app's books.
+fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
+    let ctx = format!("seed {seed}, {scheme}");
+    let apps = case.apps.iter().enumerate().map(|(i, (trace, elrange))| {
+        let plan = if scheme.uses_sip() {
+            let profile = profile_stream(trace.replay(), case.cfg.epc_pages as usize);
+            InstrumentationPlan::from_profile(&profile, case.cfg.sip)
+        } else {
+            InstrumentationPlan::none()
+        };
+        AppSpec::new(format!("app{i}"), *elrange, trace.clone().into_stream())
+            .plan(plan)
+            .build()
+            .expect("non-empty ELRANGE")
+    });
+    let (sink, collected) = CollectingSink::new();
+    let reports = SimRun::new(&case.cfg)
+        .scheme(scheme)
+        .apps(apps)
+        .sink(Box::new(sink))
+        .run()
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let events = collected.borrow();
+
+    // One pass over the stream: each app's share, the page-less valve
+    // flush, lineage and the latch.
+    let owner = |page: VirtPage| (page.raw() >> ENCLAVE_SHIFT) as usize;
+    let starts: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.what,
+                EventKind::PreloadStart | EventKind::SipPrefetchStart
+            )
+        })
+        .map(|e| e.span.raw())
+        .collect();
+    let mut share = vec![EventCounts::default(); reports.len()];
+    let mut batch_owner = HashMap::new();
+    let (mut flushed, mut latched, mut cross_aborts) = (0, false, false);
+    for e in events.iter() {
+        match (e.what, e.page) {
+            (EventKind::ValveStopped, None) => {
+                flushed += e.value.unwrap_or(0);
+                latched = true;
+                share.iter_mut().for_each(|s| s.valve_stops += 1);
+            }
+            (_, None) => share.iter_mut().for_each(|s| s.record(e)),
+            (what, Some(page)) => {
+                share[owner(page)].record(e);
+                match what {
+                    EventKind::StreamPredicted => {
+                        batch_owner.insert(e.span.raw(), owner(page));
+                    }
+                    EventKind::PreloadAbort => {
+                        let batch = e.parent.and_then(|p| batch_owner.get(&p.raw()));
+                        cross_aborts |= batch.is_some_and(|&b| b != owner(page));
+                    }
+                    EventKind::PreloadStart => {
+                        assert!(!latched, "{ctx}: a preload started after the valve latched");
+                    }
+                    EventKind::FaultResolved => {
+                        if let Some(p) = e.parent {
+                            assert!(
+                                starts.contains(&p.raw()),
+                                "{ctx}: fault at {} parents {p}, not a preload",
+                                e.at
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    let switch = case.cfg.costs.aex.raw() + case.cfg.costs.eresume.raw();
+    let mut valve_aborts = 0;
+    for ((r, (trace, _)), share) in reports.iter().zip(&case.apps).zip(share) {
+        let ctx = format!("{ctx}, {}", r.label);
+        let a = &r.attribution;
+        assert_eq!(
+            a.total(),
+            r.total_cycles.raw(),
+            "{ctx}: buckets sum to the total"
+        );
+        assert_eq!(
+            a.aex_eresume,
+            r.faults * switch,
+            "{ctx}: its world switches"
+        );
+        assert!(
+            a.channel_wait >= r.channel_wait_cycles.raw(),
+            "{ctx}: channel wait"
+        );
+        assert_eq!(r.accesses, trace.len() as u64, "{ctx}: accesses");
+        // A firing over-billing clip always leaves `app_compute` at 0.
+        let compute: u64 = trace.accesses().iter().map(|a| a.compute.raw()).sum();
+        if compute > 0 && a.app_compute == 0 {
+            reach.clipped.push(ctx.clone());
+        }
+
+        // The valve's flush names no page: the stream carries its
+        // kernel-wide count, and the ledger bills each page to its owner.
+        let ev = r.events;
+        valve_aborts += ev
+            .preload_aborts
+            .checked_sub(share.preload_aborts)
+            .expect(&ctx);
+        let share = EventCounts {
+            preload_aborts: ev.preload_aborts,
+            ..share
+        };
+        assert_eq!(share, ev, "{ctx}: its share of the stream");
+        assert_eq!(ev.faults, r.faults, "{ctx}: faults");
+        assert_eq!(ev.faults_resolved, r.faults, "{ctx}: every fault resolves");
+        assert_eq!(ev.preload_starts, r.preloads_started, "{ctx}: preloads");
+        assert_eq!(ev.preload_aborts, r.preloads_aborted, "{ctx}: aborts");
+        assert_eq!(ev.background_evictions, r.background_evictions, "{ctx}");
+        assert_eq!(ev.foreground_evictions, r.foreground_evictions, "{ctx}");
+        assert_eq!(
+            ev.valve_stops,
+            u64::from(r.dfp_stopped_at.is_some()),
+            "{ctx}"
+        );
+        assert!(ev.demand_loads <= ev.faults, "{ctx}: demand loads");
+        assert!(ev.preload_hits <= r.preloads_touched, "{ctx}: preload hits");
+    }
+    assert_eq!(
+        valve_aborts, flushed,
+        "{ctx}: the valve's flush, page by page"
+    );
+    let any = |f: fn(&RunReport) -> bool| u64::from(reports.iter().any(f));
+    reach.foreground_evictions += any(|r| r.foreground_evictions > 0);
+    reach.waited_inflight += any(|r| r.faults_waited_inflight > 0);
+    reach.wasted_preloads += any(|r| r.preloads_wasted > 0);
+    reach.shed += any(|r| r.preloads_shed > 0);
+    reach.valve_latched += u64::from(latched);
+    reach.cross_enclave_aborts += u64::from(cross_aborts);
+}
+
+#[test]
+fn random_runs_balance_their_books_and_reach_every_path() {
+    let mut reach = Reach::default();
+    for seed in 0..64 {
+        let case = random_case(seed);
+        for scheme in SCHEMES {
+            check(seed, &case, scheme, &mut reach);
+        }
+    }
+    let counts = [
+        reach.foreground_evictions,
+        reach.valve_latched,
+        reach.waited_inflight,
+        reach.wasted_preloads,
+        reach.shed,
+        reach.cross_enclave_aborts,
+    ];
+    assert!(counts.iter().all(|&c| c > 0), "{reach:?}");
+    assert_eq!(reach.clipped, CLIPPED, "apps whose books over-bill");
+}
