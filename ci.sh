@@ -30,22 +30,16 @@ echo "==> cargo build --release --locked"
 # --locked fails the build when a manifest edit left Cargo.lock stale.
 cargo build --release --locked
 
-echo "==> full-scale Chrome trace digest, slice and sink paths"
+echo "==> full-scale Chrome trace digest"
 # The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) must keep
-# its bytes through both entry points: `timeline --chrome-out` renders a
-# collected event slice with write_chrome_trace, and `campaign
-# --timeline-out` renders through ChromeTraceSink's own compact log.
+# its bytes. `timeline --chrome-out` streams the run through
+# ChromeTraceSink, the one render path `campaign --timeline-out` also uses.
 TRACE_SHA256=5a49065972cea4954cdf1e9d68db20585c27bb5e579dfbe709f1a88b951bf1e0
 trace_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir"' EXIT
 ./target/release/sgx-preload timeline --bench microbenchmark --scheme dfp \
-  --scale full -n 0 --chrome-out "$trace_dir/slice.chrome.json" > /dev/null
-echo "$TRACE_SHA256  $trace_dir/slice.chrome.json" | sha256sum --check --quiet
-rm "$trace_dir/slice.chrome.json"
-./target/release/sgx-preload campaign --benches microbenchmark --schemes dfp \
-  --scale full --jobs 1 --timeline-out "$trace_dir/sink" > /dev/null
-echo "$TRACE_SHA256  $trace_dir/sink/000_microbenchmark-DFP.chrome.json" |
-  sha256sum --check --quiet
+  --scale full -n 0 --chrome-out "$trace_dir/trace.chrome.json" > /dev/null
+echo "$TRACE_SHA256  $trace_dir/trace.chrome.json" | sha256sum --check --quiet
 rm -rf "$trace_dir"
 
 echo "==> cargo test -q"

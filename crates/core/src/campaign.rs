@@ -13,13 +13,10 @@
 //!
 //! 1. **Cells are independent.** Each cell builds its own kernel, EPC and
 //!    workload; nothing is shared between worker threads but the queue.
-//! 2. **Per-cell seeds are positional.** Under [`SeedMode::PerCell`] the
-//!    cell at index `i` runs with `derive_cell_seed(campaign_seed, i)` — a
-//!    SplitMix64-style hash — so its workload depends only on the campaign
-//!    seed and its position, never on scheduling. [`SeedMode::Shared`]
-//!    instead gives every cell the campaign seed verbatim, which keeps
-//!    A/B comparisons (scheme vs baseline on the *same* workload stream)
-//!    meaningful; it is what the figure benches use.
+//! 2. **Every cell runs at the campaign seed.** A cell's workload depends
+//!    only on the seed and the cell, never on scheduling, and every
+//!    scheme and sweep point on a benchmark runs its baseline's stream, so
+//!    scheme-vs-baseline comparisons measure the scheme alone.
 //! 3. **Results are collected by index.** Workers write into a
 //!    pre-sized slot table, so the report order is the cell order.
 //!
@@ -67,14 +64,6 @@ use crate::{RunReport, Scheme, SimConfig, SimError, SimRun};
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "SGX_PRELOAD_JOBS";
-
-/// Derives the seed for the cell at `cell_index` from the campaign seed —
-/// the same stable SplitMix64-style hash ([`sgx_sim::mix`]) that
-/// [`sgx_sim::DetRng::fork`] uses, so the mapping is identical across
-/// runs, platforms and worker counts.
-pub fn derive_cell_seed(campaign_seed: u64, cell_index: usize) -> u64 {
-    sgx_sim::mix(campaign_seed, cell_index as u64)
-}
 
 /// Resolves the worker count: explicit request, else [`JOBS_ENV`], else
 /// the machine's available parallelism (min 1).
@@ -181,15 +170,12 @@ where
         .collect()
 }
 
-/// How cells derive their workload seeds from the campaign seed.
+/// How cells take their workload seeds: every cell runs at the campaign
+/// seed. Kept, with [`Campaign::with_seed_mode`], only because the bench
+/// ledger still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedMode {
-    /// Cell `i` runs with `derive_cell_seed(campaign_seed, i)`:
-    /// decorrelated workloads across cells (the default).
-    PerCell,
-    /// Every cell runs with the campaign seed verbatim: cells that build
-    /// the same benchmark see the *same* workload stream, which is what
-    /// scheme-vs-baseline comparisons need.
+    /// Every cell runs with the campaign seed verbatim.
     Shared,
 }
 
@@ -257,8 +243,8 @@ pub struct Cell {
     pub work: CellWork,
     /// The scheme arming the kernel.
     pub scheme: Scheme,
-    /// Full configuration; the campaign overrides its `seed` according to
-    /// the [`SeedMode`].
+    /// Full configuration; the campaign overrides its `seed` with the
+    /// campaign seed.
     pub cfg: SimConfig,
 }
 
@@ -301,14 +287,13 @@ impl Cell {
     }
 }
 
-/// A declarative set of cells plus the campaign seed and seeding mode.
+/// A declarative set of cells plus the seed every cell runs at.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// Campaign name (report header and JSON `campaign` field).
     pub name: String,
-    /// Master seed all per-cell seeds derive from.
+    /// The workload seed of every cell.
     pub seed: u64,
-    seed_mode: SeedMode,
     trace_dir: Option<PathBuf>,
     timeline_dir: Option<PathBuf>,
     cells: Vec<Cell>,
@@ -320,7 +305,6 @@ impl Campaign {
         Campaign {
             name: name.into(),
             seed,
-            seed_mode: SeedMode::PerCell,
             trace_dir: None,
             timeline_dir: None,
             cells: Vec::new(),
@@ -329,9 +313,8 @@ impl Campaign {
 
     /// The full `works × schemes` cross-product over one base config,
     /// enumerated work-major (all schemes of a workload are adjacent).
-    /// The works are benchmarks or recorded-trace replays; combine replays
-    /// with [`SeedMode::Shared`] when they were recorded at the campaign
-    /// seed, so source-declared replays reproduce the generator grid
+    /// The works are benchmarks or recorded-trace replays; source-declared
+    /// replays recorded at the campaign seed reproduce the generator grid
     /// byte-for-byte.
     pub fn grid<W>(
         name: impl Into<String>,
@@ -385,11 +368,8 @@ impl Campaign {
     /// pair, one leakage cell per scheme (labeled `pair/scheme`) plus
     /// the ORAM-style known-private reference row (`pair/oram`, run at
     /// the pair's footprint under [`Scheme::Baseline`]). Enumerated
-    /// pair-major so one pair's scheme rows are adjacent.
-    ///
-    /// The campaign is forced to [`SeedMode::Shared`]: distinguishing a
-    /// scheme's leakage from the baseline's only makes sense when every
-    /// cell of a pair runs the *same* secret-dependent workload streams.
+    /// pair-major so one pair's scheme rows are adjacent, and every cell
+    /// of a pair runs the same secret-dependent workload streams.
     pub fn leakage_grid(
         name: impl Into<String>,
         seed: u64,
@@ -398,7 +378,7 @@ impl Campaign {
         cfg: SimConfig,
         window: usize,
     ) -> Self {
-        let mut c = Campaign::new(name, seed).with_seed_mode(SeedMode::Shared);
+        let mut c = Campaign::new(name, seed);
         for &pair in pairs {
             for &scheme in schemes {
                 c.push(Cell::leakage(
@@ -424,10 +404,9 @@ impl Campaign {
         c
     }
 
-    /// Selects how cells derive their seeds (default
-    /// [`SeedMode::PerCell`]).
-    pub fn with_seed_mode(mut self, mode: SeedMode) -> Self {
-        self.seed_mode = mode;
+    /// Does nothing: every cell already runs at the campaign seed. Kept
+    /// only because the bench ledger still calls it.
+    pub fn with_seed_mode(self, _mode: SeedMode) -> Self {
         self
     }
 
@@ -475,12 +454,10 @@ impl Campaign {
         self.cells.is_empty()
     }
 
-    /// The seed the cell at `index` will run with.
-    pub fn cell_seed(&self, index: usize) -> u64 {
-        match self.seed_mode {
-            SeedMode::PerCell => derive_cell_seed(self.seed, index),
-            SeedMode::Shared => self.seed,
-        }
+    /// The seed the cell at `index` will run with: the campaign seed, for
+    /// every cell.
+    pub fn cell_seed(&self, _index: usize) -> u64 {
+        self.seed
     }
 
     /// Runs the campaign with [`effective_jobs`]`(None)` workers.
@@ -506,7 +483,7 @@ impl Campaign {
             cells.push(run_cell(
                 cell,
                 i,
-                self.cell_seed(i),
+                self.seed,
                 self.trace_dir.as_deref(),
                 self.timeline_dir.as_deref(),
             )?);
@@ -535,7 +512,7 @@ impl Campaign {
             run_cell(
                 &self.cells[i],
                 i,
-                self.cell_seed(i),
+                self.seed,
                 self.trace_dir.as_deref(),
                 self.timeline_dir.as_deref(),
             )
@@ -838,7 +815,7 @@ impl CellReport {
 pub struct CampaignReport {
     /// Campaign name.
     pub name: String,
-    /// The master seed the campaign ran with.
+    /// The seed every cell ran with.
     pub campaign_seed: u64,
     /// Worker threads used (non-deterministic context; excluded from
     /// canonical JSON).
@@ -947,19 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_seeds_are_stable_and_positional() {
-        let a = derive_cell_seed(42, 0);
-        let b = derive_cell_seed(42, 1);
-        assert_ne!(a, b);
-        assert_eq!(a, derive_cell_seed(42, 0));
-        let c = tiny_campaign();
-        assert_eq!(c.cell_seed(3), derive_cell_seed(11, 3));
-        let shared = tiny_campaign().with_seed_mode(SeedMode::Shared);
-        assert_eq!(shared.cell_seed(0), 11);
-        assert_eq!(shared.cell_seed(3), 11);
-    }
-
-    #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let c = tiny_campaign();
         let serial = c.run_serial().unwrap();
@@ -1004,21 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_seed_mode_reuses_the_workload_across_schemes() {
-        let c = Campaign::grid(
-            "shared",
-            21,
-            &[Benchmark::Microbenchmark],
-            &[Scheme::Baseline, Scheme::Dfp],
-            tiny_cfg(),
-        )
-        .with_seed_mode(SeedMode::Shared);
-        let r = c.run_serial().unwrap();
-        // Same workload stream under both schemes: identical access counts.
-        assert_eq!(r.cells[0].report.accesses, r.cells[1].report.accesses);
-    }
-
-    #[test]
     fn sweep_adds_a_labelled_config_axis() {
         let cfg = tiny_cfg();
         let c = Campaign::sweep(
@@ -1038,7 +987,7 @@ mod tests {
             ["microbenchmark/DFP/epc=full", "microbenchmark/DFP/epc=half"]
         );
         assert_eq!(c.cells()[1].cfg.epc_pages * 2, cfg.epc_pages);
-        let r = c.with_seed_mode(SeedMode::Shared).run_serial().unwrap();
+        let r = c.run_serial().unwrap();
         // Same workload either way; the EPC size only perturbs the kernel.
         assert_eq!(r.cells[0].report.accesses, r.cells[1].report.accesses);
 
@@ -1066,7 +1015,7 @@ mod tests {
         );
         assert!(c.cells()[0].cfg.tenant.is_none());
         assert!(!c.cells()[1].cfg.tenant.is_none());
-        let r = c.with_seed_mode(SeedMode::Shared).run_serial().unwrap();
+        let r = c.run_serial().unwrap();
         // Same workload either way; the policy only perturbs the kernel.
         assert_eq!(r.cells[0].report.accesses, r.cells[1].report.accesses);
         // A single-enclave cell under fair(2) stays within its share, so
@@ -1082,10 +1031,9 @@ mod tests {
         let benches = [Benchmark::Microbenchmark, Benchmark::Leela];
         let schemes = [Scheme::Baseline, Scheme::Dfp];
         let direct = Campaign::grid("replay_eq", seed, &benches, &schemes, cfg)
-            .with_seed_mode(SeedMode::Shared)
             .run_serial()
             .unwrap();
-        // Record each bench's full ref stream at the shared seed, then
+        // Record each bench's full ref stream at the campaign seed, then
         // drive the identical grid from the recordings.
         let replays: Vec<TraceReplay> = benches
             .iter()
@@ -1096,7 +1044,6 @@ mod tests {
             })
             .collect();
         let replayed = Campaign::grid("replay_eq", seed, &replays, &schemes, cfg)
-            .with_seed_mode(SeedMode::Shared)
             .run_with_jobs(4)
             .unwrap();
         assert_eq!(direct.to_canonical_json(), replayed.to_canonical_json());
@@ -1162,8 +1109,6 @@ mod tests {
                 "dfp-echo/oram",
             ]
         );
-        // Scheme-vs-baseline comparisons need the same workload streams.
-        assert_eq!(c.cell_seed(0), c.cell_seed(5));
     }
 
     #[test]

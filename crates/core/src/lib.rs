@@ -48,8 +48,8 @@ mod simulator;
 mod userspace;
 
 pub use campaign::{
-    derive_cell_seed, effective_jobs, run_indexed, Campaign, CampaignError, CampaignReport, Cell,
-    CellReport, CellWork, LeakageSpec, SeedMode, DEFAULT_TIMELINE_SERIES_INTERVAL, JOBS_ENV,
+    effective_jobs, run_indexed, Campaign, CampaignError, CampaignReport, Cell, CellReport,
+    CellWork, LeakageSpec, SeedMode, DEFAULT_TIMELINE_SERIES_INTERVAL, JOBS_ENV,
 };
 pub use config::SimConfig;
 pub use replay::{ElrangeError, TraceReplay};
@@ -58,8 +58,8 @@ pub use scheme::{ParseSchemeError, Scheme};
 pub use sgx_dfp::{ParsePredictorKindError, PredictorKind};
 pub use sgx_epc::{EpcSizing, TenantQuota};
 pub use sgx_kernel::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CycleAttribution, EventCounts,
-    GaugeSample, SeriesFormat, SpanId, TenantPolicy, TenantShare, TimeSeriesSink, MAX_TENANTS,
+    render_chrome_trace, ChromeTraceSink, CycleAttribution, EventCounts, GaugeSample, SeriesFormat,
+    SpanId, TenantPolicy, TenantShare, TimeSeriesSink, MAX_TENANTS,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,

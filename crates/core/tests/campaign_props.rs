@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sgx_preload_core::{derive_cell_seed, Campaign, Cell, Scheme, SeedMode, SimConfig};
+use sgx_preload_core::{Campaign, Cell, Scheme, SimConfig};
 use sgx_workloads::{Benchmark, Scale};
 
 /// The cheap benchmarks the random campaigns draw from; large-footprint
@@ -29,22 +29,13 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
 }
 
 fn arb_campaign() -> impl Strategy<Value = Campaign> {
-    (
-        any::<u64>(),
-        proptest::collection::vec(arb_cell(), 1..5),
-        any::<bool>(),
-    )
-        .prop_map(|(seed, cells, shared)| {
-            let mut c = Campaign::new("prop", seed).with_seed_mode(if shared {
-                SeedMode::Shared
-            } else {
-                SeedMode::PerCell
-            });
-            for cell in cells {
-                c.push(cell);
-            }
-            c
-        })
+    (any::<u64>(), proptest::collection::vec(arb_cell(), 1..5)).prop_map(|(seed, cells)| {
+        let mut c = Campaign::new("prop", seed);
+        for cell in cells {
+            c.push(cell);
+        }
+        c
+    })
 }
 
 proptest! {
@@ -70,23 +61,6 @@ proptest! {
                 serial.to_canonical_json(),
                 parallel.to_canonical_json()
             );
-        }
-    }
-
-    /// Per-cell seeds depend only on (campaign_seed, index) — never on
-    /// the cell's content or its neighbors.
-    #[test]
-    fn cell_seeds_are_positional(seed in any::<u64>(), n in 1usize..8) {
-        let mut c = Campaign::new("seeds", seed);
-        for _ in 0..n {
-            c.push(Cell::new(
-                Benchmark::Microbenchmark,
-                Scheme::Baseline,
-                SimConfig::at_scale(Scale::new(64)),
-            ));
-        }
-        for i in 0..n {
-            prop_assert_eq!(c.cell_seed(i), derive_cell_seed(seed, i));
         }
     }
 }

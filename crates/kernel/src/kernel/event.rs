@@ -306,6 +306,9 @@ mod tests {
         let mut k = kernel_with(8, Box::new(NextLinePredictor::new(3)));
         let (sink, counts) = crate::CountingSink::new();
         k.subscribe(Box::new(sink));
+        // The abort events carry the pages they drop.
+        let (sink, events) = crate::CollectingSink::new();
+        k.subscribe(Box::new(sink));
         let mut now = Cycles::ZERO;
         for i in 0..200u64 {
             let page = p(i % 24);
@@ -317,7 +320,14 @@ mod tests {
         let c = counts.get();
         let s = k.stats();
         assert_eq!(c.faults, s.faults);
-        assert_eq!(c.preload_aborts, s.preloads_aborted);
+        assert_eq!(c.preload_aborts, s.preload_abort_events);
+        let events = events.borrow();
+        let aborts = events.iter().filter(|e| e.what == EventKind::PreloadAbort);
+        assert_eq!(
+            aborts.filter_map(|e| e.value).sum::<u64>(),
+            s.preloads_aborted
+        );
+        assert!(c.preload_aborts > 0, "no abort to count");
         assert_eq!(c.faults_resolved, s.faults);
         assert_eq!(c.demand_loads, s.demand_loads);
         assert_eq!(c.preload_starts, s.preloads_started);

@@ -46,6 +46,10 @@ pub struct KernelStats {
     /// Queued pages dropped by the abort path (demand-fault cancellations
     /// and the safety valve).
     pub preloads_aborted: u64,
+    /// Demand faults that dropped queued preloads: one per
+    /// [`EventKind::PreloadAbort`] event, billed to the faulter, whose
+    /// page the event names.
+    pub preload_abort_events: u64,
     /// Predicted pages rejected for lying outside the enclave's ELRANGE.
     pub preloads_rejected_range: u64,
     /// EWB jobs run by the background reclaimer.
@@ -108,6 +112,7 @@ impl KernelStats {
         self.preloads_started += o.preloads_started;
         self.preloads_skipped_resident += o.preloads_skipped_resident;
         self.preloads_aborted += o.preloads_aborted;
+        self.preload_abort_events += o.preload_abort_events;
         self.preloads_rejected_range += o.preloads_rejected_range;
         self.background_evictions += o.background_evictions;
         self.foreground_evictions += o.foreground_evictions;
@@ -148,6 +153,7 @@ impl Default for KernelStats {
             preloads_started: 0,
             preloads_skipped_resident: 0,
             preloads_aborted: 0,
+            preload_abort_events: 0,
             preloads_rejected_range: 0,
             background_evictions: 0,
             foreground_evictions: 0,
@@ -367,7 +373,7 @@ impl Kernel {
             preload_dones: s.preload_dones,
             background_evictions: s.background_evictions,
             foreground_evictions: s.foreground_evictions,
-            preload_aborts: s.preloads_aborted,
+            preload_aborts: s.preload_abort_events,
             sip_loads: s.sip_loads,
             valve_stops: u64::from(self.preload_stopped),
             sip_prefetch_starts: s.sip_prefetches_started,
@@ -435,7 +441,6 @@ impl Kernel {
             channel_wait,
             preload_work,
             wasted_preload,
-            clock_scan: 0,
             eviction,
         }
     }

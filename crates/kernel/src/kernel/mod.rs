@@ -620,6 +620,7 @@ impl Kernel {
                         let parent = Some(SpanId::new(batch));
                         let value = Some(dropped);
                         self.log(t, EventKind::PreloadAbort, Some(g), value, aspan, parent);
+                        self.ledger.stats[ten].preload_abort_events += 1;
                     }
                     self.ledger.stats[ten].preloads_aborted += dropped;
                     let from = t + self.costs.os_fault_path;

@@ -79,8 +79,8 @@ pub use queue::PreloadQueue;
 pub use span::SpanId;
 pub use tenant::{TenantPolicy, TenantShare, MAX_TENANTS};
 pub use timeline::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CycleAttribution, GaugeSample,
-    SeriesFormat, TimeSeriesSink,
+    render_chrome_trace, ChromeTraceSink, CycleAttribution, GaugeSample, SeriesFormat,
+    TimeSeriesSink,
 };
 pub use trace::{
     CollectingSink, CountingSink, EventCounts, HistogramSink, JsonlWriterSink, TraceHistograms,

@@ -25,7 +25,7 @@ use crate::{EventKind, LoggedEvent, SpanId, TraceSink};
 /// The stall-side buckets (`demand_fault`, `aex_eresume`, `channel_wait`)
 /// partition the cycles the application spent blocked in fault handling
 /// and blocking SIP loads; the channel-side buckets (`preload_work`,
-/// `wasted_preload`, `clock_scan`, `eviction`) count background channel
+/// `wasted_preload`, `eviction`) count background channel
 /// cycles *clipped* of any portion an application stall already paid for,
 /// so no cycle is counted twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,10 +47,6 @@ pub struct CycleAttribution {
     /// Channel cycles spent on preloads/prefetches evicted or abandoned
     /// untouched (wasted speculation).
     pub wasted_preload: u64,
-    /// Replacement-scan stall cycles. Always 0: the cost model prices
-    /// CLOCK sweeps at zero and nothing else stalls a scan. The key stays
-    /// so the report schema keeps its shape until its next version bump.
-    pub clock_scan: u64,
     /// EWB cycles spent writing victims back (foreground and background).
     pub eviction: u64,
 }
@@ -63,7 +59,7 @@ impl CycleAttribution {
 
     /// Every named overhead bucket as `(name, cycles)`, in schema order
     /// (`app_compute` first).
-    pub fn buckets(&self) -> [(&'static str, u64); 8] {
+    pub fn buckets(&self) -> [(&'static str, u64); 7] {
         [
             ("app_compute", self.app_compute),
             ("demand_fault", self.demand_fault),
@@ -71,7 +67,6 @@ impl CycleAttribution {
             ("channel_wait", self.channel_wait),
             ("preload_work", self.preload_work),
             ("wasted_preload", self.wasted_preload),
-            ("clock_scan", self.clock_scan),
             ("eviction", self.eviction),
         ]
     }
@@ -94,14 +89,13 @@ impl std::fmt::Display for CycleAttribution {
             f,
             "compute {:.1}% | demand-fault {:.1}% | aex/eresume {:.1}% | \
              channel-wait {:.1}% | preload {:.1}% | wasted {:.1}% | \
-             scan {:.1}% | evict {:.1}%",
+             evict {:.1}%",
             pct(self.app_compute),
             pct(self.demand_fault),
             pct(self.aex_eresume),
             pct(self.channel_wait),
             pct(self.preload_work),
             pct(self.wasted_preload),
-            pct(self.clock_scan),
             pct(self.eviction),
         )
     }
@@ -343,8 +337,7 @@ fn closes_span(kind: EventKind) -> bool {
 /// The sink never holds whole events: each one is logged as a header byte
 /// plus a few varint deltas, and each span keeps only the facts its
 /// records read (where it starts, where it first closes, whether it
-/// opens). The output is byte-identical to [`write_chrome_trace`] over the
-/// same stream.
+/// opens).
 pub struct ChromeTraceSink<W: Write> {
     out: Option<W>,
     log: EventLog,
@@ -413,33 +406,22 @@ impl<W: Write> Drop for ChromeTraceSink<W> {
 }
 
 /// Renders `events` (one run's stream, in emission order) as a Chrome
-/// trace-event JSON document held in memory; see [`write_chrome_trace`],
-/// which streams the same bytes to a writer.
+/// trace-event JSON document held in memory, by feeding them through a
+/// [`ChromeTraceSink`]. Deterministic: a byte-identical stream renders to
+/// byte-identical JSON.
 pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
     let mut out = Vec::new();
-    write_chrome_trace(events, &mut out).expect("writing to a Vec cannot fail");
+    let mut sink = ChromeTraceSink::new(&mut out);
+    for e in events {
+        sink.on_event(e);
+    }
+    sink.finish().expect("writing to a Vec cannot fail");
+    drop(sink);
     String::from_utf8(out).expect("the render writes only UTF-8")
 }
 
-/// Bytes the streaming render collects before handing them to its writer.
+/// Bytes the render collects before handing them to its writer.
 const CHROME_FLUSH_BYTES: usize = 64 * 1024;
-
-/// Writes `events` (one run's stream, in emission order) to `w` as a
-/// Chrome trace-event JSON document. Deterministic: a byte-identical stream
-/// renders to byte-identical JSON. Records reach `w` in 64 KiB chunks, so
-/// the render holds one chunk of the document, never all of it; `w` is not
-/// flushed.
-///
-/// # Errors
-///
-/// Propagates writer errors; the document is then incomplete.
-pub fn write_chrome_trace(events: &[LoggedEvent], w: &mut impl Write) -> io::Result<()> {
-    let mut index = TraceIndex::new();
-    for e in events {
-        index.observe(e);
-    }
-    index.write(events.iter().copied(), w)
-}
 
 /// [`Span::flags`] bit: the span's id appeared in the stream.
 const SEEN: u8 = 1;
@@ -490,9 +472,8 @@ fn note_flags(flags: &mut u8, what: EventKind, at: u64) -> Option<u64> {
 
 /// What the render needs to know about a stream, gathered one event at a
 /// time: the lanes it uses and the facts of every span.
-/// [`ChromeTraceSink`] fills it as events arrive, [`write_chrome_trace`]
-/// in one pass over its slice; [`TraceIndex::write`] then renders the
-/// stream for both.
+/// [`ChromeTraceSink`] fills it as events arrive, and
+/// [`TraceIndex::write`] then renders the stream.
 ///
 /// A kernel allocates span ids from one counter that starts at 1 and logs
 /// every id it allocates, so its ids are dense and stay near the count of
@@ -1004,10 +985,10 @@ mod tests {
             channel_wait: 4,
             preload_work: 5,
             wasted_preload: 6,
-            clock_scan: 7,
             eviction: 8,
         };
-        assert_eq!(a.total(), 153);
+        assert_eq!(a.total(), 146);
+        assert_eq!(a.buckets().len(), 7);
         assert_eq!(a.buckets()[0], ("app_compute", 100));
         let mut json = String::new();
         a.write_json(&mut json);
@@ -1086,7 +1067,12 @@ mod tests {
             .map(|i| ev(i, EventKind::Fault, Some(i), None, i + 1, None))
             .collect();
         let mut w = Calls(Vec::new());
-        write_chrome_trace(&events, &mut w).unwrap();
+        let mut sink = ChromeTraceSink::new(&mut w);
+        for e in &events {
+            sink.on_event(e);
+        }
+        sink.finish().unwrap();
+        drop(sink);
         let (last, chunks) = w.0.split_last().unwrap();
         assert!(chunks.len() >= 2, "{:?}", w.0);
         // A chunk goes out once it reaches the flush size, so it overshoots

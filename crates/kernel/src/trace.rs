@@ -63,9 +63,8 @@ pub struct EventCounts {
     pub background_evictions: u64,
     /// Foreground (inside a blocking load) evictions.
     pub foreground_evictions: u64,
-    /// Queued preloads dropped (individual pages): the batch sizes of
-    /// every abort event plus the pages flushed when the valve fires —
-    /// matches `KernelStats::preloads_aborted`.
+    /// Demand-fault aborts of queued preloads, one per abort event; the
+    /// pages they drop are `KernelStats::preloads_aborted`.
     pub preload_aborts: u64,
     /// SIP blocking loads completed.
     pub sip_loads: u64,
@@ -84,44 +83,25 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
-    /// Tallies one event of `kind`, weighted as a single occurrence.
+    /// Tallies one event of `kind`. Every event counts once, whatever its
+    /// `value`, so [`EventCounts::total`] is the number of events seen.
     pub fn bump(&mut self, kind: EventKind) {
-        self.bump_by(kind, 1);
-    }
-
-    /// Tallies a full event. Most kinds count occurrences; abort-flavored
-    /// events carry a batch size in `value`, and every dropped page is
-    /// counted so `preload_aborts` matches `KernelStats`.
-    pub fn record(&mut self, event: &LoggedEvent) {
-        match event.what {
-            EventKind::PreloadAbort => self.bump_by(event.what, event.value.unwrap_or(1)),
-            EventKind::ValveStopped => {
-                // The valve flushes the queue as it latches: one firing,
-                // `value` pages aborted.
-                self.valve_stops += 1;
-                self.preload_aborts += event.value.unwrap_or(0);
-            }
-            _ => self.bump(event.what),
-        }
-    }
-
-    fn bump_by(&mut self, kind: EventKind, n: u64) {
-        match kind {
-            EventKind::Fault => self.faults += n,
-            EventKind::DemandLoaded => self.demand_loads += n,
-            EventKind::PreloadStart => self.preload_starts += n,
-            EventKind::PreloadDone => self.preload_dones += n,
-            EventKind::EvictBackground => self.background_evictions += n,
-            EventKind::EvictForeground => self.foreground_evictions += n,
-            EventKind::PreloadAbort => self.preload_aborts += n,
-            EventKind::SipLoaded => self.sip_loads += n,
-            EventKind::ValveStopped => self.valve_stops += n,
-            EventKind::SipPrefetchStart => self.sip_prefetch_starts += n,
-            EventKind::FaultResolved => self.faults_resolved += n,
-            EventKind::PreloadHit => self.preload_hits += n,
-            EventKind::StreamPredicted => self.stream_predictions += n,
-            EventKind::RunEnd => self.run_ends += n,
-        }
+        *match kind {
+            EventKind::Fault => &mut self.faults,
+            EventKind::DemandLoaded => &mut self.demand_loads,
+            EventKind::PreloadStart => &mut self.preload_starts,
+            EventKind::PreloadDone => &mut self.preload_dones,
+            EventKind::EvictBackground => &mut self.background_evictions,
+            EventKind::EvictForeground => &mut self.foreground_evictions,
+            EventKind::PreloadAbort => &mut self.preload_aborts,
+            EventKind::SipLoaded => &mut self.sip_loads,
+            EventKind::ValveStopped => &mut self.valve_stops,
+            EventKind::SipPrefetchStart => &mut self.sip_prefetch_starts,
+            EventKind::FaultResolved => &mut self.faults_resolved,
+            EventKind::PreloadHit => &mut self.preload_hits,
+            EventKind::StreamPredicted => &mut self.stream_predictions,
+            EventKind::RunEnd => &mut self.run_ends,
+        } += 1;
     }
 
     /// Every tally as `(name, count)`, in schema order.
@@ -144,7 +124,7 @@ impl EventCounts {
         ]
     }
 
-    /// Total events tallied.
+    /// Total events tallied: one per event.
     pub fn total(&self) -> u64 {
         self.tallies().iter().map(|&(_, n)| n).sum()
     }
@@ -201,7 +181,7 @@ impl CountingSink {
 impl TraceSink for CountingSink {
     fn on_event(&mut self, event: &LoggedEvent) {
         let mut c = self.counts.get();
-        c.record(event);
+        c.bump(event.what);
         self.counts.set(c);
     }
 }
@@ -429,16 +409,14 @@ mod tests {
         let (mut sink, counts) = CountingSink::new();
         let kinds = EventKind::ALL;
         for k in kinds {
-            sink.on_event(&ev(1, k));
+            sink.on_event(&ev(5, k));
         }
         let c = counts.get();
-        // Both abort-flavored kinds carry `value: Some(1)` here, so the
-        // valve event lands once in `valve_stops` and once more in
-        // `preload_aborts` alongside the abort's own batch.
-        assert_eq!(c.total(), kinds.len() as u64 + 1);
+        // Every event counts once, whatever its `value`.
+        assert_eq!(c.total(), kinds.len() as u64);
         assert_eq!(c.faults, 1);
         assert_eq!(c.valve_stops, 1);
-        assert_eq!(c.preload_aborts, 2);
+        assert_eq!(c.preload_aborts, 1);
         assert_eq!(c.stream_predictions, 1);
         assert_eq!(c.run_ends, 1);
     }

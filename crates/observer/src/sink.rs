@@ -100,7 +100,7 @@ impl Observation {
             self.private_suppressed += 1;
             return;
         }
-        self.counts.record(event);
+        self.counts.bump(event.what);
         let Some(page) = event.page else { return };
         let raw = page.raw();
         match channel_of(event.what) {

@@ -4,7 +4,7 @@
 //! sgx-preload list
 //! sgx-preload run --bench lbm --scheme dfp --scale dev
 //! sgx-preload run --bench lbm --scheme dfp --jsonl lbm.jsonl --hist
-//! sgx-preload suite --scale dev --jobs 4
+//! sgx-preload campaign --scale dev --jobs 4
 //! sgx-preload campaign --benches lbm,mcf --schemes baseline,dfp --json-out out.json
 //! sgx-preload profile --bench deepsjeng --scale dev
 //! sgx-preload trace record --bench kvstore --out kv.sgxt
@@ -12,16 +12,17 @@
 //! sgx-preload trace replay --trace kv.sgxt --scheme dfp --source-bench kvstore --diff
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
-use std::io::Write;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::process::ExitCode;
+use std::rc::Rc;
 
-use sgx_preloading::kernel::EventKind;
+use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
 use sgx_preloading::sim::json::{self, Value};
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
-    build_plan, effective_jobs, profile_stream, write_chrome_trace, CollectingSink, EpcSizing,
+    build_plan, effective_jobs, profile_stream, ChromeTraceSink, CycleAttribution, EpcSizing,
     HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
     DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
@@ -35,8 +36,8 @@ USAGE:
 COMMANDS:
     list                       list benchmarks and schemes
     run                        run one benchmark under one scheme
-    suite                      run every benchmark under every scheme (parallel)
-    campaign                   run a benchmark × scheme campaign, JSON telemetry
+    campaign                   run a benchmark × scheme campaign on one seed
+                               (parallel), JSON telemetry
     profile                    profile a benchmark and show the SIP plan
     trace record               record a full access trace to the compact
                                binary .sgxt format (or CSV by extension)
@@ -58,7 +59,8 @@ COMMANDS:
 
 COMMON OPTIONS:
     --scale <dev|quarter|full|N>   workload/EPC scale (default: dev)
-    --seed <N>                     workload seed (default: 42)
+    --seed <N>                     workload seed (default: 42); every
+                                   campaign and leakage cell runs at it
     --predictor <name>             fault-driven predictor for DFP-style schemes:
                                    multi-stream (default) | next-line | stride |
                                    stride-confident | markov | leap
@@ -66,7 +68,13 @@ COMMON OPTIONS:
                                    edmm/edmm+dfp-stop schemes (default: grow to
                                    physical EPC)
 
-suite/campaign OPTIONS:
+campaign OPTIONS:
+    --benches <a,b,..>             comma-separated benchmarks (default: all)
+    --schemes <a,b,..>             comma-separated schemes (default: all kernel
+                                   schemes: baseline,dfp,dfp-stop,sip,hybrid;
+                                   also: edmm, edmm+dfp-stop, user-level); with
+                                   baseline among them, each other scheme's
+                                   improvement over it is tabled per benchmark
     --jobs <N>                     worker threads (default: $SGX_PRELOAD_JOBS,
                                    else available parallelism); results are
                                    identical for every worker count
@@ -79,14 +87,6 @@ suite/campaign OPTIONS:
                                    percentiles (p50/p90/p99)
     --attr                         print per-cell cycle attribution (percent of
                                    total cycles per subsystem bucket)
-
-campaign OPTIONS:
-    --campaign-seed <N>            campaign master seed (default: 42);
-                                   campaign derives per-cell seeds from it
-    --benches <a,b,..>             comma-separated benchmarks (default: all)
-    --schemes <a,b,..>             comma-separated schemes (default: all kernel
-                                   schemes: baseline,dfp,dfp-stop,sip,hybrid;
-                                   also: edmm, edmm+dfp-stop, user-level)
 
 run OPTIONS:
     --bench <name>                 benchmark name (see `list`)
@@ -131,7 +131,8 @@ timeline OPTIONS:
                                    (load it at ui.perfetto.dev)
     --series-out <file>            sample kernel gauges into a time series
                                    (CSV, or JSON when the path ends in .json)
-    --series-every <N>             sampling interval in cycles (default 100000)
+    --series-every <N>             sampling interval in cycles (default 100000;
+                                   needs --series-out)
     --attr                         print the cycle-attribution table
     --json-out <file>              write a timeline summary (event/span counts,
                                    attribution, invariant checks) as JSON
@@ -149,7 +150,6 @@ leakage OPTIONS:
                                    (default 0.05)
     --jobs <N>                     worker threads; the canonical JSON is
                                    byte-identical for every worker count
-    --campaign-seed <N>            campaign master seed (default 42)
     --json-out <file>              write the canonical campaign report JSON
                                    (excludes jobs/wall time)
 
@@ -176,7 +176,7 @@ const BOOL_FLAGS: [&str; 3] = ["hist", "attr", "diff"];
 const CONFIG_FLAGS: &str = "scale seed epc-pages load-length list-len threshold early predictor \
     epc-ceiling";
 
-/// The output flags `suite`, `campaign` and `leakage` share.
+/// The output flags `campaign` and `leakage` share.
 const GRID_FLAGS: &str = "jobs json-out trace-out timeline-out";
 
 impl Args {
@@ -256,10 +256,6 @@ impl Args {
         Ok(effective_jobs(self.parsed::<usize>("jobs")?))
     }
 
-    fn campaign_seed(&self) -> Result<u64, String> {
-        Ok(self.parsed::<u64>("campaign-seed")?.unwrap_or(42))
-    }
-
     /// `--benches a,b,c`, defaulting to every benchmark.
     fn benches(&self) -> Result<Vec<Benchmark>, String> {
         match self.get("benches") {
@@ -277,13 +273,7 @@ impl Args {
     /// `--schemes a,b,c`, defaulting to every kernel-level scheme.
     fn schemes(&self) -> Result<Vec<Scheme>, String> {
         match self.get("schemes") {
-            None => Ok(vec![
-                Scheme::Baseline,
-                Scheme::Dfp,
-                Scheme::DfpStop,
-                Scheme::Sip,
-                Scheme::Hybrid,
-            ]),
+            None => Ok(Scheme::ALL.to_vec()),
             Some(list) => list
                 .split(',')
                 .map(|s| s.trim().parse::<Scheme>().map_err(|e| e.to_string()))
@@ -429,9 +419,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The schemes the `suite` table compares against baseline, in column order.
-const SUITE_SCHEMES: [Scheme; 4] = [Scheme::Dfp, Scheme::DfpStop, Scheme::Sip, Scheme::Hybrid];
-
 /// Applies the shared `--trace-out` / `--timeline-out` options to a
 /// campaign.
 fn apply_trace_out(args: &Args, mut campaign: Campaign) -> Campaign {
@@ -469,81 +456,70 @@ fn print_percentiles(report: &CampaignReport) {
 /// The `--attr` table: per-cell cycle attribution as percentages of each
 /// cell's own total (the buckets sum to the total exactly).
 fn print_attribution(report: &CampaignReport) {
-    println!(
-        "\n{:<32} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "cell", "compute", "demand", "aex", "chwait", "preload", "wasted", "scan", "evict"
-    );
+    print!("\n{:<32}", "cell");
+    for (name, _) in CycleAttribution::default().buckets() {
+        print!(" {name:>8}");
+    }
+    println!();
     for c in &report.cells {
         let a = &c.report.attribution;
         let total = a.total().max(1) as f64;
         print!("{:<32}", c.label);
-        for (_, v) in a.buckets() {
-            print!(" {:>7.1}%", v as f64 * 100.0 / total);
+        for (name, v) in a.buckets() {
+            let pct = format!("{:.1}%", v as f64 * 100.0 / total);
+            print!(" {pct:>w$}", w = name.len().max(8));
         }
         println!();
     }
 }
 
-fn cmd_suite(args: &Args) -> Result<(), String> {
-    let cfg = args.config()?;
-    // Shared seeding: every scheme must see the same workload stream as
-    // its baseline column for the improvement percentages to mean
-    // anything.
-    let mut schemes = vec![Scheme::Baseline];
-    schemes.extend(SUITE_SCHEMES);
-    let campaign = apply_trace_out(
-        args,
-        Campaign::grid("suite", cfg.seed, &Benchmark::ALL, &schemes, cfg)
-            .with_seed_mode(SeedMode::Shared),
-    );
-    let report = campaign
-        .run_with_jobs(args.jobs()?)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>9}",
-        "benchmark", "DFP", "DFP-stop", "SIP", "SIP+DFP"
-    );
-    for bench in Benchmark::ALL {
-        let base = &report
-            .cell(&format!("{}/baseline", bench.name()))
-            .expect("grid contains every baseline cell")
-            .report;
+/// The improvement table: each scheme against the same benchmark's
+/// baseline, one row per benchmark. Every cell runs at the campaign seed,
+/// so each scheme sees its baseline's workload stream.
+fn print_improvements(report: &CampaignReport, benches: &[Benchmark], schemes: &[Scheme]) {
+    let others: Vec<Scheme> = schemes
+        .iter()
+        .copied()
+        .filter(|&s| s != Scheme::Baseline)
+        .collect();
+    if !schemes.contains(&Scheme::Baseline) || others.is_empty() {
+        return;
+    }
+    let width = |s: Scheme| s.name().len().max(9);
+    print!("\n{:<16}", "benchmark");
+    for &s in &others {
+        print!(" {:>w$}", s.name(), w = width(s));
+    }
+    println!();
+    for bench in benches {
+        let cell = |s: Scheme| {
+            &report
+                .cell(&format!("{}/{}", bench.name(), s.name()))
+                .expect("the grid holds every benchmark × scheme cell")
+                .report
+        };
+        let base = cell(Scheme::Baseline);
         print!("{:<16}", bench.name());
-        for scheme in SUITE_SCHEMES {
-            let r = &report
-                .cell(&format!("{}/{}", bench.name(), scheme.name()))
-                .expect("grid contains every scheme cell")
-                .report;
-            print!(" {:+8.1}%", r.improvement_over(base) * 100.0);
+        for &s in &others {
+            let pct = format!("{:+.1}%", cell(s).improvement_over(base) * 100.0);
+            print!(" {pct:>w$}", w = width(s));
         }
         println!();
     }
-    if args.flag("hist") {
-        print_percentiles(&report);
-    }
-    if args.flag("attr") {
-        print_attribution(&report);
-    }
-    write_json_out(args, &report.to_json())?;
-    Ok(())
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
     let cfg = args.config()?;
+    let (benches, schemes) = (args.benches()?, args.schemes()?);
     let campaign = apply_trace_out(
         args,
-        Campaign::grid(
-            "campaign",
-            args.campaign_seed()?,
-            &args.benches()?,
-            &args.schemes()?,
-            cfg,
-        ),
+        Campaign::grid("campaign", cfg.seed, &benches, &schemes, cfg),
     );
     let report = campaign
         .run_with_jobs(args.jobs()?)
         .map_err(|e| e.to_string())?;
     print!("{report}");
+    print_improvements(&report, &benches, &schemes);
     if args.flag("hist") {
         print_percentiles(&report);
     }
@@ -880,14 +856,7 @@ fn cmd_leakage(args: &Args) -> Result<(), String> {
 
     let campaign = apply_trace_out(
         args,
-        Campaign::leakage_grid(
-            "leakage",
-            args.campaign_seed()?,
-            &pairs,
-            &schemes,
-            cfg,
-            window,
-        ),
+        Campaign::leakage_grid("leakage", cfg.seed, &pairs, &schemes, cfg, window),
     );
     let report = campaign
         .run_with_jobs(args.jobs()?)
@@ -965,6 +934,102 @@ fn cmd_leakage(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// [`Lineage::flags`] bit: an event carried the span id.
+const EMITTED: u8 = 1;
+/// [`Lineage::flags`] bit: a `preload-start` or `sip-prefetch-start` event
+/// carried the span id.
+const PRELOAD: u8 = 2;
+
+/// The span-lineage checks `timeline` runs as the events stream past
+/// (DESIGN.md §4.3): every parent span is emitted, every `fault-resolved`
+/// parent is a preload span, and the stream ends with exactly one run
+/// end. They read one flag byte per span id, as the Chrome sink's span
+/// table does: a kernel allocates span ids densely from 1, so the table
+/// stays near the event count.
+#[derive(Default)]
+struct Lineage {
+    events: u64,
+    run_ends: u64,
+    /// The latest event's kind and value.
+    last: Option<(EventKind, Option<u64>)>,
+    /// [`EMITTED`] and [`PRELOAD`] bits by span id.
+    flags: Vec<u8>,
+    /// Links that failed their check as they streamed past, kept to be
+    /// judged again at run end: a parent may appear after its child.
+    deferred: Vec<LoggedEvent>,
+}
+
+impl Lineage {
+    fn observe(&mut self, e: &LoggedEvent) {
+        self.events += 1;
+        let id = usize::try_from(e.span.raw()).expect("kernel span ids are dense");
+        if id >= self.flags.len() {
+            self.flags.resize(id + 1, 0);
+        }
+        let preload = matches!(
+            e.what,
+            EventKind::PreloadStart | EventKind::SipPrefetchStart
+        );
+        self.flags[id] |= if preload { EMITTED | PRELOAD } else { EMITTED };
+        self.run_ends += u64::from(e.what == EventKind::RunEnd);
+        if !self.check(e, &mut Vec::new()) {
+            self.deferred.push(*e);
+        }
+        self.last = Some((e.what, e.value));
+    }
+
+    /// Checks `e`'s parent link against the spans seen so far, adding what
+    /// it breaks to `violations`; whether it holds.
+    fn check(&self, e: &LoggedEvent, violations: &mut Vec<String>) -> bool {
+        let Some(p) = e.parent else { return true };
+        let parent = usize::try_from(p.raw()).ok();
+        let flags = parent.and_then(|i| self.flags.get(i)).map_or(0, |&f| f);
+        let held = violations.len();
+        if flags & EMITTED == 0 {
+            violations.push(format!(
+                "{} at {} has parent {p} which no event carries",
+                e.what, e.at
+            ));
+        }
+        if e.what == EventKind::FaultResolved && flags & PRELOAD == 0 {
+            violations.push(format!(
+                "fault-resolved at {} parents {p}, which is not a preload span",
+                e.at
+            ));
+        }
+        violations.len() == held
+    }
+
+    /// Distinct span ids seen.
+    fn spans(&self) -> usize {
+        self.flags.iter().filter(|&&f| f & EMITTED != 0).count()
+    }
+
+    /// What the whole stream breaks, once it has ended with a run of
+    /// `total` cycles.
+    fn violations(&self, total: Cycles) -> Vec<String> {
+        let mut violations = Vec::new();
+        for e in &self.deferred {
+            self.check(e, &mut violations);
+        }
+        match self.last {
+            Some((EventKind::RunEnd, value)) if self.run_ends == 1 => {
+                if value != Some(total.raw()) {
+                    violations.push(format!(
+                        "run-end carries {value:?} cycles, report says {}",
+                        total.raw()
+                    ));
+                }
+            }
+            _ => violations.push(format!(
+                "expected the trace to end with exactly one run-end, saw {}",
+                self.run_ends
+            )),
+        }
+        violations
+    }
+}
+
 fn cmd_timeline(args: &Args) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let mut cfg = args.config()?;
@@ -975,38 +1040,21 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
             "timeline shows hardware-paging events; the user-level runtime has none".into(),
         );
     }
-    let limit = args.parsed::<usize>("n")?.unwrap_or(40);
-    if args.get("series-out").is_some() && cfg.series_interval == 0 {
-        let every = args
-            .parsed::<u64>("series-every")?
-            .unwrap_or(DEFAULT_TIMELINE_SERIES_INTERVAL);
-        cfg = cfg.with_series_interval(every);
+    let limit = args.parsed::<u64>("n")?.unwrap_or(40);
+    let every = args.parsed::<u64>("series-every")?;
+    let series_out = args.get("series-out");
+    if every.is_some() && series_out.is_none() {
+        return Err("--series-every needs --series-out".into());
+    }
+    if series_out.is_some() && cfg.series_interval == 0 {
+        cfg = cfg.with_series_interval(every.unwrap_or(DEFAULT_TIMELINE_SERIES_INTERVAL));
     }
 
-    let (collector, collected) = CollectingSink::new();
-    let mut run = SimRun::new(&cfg)
-        .scheme(scheme)
-        .bench(bench)
-        .sink(Box::new(collector));
-    if let Some(path) = args.get("series-out") {
-        let format = if path.ends_with(".json") {
-            SeriesFormat::Json
-        } else {
-            SeriesFormat::Csv
-        };
-        let series = TimeSeriesSink::create(path, format)
-            .map_err(|e| format!("--series-out {path}: {e}"))?;
-        run = run.sink(Box::new(series));
-    }
-    let report = run.run_one().map_err(|e| e.to_string())?;
-    let events = collected.borrow();
-
-    if limit > 0 {
-        println!(
-            "{:>16}  {:<16} {:>8} {:>8}  page",
-            "cycle", "event", "span", "parent"
-        );
-        for e in events.iter().take(limit) {
+    let lineage = Rc::new(RefCell::new(Lineage::default()));
+    let seen = Rc::clone(&lineage);
+    let table = move |e: &LoggedEvent| {
+        let mut lineage = seen.borrow_mut();
+        if lineage.events < limit {
             println!(
                 "{:>16}  {:<16} {:>8} {:>8}  {}",
                 e.at.to_string(),
@@ -1016,58 +1064,50 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
                 e.page.map(|p| p.to_string()).unwrap_or_default()
             );
         }
-        if events.len() > limit {
-            println!("  ... {} more events (raise -n)", events.len() - limit);
+        lineage.observe(e);
+    };
+    let mut run = SimRun::new(&cfg)
+        .scheme(scheme)
+        .bench(bench)
+        .sink(Box::new(table));
+    if let Some(path) = series_out {
+        let format = if path.ends_with(".json") {
+            SeriesFormat::Json
+        } else {
+            SeriesFormat::Csv
+        };
+        let series = TimeSeriesSink::create(path, format)
+            .map_err(|e| format!("--series-out {path}: {e}"))?;
+        run = run.sink(Box::new(series));
+    }
+    // The Chrome sink renders the stream when the run is over; the shared
+    // handle lets its write errors reach the exit status.
+    let chrome = match args.get("chrome-out") {
+        Some(path) => {
+            let sink =
+                ChromeTraceSink::create(path).map_err(|e| format!("--chrome-out {path}: {e}"))?;
+            let sink = Rc::new(RefCell::new(sink));
+            let feed = Rc::clone(&sink);
+            run = run.sink(Box::new(move |e: &LoggedEvent| {
+                feed.borrow_mut().on_event(e)
+            }));
+            Some((path, sink))
         }
+        None => None,
+    };
+    if limit > 0 {
+        println!(
+            "{:>16}  {:<16} {:>8} {:>8}  page",
+            "cycle", "event", "span", "parent"
+        );
+    }
+    let report = run.run_one().map_err(|e| e.to_string())?;
+    let lineage = lineage.borrow();
+    if limit > 0 && lineage.events > limit {
+        println!("  ... {} more events (raise -n)", lineage.events - limit);
     }
 
-    // The lineage invariants the span model promises (DESIGN.md §4.3).
-    let mut violations: Vec<String> = Vec::new();
-    let emitted: BTreeSet<u64> = events.iter().map(|e| e.span.raw()).collect();
-    let preload_spans: BTreeSet<u64> = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.what,
-                EventKind::PreloadStart | EventKind::SipPrefetchStart
-            )
-        })
-        .map(|e| e.span.raw())
-        .collect();
-    for e in events.iter() {
-        if let Some(p) = e.parent {
-            if !emitted.contains(&p.raw()) {
-                violations.push(format!(
-                    "{} at {} has parent {p} which no event carries",
-                    e.what, e.at
-                ));
-            }
-            if e.what == EventKind::FaultResolved && !preload_spans.contains(&p.raw()) {
-                violations.push(format!(
-                    "fault-resolved at {} parents {p}, which is not a preload span",
-                    e.at
-                ));
-            }
-        }
-    }
-    let run_ends = events
-        .iter()
-        .filter(|e| e.what == EventKind::RunEnd)
-        .count();
-    match events.last() {
-        Some(last) if last.what == EventKind::RunEnd && run_ends == 1 => {
-            if last.value != Some(report.total_cycles.raw()) {
-                violations.push(format!(
-                    "run-end carries {:?} cycles, report says {}",
-                    last.value,
-                    report.total_cycles.raw()
-                ));
-            }
-        }
-        _ => violations.push(format!(
-            "expected the trace to end with exactly one run-end, saw {run_ends}"
-        )),
-    }
+    let mut violations = lineage.violations(report.total_cycles);
     let reconciles = report.attribution.total() == report.total_cycles.raw();
     if !reconciles {
         violations.push(format!(
@@ -1079,8 +1119,8 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
 
     println!(
         "{} events across {} spans; total {} cycles",
-        events.len(),
-        emitted.len(),
+        lineage.events,
+        lineage.spans(),
         report.total_cycles
     );
     if args.flag("attr") {
@@ -1095,13 +1135,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
             );
         }
     }
-    if let Some(path) = args.get("chrome-out") {
-        std::fs::File::create(path)
-            .map(std::io::BufWriter::new)
-            .and_then(|mut out| {
-                write_chrome_trace(&events, &mut out)?;
-                out.flush()
-            })
+    if let Some((path, sink)) = chrome {
+        sink.borrow_mut()
+            .finish()
             .map_err(|e| format!("--chrome-out {path}: {e}"))?;
         println!("chrome trace: {path} (open at ui.perfetto.dev)");
     }
@@ -1111,9 +1147,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         o.field("bench", bench.name())
             .field("scheme", scheme.name())
             .field("total_cycles", report.total_cycles)
-            .field("events", events.len())
-            .field("spans", emitted.len())
-            .field("run_ends", run_ends)
+            .field("events", lineage.events)
+            .field("spans", lineage.spans())
+            .field("run_ends", lineage.run_ends)
             .field("reconciles", reconciles)
             .arr("violations", &violations, Value::write_value)
             .with("attribution", |out| report.attribution.write_json(out))
@@ -1145,14 +1181,9 @@ fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> 
             &[],
         ),
         "run" => (cmd_run, &[CONFIG_FLAGS, "bench scheme jsonl hist"]),
-        "suite" => (cmd_suite, &[CONFIG_FLAGS, GRID_FLAGS, "hist attr"]),
         "campaign" => (
             cmd_campaign,
-            &[
-                CONFIG_FLAGS,
-                GRID_FLAGS,
-                "benches schemes campaign-seed hist attr",
-            ],
+            &[CONFIG_FLAGS, GRID_FLAGS, "benches schemes hist attr"],
         ),
         "profile" => (cmd_profile, &[CONFIG_FLAGS, "bench"]),
         "trace record" => (cmd_trace_record, &[CONFIG_FLAGS, "bench n out"]),
@@ -1177,11 +1208,7 @@ fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> 
         ),
         "leakage" => (
             cmd_leakage,
-            &[
-                CONFIG_FLAGS,
-                GRID_FLAGS,
-                "pairs schemes window tolerance campaign-seed",
-            ],
+            &[CONFIG_FLAGS, GRID_FLAGS, "pairs schemes window tolerance"],
         ),
         "help" | "--help" | "-h" => (
             |_| {

@@ -70,20 +70,20 @@ pub use sgx_dfp::{
 };
 pub use sgx_epc::{CostModel, EpcSizing, VictimPolicy, VirtPage};
 pub use sgx_kernel::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink,
-    CycleAttribution, EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError,
-    SeriesFormat, SpanId, TimeSeriesSink, TraceHistograms, TraceSink,
+    render_chrome_trace, ChromeTraceSink, CollectingSink, CountingSink, CycleAttribution,
+    EdmmStats, GaugeSample, HistogramSink, JsonlWriterSink, KernelError, SeriesFormat, SpanId,
+    TimeSeriesSink, TraceHistograms, TraceSink,
 };
 pub use sgx_observer::{
     is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,
     ParseLeakageMetricError, VariantLeakage,
 };
 pub use sgx_preload_core::{
-    build_plan, derive_cell_seed, effective_jobs, run_indexed, run_userspace_paging, AppSpec,
-    AppSpecBuilder, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork,
-    ElrangeError, EventCounts, LeakageSpec, RunReport, Scheme, SeedMode, SimConfig, SimError,
-    SimRun, SpecError, TenantPolicy, TenantQuota, TenantShare, TraceReplay, UserPagingConfig,
-    DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
+    build_plan, effective_jobs, run_indexed, run_userspace_paging, AppSpec, AppSpecBuilder,
+    Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork, ElrangeError, EventCounts,
+    LeakageSpec, RunReport, Scheme, SimConfig, SimError, SimRun, SpecError, TenantPolicy,
+    TenantQuota, TenantShare, TraceReplay, UserPagingConfig, DEFAULT_TIMELINE_SERIES_INTERVAL,
+    MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};
 pub use sgx_sip::{profile_stream, InstrumentationPlan, NotifyPlacement, SipConfig};
@@ -105,8 +105,8 @@ pub mod prelude {
     };
     pub use sgx_preload_core::{
         AppSpec, Campaign, CampaignError, CampaignReport, Cell, CellReport, CellWork, EpcSizing,
-        LeakageSpec, PredictorKind, RunReport, Scheme, SeedMode, SimConfig, SimError, SimRun,
-        SpecError, TenantPolicy, TraceReplay,
+        LeakageSpec, PredictorKind, RunReport, Scheme, SimConfig, SimError, SimRun, SpecError,
+        TenantPolicy, TraceReplay,
     };
     pub use sgx_sim::Cycles;
     pub use sgx_workloads::{

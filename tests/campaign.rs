@@ -26,7 +26,7 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// The fixed campaign the golden file pins: two benchmarks across three
-/// schemes at a tiny scale, per-cell seeding (the default), fixed seed.
+/// schemes at a tiny scale, every cell at one fixed seed.
 fn golden_campaign() -> Campaign {
     Campaign::grid(
         "golden_small",
@@ -145,25 +145,7 @@ fn campaign_matches_golden_report() {
         .run_with_jobs(4)
         .expect("campaign run failed")
         .to_canonical_json();
-    let path = golden_path("campaign_small.json");
-    if std::env::var_os(UPDATE_ENV).is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, &got).expect("write golden file");
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); run `{UPDATE_ENV}=1 cargo test --test campaign` to generate it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "campaign output drifted from the golden report; if the change is \
-         intentional, regenerate with `{UPDATE_ENV}=1 cargo test --test campaign`"
-    );
+    check_golden(&got, "campaign_small.json");
 }
 
 #[test]
@@ -238,6 +220,38 @@ fn edmm_pays_off_on_a_growth_friendly_family_in_the_pinned_report() {
         both.report.total_cycles,
         edmm.report.total_cycles
     );
+}
+
+/// Every cell of a grid or a sweep runs at the campaign seed, so every
+/// scheme and every sweep point on a benchmark runs its baseline's
+/// workload stream: a baseline cell, which no predictor drives, reports
+/// the same run at every predictor point.
+#[test]
+fn every_cell_runs_its_baselines_stream() {
+    let cfg = SimConfig::at_scale(Scale::new(64));
+    let benches = [Benchmark::Microbenchmark, Benchmark::Mcf];
+    let schemes = [Scheme::Baseline, Scheme::Dfp, Scheme::Sip];
+    let next_line = cfg.with_predictor(PredictorKind::NextLine);
+    let points = [("multi-stream", cfg), ("next-line", next_line)];
+    for campaign in [
+        Campaign::grid("paired", 21, &benches, &schemes, cfg),
+        Campaign::sweep("paired", 21, &benches, &schemes, "pred", &points),
+    ] {
+        let report = campaign.run_with_jobs(2).expect("campaign run failed");
+        for cell in &report.cells {
+            let baseline = format!("{}/baseline", cell.report.label);
+            let base = report
+                .cells
+                .iter()
+                .find(|c| c.label.starts_with(&baseline))
+                .expect("every bench has a baseline cell");
+            let got = (cell.seed, cell.report.accesses);
+            assert_eq!(got, (21, base.report.accesses), "{}", cell.label);
+            if cell.label.starts_with(&baseline) {
+                assert_eq!(cell.report, base.report, "{}", cell.label);
+            }
+        }
+    }
 }
 
 #[test]

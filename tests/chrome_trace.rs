@@ -2,12 +2,12 @@
 //!
 //! Three rendered traces are pinned as golden files under `tests/golden/`
 //! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):
-//! one fixed small run, in memory and streamed to a writer; a small
-//! two-enclave SIP+DFP run; and a hand-built stream with the shapes a
-//! kernel never emits. All three also pass through `ChromeTraceSink`,
-//! which renders from its own compact log of the stream. Campaign timeline
-//! files are byte-identical regardless of worker count, and every flow
-//! arrow the renderer draws references two emitted spans.
+//! one fixed small run; a small two-enclave SIP+DFP run; and a hand-built
+//! stream with the shapes a kernel never emits. `ChromeTraceSink` renders
+//! each from its own compact log of the stream, in memory and streamed to
+//! a writer that takes a few bytes per call. Campaign timeline files are
+//! byte-identical regardless of worker count, and every flow arrow the
+//! renderer draws references two emitted spans.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -16,8 +16,7 @@ use std::path::{Path, PathBuf};
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
 use sgx_preloading::{
-    render_chrome_trace, write_chrome_trace, ChromeTraceSink, CollectingSink, SpanId, TraceSink,
-    VirtPage,
+    render_chrome_trace, ChromeTraceSink, CollectingSink, SpanId, TraceSink, VirtPage,
 };
 
 const UPDATE_ENV: &str = "SGX_GOLDEN_UPDATE";
@@ -220,29 +219,8 @@ impl Write for Trickle {
     }
 }
 
-#[test]
-fn streamed_render_through_short_writes_matches_golden() {
-    let mut out = Trickle(Vec::new());
-    write_chrome_trace(&small_run_events(), &mut out).expect("a trickle never fails");
-    let want = std::fs::read(golden_path("timeline_small.chrome.json")).expect("golden trace");
-    assert!(
-        out.0 == want,
-        "streamed chrome trace diverged from the golden"
-    );
-}
-
-/// Feeds `events` through a [`ChromeTraceSink`] that renders into `out`.
-fn render_through_sink(events: &[LoggedEvent], out: impl Write) {
-    let mut sink = ChromeTraceSink::new(out);
-    for e in events {
-        sink.on_event(e);
-    }
-    sink.finish().expect("the writer never fails");
-}
-
-/// The sink keeps its own compact log of the stream and renders from it:
-/// every golden stream fed through the sink, into a `Vec` and through the
-/// 7-byte trickle, gives the golden bytes.
+/// The render streams its records to the writer: every golden stream fed
+/// through the sink into the 7-byte trickle gives the golden bytes.
 #[test]
 fn sink_render_matches_every_golden() {
     for (name, events) in [
@@ -251,11 +229,13 @@ fn sink_render_matches_every_golden() {
         ("timeline_foreign.chrome.json", foreign_events()),
     ] {
         let want = std::fs::read(golden_path(name)).expect("golden trace");
-        let mut vec = Vec::new();
-        render_through_sink(&events, &mut vec);
-        assert!(vec == want, "{name}: the sink's render diverged");
         let mut trickle = Trickle(Vec::new());
-        render_through_sink(&events, &mut trickle);
+        let mut sink = ChromeTraceSink::new(&mut trickle);
+        for e in &events {
+            sink.on_event(e);
+        }
+        sink.finish().expect("a trickle never fails");
+        drop(sink);
         assert!(
             trickle.0 == want,
             "{name}: the sink's trickled render diverged"

@@ -412,20 +412,31 @@ fn timeline_streams_kernel_events() {
     let trace = std::fs::read_to_string(&chrome).expect("chrome trace written");
     assert!(trace.contains("\"traceEvents\":[\n{"), "empty chrome trace");
     assert!(trace.ends_with("\n]}\n"), "truncated chrome trace");
+    let count = format!("{} events across", json_number(&json, "events"));
+    assert!(out.contains(&count), "{out}");
 
-    // A path that cannot be created fails naming the flag and the path.
+    // A path that cannot be created, or a render that cannot be written,
+    // fails naming the flag and the path.
+    let timeline_err = |flags: &[&str]| {
+        let dev = [
+            "timeline",
+            "--bench",
+            "microbenchmark",
+            "--scale",
+            "dev",
+            "-n",
+            "0",
+        ];
+        run_err(&[&dev[..], flags].concat())
+    };
     let bad = dir.join("no_such_dir").join("t.chrome.json");
-    let bad = bad.to_str().unwrap();
-    let err = run_err(&[
-        "timeline",
-        "--bench",
-        "microbenchmark",
-        "--scale",
-        "dev",
-        "--chrome-out",
-        bad,
-    ]);
-    assert!(err.contains(&format!("--chrome-out {bad}: ")), "{err}");
+    for path in [bad.to_str().unwrap(), "/dev/full"] {
+        let err = timeline_err(&["--chrome-out", path]);
+        assert!(err.contains(&format!("--chrome-out {path}: ")), "{err}");
+    }
+    // The sampling interval means nothing without a series to sample.
+    let err = timeline_err(&["--series-every", "5000"]);
+    assert!(err.contains("--series-every needs --series-out"), "{err}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -479,13 +490,7 @@ fn campaign_runs_the_diverse_families_and_honours_predictor() {
 #[test]
 fn leakage_gate_trips_on_exactly_the_sip_and_dfp_rows() {
     let panel = [
-        "leakage",
-        "--scale",
-        "64",
-        "--campaign-seed",
-        "2020",
-        "--window",
-        "64",
+        "leakage", "--scale", "64", "--seed", "2020", "--window", "64",
     ];
     let err = run_err(&panel);
     let tripped: Vec<&str> = err
@@ -551,11 +556,18 @@ fn helpful_errors() {
     assert!(run_err(&["run", "--bench", "nope"]).contains("unknown benchmark"));
     assert!(run_err(&["run", "--bench", "lbm", "--scheme", "warp"]).contains("unknown scheme"));
     assert!(run_err(&["frobnicate"]).contains("unknown command"));
-    for removed in ["throughput", "replay", "fleet", "chaos"] {
+    for removed in ["throughput", "replay", "fleet", "chaos", "suite"] {
         assert!(run_err(&[removed]).contains("unknown command"), "{removed}");
     }
     let help = run_ok(&["help"]);
-    assert!(!help.contains("fleet") && !help.contains("chaos"), "{help}");
+    for gone in ["fleet", "chaos", "suite", "campaign-seed"] {
+        assert!(!help.contains(gone), "help names {gone}: {help}");
+    }
+    let err = run_err(&["campaign", "--campaign-seed", "7"]);
+    assert!(
+        err.contains("unknown flag --campaign-seed for `campaign`"),
+        "{err}"
+    );
     assert!(run_err(&[]).contains("USAGE"));
     assert!(run_err(&["run", "--bench", "lbm", "--threshold", "7"]).contains("must be in [0, 1]"));
     for cmd in [&["run", "--bench", "lbm"][..], &["contend"]] {
@@ -579,14 +591,13 @@ fn helpful_errors() {
         err.contains("unknown flag --stream-list for `run`"),
         "{err}"
     );
-    let err = run_err(&["suite", "--bench", "lbm"]);
-    assert!(err.contains("unknown flag --bench for `suite`"), "{err}");
+    let err = run_err(&["campaign", "--bench", "lbm"]);
+    assert!(err.contains("unknown flag --bench for `campaign`"), "{err}");
     // Stream knobs must be positive and fit the run's EPC, under every
     // command that builds a DFP kernel.
     let one_past = (sgx_preloading::Scale::DEV.epc_pages() + 1).to_string();
     for cmd in [
         &["run", "--bench", "lbm", "--scheme", "dfp"][..],
-        &["suite"],
         &["campaign"],
         &["contend"],
         &["leakage"],
@@ -601,4 +612,66 @@ fn helpful_errors() {
             }
         }
     }
+}
+
+/// `json` without the keys and values of its `"key":<number>` fields.
+fn strip_number(json: &str, key: &str) -> String {
+    json.split(&format!("\"{key}\":"))
+        .map(|part| part.trim_start_matches(|c: char| c.is_ascii_digit()))
+        .collect()
+}
+
+/// Every flag `campaign` and `leakage` read moves what they report: each
+/// flag that feeds the simulator's config or picks cells changes the
+/// `--json-out` report (its wall-clock and worker count aside) at some
+/// non-default value, and `--tolerance` changes the exit status. The
+/// values are ones that reach the flag's mechanism: the early-notify
+/// distance needs an instrumented program, and the EPC ceiling needs an
+/// EDMM scheme.
+#[test]
+fn every_campaign_and_leakage_flag_moves_the_report() {
+    let dir = std::env::temp_dir().join("sgx_preload_cli_flag_effect_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("report.json");
+    // The exit code and the report, its wall-clock and worker count aside.
+    let report = |args: &str| {
+        let out = cli()
+            .args(args.split(' '))
+            .arg("--json-out")
+            .arg(&path)
+            .output()
+            .expect("spawn sgx-preload");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{args}: {stderr}");
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{args}: {e}"));
+        std::fs::remove_file(&path).unwrap();
+        let json = strip_number(&strip_number(&json, "wall_nanos"), "jobs");
+        (out.status.code(), json)
+    };
+    let config = "--seed 7|--scale 32|--epc-pages 600|--load-length 1|--list-len 1|\
+                  --threshold 0.0|--early 2|--predictor next-line|--epc-ceiling 50";
+    let campaign =
+        "campaign --scale 64 --jobs 1 --benches deepsjeng --schemes baseline,dfp,sip,edmm";
+    let leakage = "leakage --scale 64 --seed 2020 --jobs 1 --pairs branch-halves \
+                   --schemes baseline,dfp,sip,edmm --window 64 --tolerance 1";
+    for (base, picks) in [
+        (campaign, "--benches mcf|--schemes dfp"),
+        (
+            leakage,
+            "--pairs dfp-echo|--schemes baseline,dfp|--window 16",
+        ),
+    ] {
+        let (_, want) = report(base);
+        // The later of two equal flags wins.
+        for flag in config.split('|').chain(picks.split('|')) {
+            let (_, got) = report(&format!("{base} {flag}"));
+            assert!(got != want, "`{base} {flag}` changed nothing");
+        }
+    }
+    let codes = (
+        report(leakage).0,
+        report(&format!("{leakage} --tolerance 0")).0,
+    );
+    assert_eq!(codes, (Some(0), Some(1)), "--tolerance");
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -5,8 +5,9 @@
 //! path) is pinned by the goldens that predate it: every campaign cell
 //! must render byte-identically to the checked-in reports, serially and
 //! under a worker pool. Unlike the per-suite golden harnesses, this
-//! battery never regenerates — a mismatch here means the engine no
-//! longer computes the pre-rewrite bits, full stop.
+//! battery has no regenerate switch — a mismatch here means the engine
+//! computes other bits than the goldens, which change only in a
+//! deliberate regeneration by their own harnesses.
 
 use std::path::PathBuf;
 

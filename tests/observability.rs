@@ -20,26 +20,43 @@ const KERNEL_SCHEMES: [Scheme; 5] = [
 /// The acceptance bar for the sink layer: on every benchmark × kernel
 /// scheme, the tallies a `CountingSink` reconstructs from the event stream
 /// must match the counters the simulator reports — nothing is emitted
-/// twice, nothing is dropped.
+/// twice, nothing is dropped — and its total is the number of events a
+/// sink saw.
 #[test]
 fn counting_sink_matches_report_counters_on_every_workload() {
+    use sgx_preloading::kernel::{EventKind, LoggedEvent};
+    use std::{cell::Cell, rc::Rc};
     let c = cfg();
     for bench in Benchmark::ALL {
         for scheme in KERNEL_SCHEMES {
             let (sink, counts) = CountingSink::new();
+            // Events seen, and the pages the abort and valve events drop.
+            let seen = Rc::new(Cell::new((0, 0)));
+            let tally = Rc::clone(&seen);
             let r = SimRun::new(&c)
                 .scheme(scheme)
                 .bench(bench)
                 .sink(Box::new(sink))
+                .sink(Box::new(move |e: &LoggedEvent| {
+                    let drops = matches!(e.what, EventKind::PreloadAbort | EventKind::ValveStopped);
+                    let (n, pages) = tally.get();
+                    tally.set((
+                        n + 1,
+                        pages + drops.then_some(e.value).flatten().unwrap_or(0),
+                    ));
+                }))
                 .run_one()
                 .unwrap();
             let ev = counts.get();
             let ctx = format!("{}/{}", bench.name(), scheme.name());
+            let (events, dropped) = seen.get();
+            assert_eq!(ev.total(), events, "{ctx}: one count per event");
+            assert_eq!(r.events.total(), events, "{ctx}: the report's count");
             assert_eq!(ev, r.events, "{ctx}: kernel-derived events");
             assert_eq!(ev.faults, r.faults, "{ctx}: faults");
             assert_eq!(ev.faults_resolved, r.faults, "{ctx}: every fault resolves");
             assert_eq!(ev.preload_starts, r.preloads_started, "{ctx}: preloads");
-            assert_eq!(ev.preload_aborts, r.preloads_aborted, "{ctx}: aborts");
+            assert_eq!(dropped, r.preloads_aborted, "{ctx}: aborted pages");
             assert_eq!(
                 ev.background_evictions, r.background_evictions,
                 "{ctx}: background evictions"
@@ -110,15 +127,14 @@ fn sinks_do_not_perturb_the_simulation() {
 /// acceptance bar).
 #[test]
 fn percentiles_are_ordered_and_deterministic_across_jobs() {
-    use sgx_preloading::{Campaign, SeedMode};
+    use sgx_preloading::Campaign;
     let campaign = Campaign::grid(
         "pctl",
         42,
         &[Benchmark::Microbenchmark, Benchmark::Lbm],
         &[Scheme::Baseline, Scheme::Dfp],
         cfg(),
-    )
-    .with_seed_mode(SeedMode::Shared);
+    );
     let one = campaign.run_with_jobs(1).expect("campaign run failed");
     let two = campaign.run_with_jobs(2).expect("campaign run failed");
     let four = campaign.run_with_jobs(4).expect("campaign run failed");
@@ -217,71 +233,10 @@ fn campaign_trace_dir_streams_one_jsonl_file_per_cell() {
 
 /// Per-enclave telemetry is reconstructible from the event stream alone:
 /// on a 3-enclave contention run, partitioning the stream by ELRANGE
-/// owner and tallying [`EventCounts`] per enclave reproduces the kernel's
-/// own per-tenant counters exactly. Faults, demand loads and aborts
-/// attribute to the faulting enclave; preload starts, completions and
-/// evictions to the page's owner — both reduce to the page's ELRANGE
-/// because tenant mode scopes demand aborts to the faulter's queue.
-#[test]
-fn per_enclave_event_counts_match_tenant_stats_under_contention() {
-    use sgx_preloading::kernel::{Kernel, KernelConfig};
-    use sgx_preloading::{
-        EventCounts, InputSet, MultiStreamPredictor, ProcessId, StreamConfig, TenantPolicy,
-    };
-
-    // Consecutive ELRANGEs are 2^24 pages apart, so an event's enclave is
-    // its page's high bits (the same rule `Epc::owner_of` applies).
-    const STRIDE_SHIFT: u32 = 24;
-
-    let c = cfg();
-    let mut kcfg = KernelConfig::new(c.epc_pages).with_costs(c.costs);
-    kcfg.tenant = Some(TenantPolicy::fair(3, c.epc_pages));
-    let mut k = Kernel::new(
-        kcfg,
-        Box::new(MultiStreamPredictor::new(StreamConfig::paper_defaults())),
-    );
-    let (sink, events) = CollectingSink::new();
-    k.subscribe(Box::new(sink));
-
-    let pids = [ProcessId(0), ProcessId(1), ProcessId(2)];
-    for pid in pids {
-        k.register_enclave(pid, Benchmark::Lbm.elrange_pages(c.scale))
-            .unwrap();
-    }
-    // The same min-next-instant interleave the SimRun engine uses.
-    let mut streams: Vec<_> = (0..3u64)
-        .map(|i| Benchmark::Lbm.build(InputSet::Ref, c.scale, c.seed + i))
-        .collect();
-    let mut clocks = [Cycles::ZERO; 3];
-    let mut pending: Vec<_> = streams.iter_mut().map(|s| s.next()).collect();
-    while let Some(i) = (0..3)
-        .filter(|&i| pending[i].is_some())
-        .min_by_key(|&i| clocks[i] + pending[i].as_ref().unwrap().compute)
-    {
-        let a = pending[i].take().unwrap();
-        let now = clocks[i] + a.compute;
-        clocks[i] = match k.app_access(now, pids[i], a.page) {
-            Some(_) => now,
-            None => k.page_fault(now, pids[i], a.page).resume_at,
-        };
-        pending[i] = streams[i].next();
-    }
-
-    let mut per = vec![EventCounts::default(); 3];
-    for e in events.borrow().iter() {
-        let page = e.page.expect("every event of a DFP run names a page");
-        per[(page.raw() >> STRIDE_SHIFT) as usize].record(e);
-    }
-    for (i, counts) in per.iter().enumerate() {
-        assert!(counts.faults > 0, "enclave {i}: contention faults");
-        assert_eq!(*counts, k.tenant_events(i), "enclave {i}");
-    }
-}
-
-/// The same partition rule ties the stream to the public [`SimRun`]
-/// surface: each app's `events` is its enclave's share of the stream
-/// (the page-less run end belongs to every app), and the additive
-/// tallies summed over apps equal a kernel-wide `CountingSink`.
+/// owner gives each app's `events` (the page-less run end belongs to
+/// every app), and the additive tallies summed over apps equal a
+/// kernel-wide `CountingSink`. `tests/random_runs.rs` checks the same
+/// partition over random co-runs under every kernel scheme.
 #[test]
 fn stream_partition_agrees_with_per_app_reports_on_contention() {
     use sgx_preloading::kernel::EventKind;
@@ -308,10 +263,10 @@ fn stream_partition_agrees_with_per_app_reports_on_contention() {
     let mut per = vec![EventCounts::default(); 3];
     for e in events.borrow().iter() {
         match e.page {
-            Some(page) => per[(page.raw() >> 24) as usize].record(e),
+            Some(page) => per[(page.raw() >> 24) as usize].bump(e.what),
             None => {
                 assert_eq!(e.what, EventKind::RunEnd, "no valve in this run");
-                per.iter_mut().for_each(|p| p.record(e));
+                per.iter_mut().for_each(|p| p.bump(e.what));
             }
         }
     }

@@ -177,8 +177,8 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let events = collected.borrow();
 
-    // One pass over the stream: each app's share, the page-less valve
-    // flush, lineage and the latch.
+    // One pass over the stream: each app's share, the pages the abort and
+    // valve events drop, lineage and the latch.
     let owner = |page: VirtPage| (page.raw() >> ENCLAVE_SHIFT) as usize;
     let starts: BTreeSet<u64> = events
         .iter()
@@ -192,18 +192,17 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
         .collect();
     let mut share = vec![EventCounts::default(); reports.len()];
     let mut batch_owner = HashMap::new();
-    let (mut flushed, mut latched, mut cross_aborts) = (0, false, false);
+    let (mut dropped, mut latched, mut cross_aborts) = (0, false, false);
     for e in events.iter() {
-        match (e.what, e.page) {
-            (EventKind::ValveStopped, None) => {
-                flushed += e.value.unwrap_or(0);
-                latched = true;
-                share.iter_mut().for_each(|s| s.valve_stops += 1);
-            }
-            (_, None) => share.iter_mut().for_each(|s| s.record(e)),
-            (what, Some(page)) => {
-                share[owner(page)].record(e);
-                match what {
+        if matches!(e.what, EventKind::PreloadAbort | EventKind::ValveStopped) {
+            dropped += e.value.unwrap_or(0);
+        }
+        latched |= e.what == EventKind::ValveStopped;
+        match e.page {
+            None => share.iter_mut().for_each(|s| s.bump(e.what)),
+            Some(page) => {
+                share[owner(page)].bump(e.what);
+                match e.what {
                     EventKind::StreamPredicted => {
                         batch_owner.insert(e.span.raw(), owner(page));
                     }
@@ -230,7 +229,6 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
     }
 
     let switch = case.cfg.costs.aex.raw() + case.cfg.costs.eresume.raw();
-    let mut valve_aborts = 0;
     for ((r, (trace, _)), share) in reports.iter().zip(&case.apps).zip(share) {
         let ctx = format!("{ctx}, {}", r.label);
         let a = &r.attribution;
@@ -255,22 +253,11 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
             reach.clipped.push(ctx.clone());
         }
 
-        // The valve's flush names no page: the stream carries its
-        // kernel-wide count, and the ledger bills each page to its owner.
         let ev = r.events;
-        valve_aborts += ev
-            .preload_aborts
-            .checked_sub(share.preload_aborts)
-            .expect(&ctx);
-        let share = EventCounts {
-            preload_aborts: ev.preload_aborts,
-            ..share
-        };
         assert_eq!(share, ev, "{ctx}: its share of the stream");
         assert_eq!(ev.faults, r.faults, "{ctx}: faults");
         assert_eq!(ev.faults_resolved, r.faults, "{ctx}: every fault resolves");
         assert_eq!(ev.preload_starts, r.preloads_started, "{ctx}: preloads");
-        assert_eq!(ev.preload_aborts, r.preloads_aborted, "{ctx}: aborts");
         assert_eq!(ev.background_evictions, r.background_evictions, "{ctx}");
         assert_eq!(ev.foreground_evictions, r.foreground_evictions, "{ctx}");
         assert_eq!(
@@ -281,10 +268,10 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
         assert!(ev.demand_loads <= ev.faults, "{ctx}: demand loads");
         assert!(ev.preload_hits <= r.preloads_touched, "{ctx}: preload hits");
     }
-    assert_eq!(
-        valve_aborts, flushed,
-        "{ctx}: the valve's flush, page by page"
-    );
+    // The valve names no page and carries the kernel-wide flush, while
+    // the ledger bills each dropped page to its owner.
+    let aborted: u64 = reports.iter().map(|r| r.preloads_aborted).sum();
+    assert_eq!(aborted, dropped, "{ctx}: dropped pages, page by page");
     let any = |f: fn(&RunReport) -> bool| u64::from(reports.iter().any(f));
     reach.foreground_evictions += any(|r| r.foreground_evictions > 0);
     reach.waited_inflight += any(|r| r.faults_waited_inflight > 0);

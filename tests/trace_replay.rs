@@ -37,16 +37,14 @@ fn replayed_sgxt_grids_match_generator_grids_at_any_worker_count() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let replays = roundtripped_replays(&dir, &cfg);
 
-    // Shared seeding: every cell sees the campaign seed verbatim, which
-    // is the seed the traces were recorded at.
+    // Every cell runs at the campaign seed, the seed the traces were
+    // recorded at.
     let generator = Campaign::grid("battery", cfg.seed, &Benchmark::PAPER, &Scheme::ALL, cfg)
-        .with_seed_mode(SeedMode::Shared)
         .run_serial()
         .expect("generator grid")
         .to_canonical_json();
 
-    let replay_campaign = Campaign::grid("battery", cfg.seed, &replays, &Scheme::ALL, cfg)
-        .with_seed_mode(SeedMode::Shared);
+    let replay_campaign = Campaign::grid("battery", cfg.seed, &replays, &Scheme::ALL, cfg);
     let replayed_serial = replay_campaign
         .run_serial()
         .expect("replay grid, serial")
