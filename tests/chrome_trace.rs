@@ -9,9 +9,11 @@
 //! byte-identical regardless of worker count, and every flow arrow the
 //! renderer draws references two emitted spans.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
@@ -37,13 +39,14 @@ fn events_of(run: SimRun<'_>) -> Vec<LoggedEvent> {
 
 /// The fixed small run the golden trace pins: DFP on the microbenchmark,
 /// tiny scale — a few hundred events with faults, preloads and hits.
+fn small_run(cfg: &SimConfig) -> SimRun<'_> {
+    SimRun::new(cfg)
+        .scheme(Scheme::Dfp)
+        .bench(Benchmark::Microbenchmark)
+}
+
 fn small_run_events() -> Vec<LoggedEvent> {
-    let cfg = SimConfig::at_scale(Scale::new(16_384));
-    events_of(
-        SimRun::new(&cfg)
-            .scheme(Scheme::Dfp)
-            .bench(Benchmark::Microbenchmark),
-    )
+    events_of(small_run(&SimConfig::at_scale(Scale::new(16_384))))
 }
 
 /// A small two-enclave SIP+DFP run: deepsjeng and mcf share one kernel,
@@ -217,6 +220,43 @@ impl Write for Trickle {
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
+
+/// The 7-byte trickle behind a shared handle, so a sink subscribed to a
+/// run, which owns its writer, leaves bytes the test can read back.
+struct SharedTrickle(Rc<RefCell<Trickle>>);
+
+impl Write for SharedTrickle {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.borrow_mut().write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A sink subscribed to the small run itself, as `timeline --chrome-out`
+/// subscribes one, streams the golden bytes through the 7-byte trickle.
+#[test]
+fn streamed_render_through_short_writes_matches_golden() {
+    let out = Rc::new(RefCell::new(Trickle(Vec::new())));
+    let sink = Rc::new(RefCell::new(ChromeTraceSink::new(SharedTrickle(
+        Rc::clone(&out),
+    ))));
+    let feed = Rc::clone(&sink);
+    small_run(&SimConfig::at_scale(Scale::new(16_384)))
+        .sink(Box::new(move |e: &LoggedEvent| {
+            feed.borrow_mut().on_event(e)
+        }))
+        .run_one()
+        .expect("the run succeeds");
+    sink.borrow_mut().finish().expect("a trickle never fails");
+    let want = std::fs::read(golden_path("timeline_small.chrome.json")).expect("golden trace");
+    assert!(
+        out.borrow().0 == want,
+        "streamed chrome trace diverged from the golden"
+    );
 }
 
 /// The render streams its records to the writer: every golden stream fed
