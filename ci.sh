@@ -34,11 +34,18 @@ echo "==> full-scale Chrome trace digest"
 # The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) must keep
 # its bytes. `timeline --chrome-out` streams the run through
 # ChromeTraceSink, the one render path `campaign --timeline-out` also uses.
+# The sink writes each record once the events decide it and keeps a
+# five-byte anchor per span, so the run must fit a 64 MiB address space
+# (`ulimit -v`, this subshell only); a sink that held the stream until the
+# end needed 128 MiB.
 TRACE_SHA256=5a49065972cea4954cdf1e9d68db20585c27bb5e579dfbe709f1a88b951bf1e0
 trace_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir"' EXIT
-./target/release/sgx-preload timeline --bench microbenchmark --scheme dfp \
-  --scale full -n 0 --chrome-out "$trace_dir/trace.chrome.json" > /dev/null
+(
+  ulimit -v 65536
+  ./target/release/sgx-preload timeline --bench microbenchmark --scheme dfp \
+    --scale full -n 0 --chrome-out "$trace_dir/trace.chrome.json" > /dev/null
+)
 echo "$TRACE_SHA256  $trace_dir/trace.chrome.json" | sha256sum --check --quiet
 rm -rf "$trace_dir"
 

@@ -8,15 +8,13 @@
 //! emits when a sampling interval is configured
 //! ([`Kernel::set_sample_interval`](crate::Kernel::set_sample_interval)).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 
-use sgx_epc::VirtPage;
 use sgx_sim::json::{self, Value};
-use sgx_sim::varint::{self, unzigzag, zigzag};
 use sgx_sim::Cycles;
 
-use crate::{EventKind, LoggedEvent, SpanId, TraceSink};
+use crate::{EventKind, LoggedEvent, TraceSink};
 
 /// A run's total cycles split into named buckets, one per paging
 /// subsystem, with the invariant that the buckets sum exactly to the
@@ -309,7 +307,7 @@ fn chrome_lane(e: &LoggedEvent) -> u64 {
 }
 
 /// Whether this kind opens a duration span closed by a later event with
-/// the same [`SpanId`].
+/// the same [`SpanId`](crate::SpanId).
 fn opens_span(kind: EventKind) -> bool {
     matches!(
         kind,
@@ -317,36 +315,82 @@ fn opens_span(kind: EventKind) -> bool {
     )
 }
 
-/// Whether this kind closes the duration span its [`SpanId`] opened.
+/// Whether this kind closes the duration span its [`SpanId`](crate::SpanId)
+/// opened.
 fn closes_span(kind: EventKind) -> bool {
     matches!(kind, EventKind::FaultResolved | EventKind::PreloadDone)
 }
 
-/// Logs the event stream compactly as it arrives and renders it as Chrome
-/// trace-event JSON (loadable in `ui.perfetto.dev` or `chrome://tracing`)
-/// on [`ChromeTraceSink::finish`] / drop.
+/// Streams the run's events as Chrome trace-event JSON (loadable in
+/// `ui.perfetto.dev` or `chrome://tracing`) while the run goes on: each
+/// record goes out, in stream order, as soon as the events seen so far
+/// decide it. [`ChromeTraceSink::finish`] (called from `Drop` if not
+/// called explicitly) decides the rest and closes the document.
 ///
-/// Layout: one lane per enclave plus a load-channel lane (`tid 0`).
-/// Open/close pairs sharing a span id (`fault`→`fault-resolved`,
-/// `preload-start`/`sip-prefetch-start`→`preload-done`) become complete
-/// (`"X"`) duration events; everything else is an instant. Every causal
-/// `parent` link whose parent span was emitted becomes a flow arrow
-/// (`"s"`/`"f"` pair, `id` = the child span). Timestamps are simulated
-/// cycles, rendered as the trace's microsecond unit.
+/// Layout: one lane per enclave plus a load-channel lane (`tid 0`); each
+/// enclave lane is named just before the first record on it. An opening
+/// event (`fault`, `preload-start`, `sip-prefetch-start`) waits for the
+/// next close (`fault-resolved`, `preload-done`) of its span and becomes a
+/// complete (`"X"`) duration event ending there; that close folds into
+/// every opener of its span still waiting and writes nothing. A close no
+/// opener waits for, an opener no close follows, and every other event
+/// is an instant. Every causal `parent` link becomes a flow arrow
+/// (`"s"`/`"f"` pair, `id` = the child span) from the parent span's first
+/// event: the child waits until its parent appears, and draws nothing if
+/// it never does. Timestamps are simulated cycles, rendered as the
+/// trace's microsecond unit.
 ///
-/// The sink never holds whole events: each one is logged as a header byte
-/// plus a few varint deltas, and each span keeps only the facts its
-/// records read (where it starts, where it first closes, whether it
-/// opens).
+/// The sink holds no event it has written. Per span it keeps only an
+/// anchor, the span's first timestamp and lane, in five bytes (nine where
+/// nearby spans' timestamps spread past an `i32`); beyond that it holds
+/// the events a record still waits on, with the decided ones behind them.
+/// Write errors are latched: the first one stops the output and is
+/// reported by `finish`.
 pub struct ChromeTraceSink<W: Write> {
     out: Option<W>,
-    log: EventLog,
-    index: TraceIndex,
+    /// The first write error, which `finish` reports.
+    error: Option<io::Error>,
+    /// Records not yet handed to `out`.
+    buf: Vec<u8>,
+    /// Each kind's quoted name with the keys around it, formatted once.
+    names: [Vec<u8>; EventKind::ALL.len()],
+    lanes: Lanes,
+    anchors: Anchors,
+    /// Events whose records are not written yet, in stream order: the
+    /// front one is undecided.
+    held: VecDeque<Held>,
+    /// The position of `held[0]` among the events ever held.
+    first_held: u64,
+    /// The position of the last held opener of each span still waiting
+    /// for a close, by span id; it links to any earlier one. It holds a few
+    /// entries at a time on a kernel stream.
+    waiting: HashMap<u64, u64>,
+    /// Events seen.
+    events: u64,
+}
+
+/// An event whose record is not written yet.
+struct Held {
+    event: LoggedEvent,
+    /// The event's lane, as a position in [`Lanes::ids`].
+    lane: u32,
+    /// For an opener, the timestamp of its span's close, once one came.
+    close: Option<u64>,
+    /// The position of the previous held opener of this span still
+    /// waiting for a close when this one arrived.
+    prev_opener: Option<u64>,
+}
+
+impl Held {
+    /// Whether the record waits for its span's close.
+    fn waits_close(&self) -> bool {
+        opens_span(self.event.what) && self.close.is_none()
+    }
 }
 
 impl ChromeTraceSink<io::BufWriter<std::fs::File>> {
-    /// Creates (truncating) `path` and renders the trace into it at the
-    /// end of the run.
+    /// Creates (truncating) `path` and streams the trace into it as the
+    /// run goes on.
     ///
     /// # Errors
     ///
@@ -357,45 +401,203 @@ impl ChromeTraceSink<io::BufWriter<std::fs::File>> {
 }
 
 impl<W: Write> ChromeTraceSink<W> {
-    /// Wraps `out`; the trace is rendered when the run finishes.
+    /// Wraps `out`; records reach it in 64 KiB chunks as the events decide
+    /// them.
     pub fn new(out: W) -> Self {
+        // One record per line: the frame and its `,\n` separators are the
+        // file's layout; each record is one JSON object, written as
+        // constant key fragments around its values. The process record
+        // comes first, so every later record opens with its separator.
+        let mut buf = Vec::with_capacity(CHROME_FLUSH_BYTES + 1024);
+        buf.extend_from_slice(
+            b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+              {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}},\n\
+              {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"load channel\"}}",
+        );
+        let names = EventKind::ALL.map(|kind| {
+            let mut s = String::from(",\"name\":");
+            json::push_str(&mut s, kind.name());
+            s.push_str(",\"args\":{\"span\":");
+            s.into_bytes()
+        });
         ChromeTraceSink {
             out: Some(out),
-            log: EventLog::default(),
-            index: TraceIndex::new(),
+            error: None,
+            buf,
+            names,
+            lanes: Lanes::new(),
+            anchors: Anchors::default(),
+            held: VecDeque::new(),
+            first_held: 0,
+            waiting: HashMap::new(),
+            events: 0,
         }
     }
 
-    /// The events logged so far, decoded in emission order.
-    pub fn events(&self) -> impl Iterator<Item = LoggedEvent> + '_ {
-        self.log.iter()
-    }
-
-    /// Renders the logged stream and flushes. Idempotent: the second call
-    /// is a no-op.
+    /// Writes every record still held, closes the document and flushes.
+    /// Idempotent: the second call is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
+    /// Reports the first write error, whether the run or this call met
+    /// it.
     pub fn finish(&mut self) -> io::Result<()> {
-        let Some(mut out) = self.out.take() else {
-            return Ok(());
-        };
-        self.index.write(self.log.iter(), &mut out)?;
-        out.flush()
+        if self.out.is_some() {
+            while let Some(h) = self.held.pop_front() {
+                self.write_record(&h);
+            }
+            self.buf.extend_from_slice(b"\n]}\n");
+            self.write_out();
+        }
+        if let Some(e) = self.error.take() {
+            self.out = None;
+            return Err(e);
+        }
+        self.out.take().map_or(Ok(()), |mut out| out.flush())
     }
 
-    /// Bytes the log and the index hold, counted by capacity.
+    /// Folds a close of `span` at `at` into every held opener of that
+    /// span still waiting; false if none waits.
+    fn fold_close(&mut self, span: u64, at: u64) -> bool {
+        let Some(mut pos) = self.waiting.remove(&span) else {
+            return false;
+        };
+        loop {
+            let opener = &mut self.held[(pos - self.first_held) as usize];
+            opener.close = Some(at);
+            match opener.prev_opener {
+                Some(prev) => pos = prev,
+                None => return true,
+            }
+        }
+    }
+
+    /// Writes the held records the events seen so far decide, in stream
+    /// order, up to the first one they do not.
+    fn release(&mut self) {
+        while let Some(h) = self.held.front() {
+            let parent_waits = h.event.parent.is_some_and(|p| !self.anchors.seen(p.raw()));
+            if h.waits_close() || parent_waits {
+                return;
+            }
+            let h = self.held.pop_front().expect("the front is held");
+            self.first_held += 1;
+            self.write_record(&h);
+        }
+    }
+
+    /// Writes `h`'s record and, if its parent appeared, its flow arrow;
+    /// hands the buffer to the writer once it reaches the flush size.
+    fn write_record(&mut self, h: &Held) {
+        let e = &h.event;
+        let lane = self.lanes.name(h.lane, &mut self.buf);
+        let (s, at) = (e.span.raw(), e.at.raw());
+        let out = &mut self.buf;
+        out.extend_from_slice(match h.close {
+            Some(_) => b",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
+            None => b",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
+        });
+        json::push_u64_bytes(out, lane);
+        out.extend_from_slice(b",\"ts\":");
+        json::push_u64_bytes(out, at);
+        match h.close {
+            Some(done) => {
+                out.extend_from_slice(b",\"dur\":");
+                json::push_u64_bytes(out, done.saturating_sub(at));
+            }
+            None => out.extend_from_slice(b",\"s\":\"t\""),
+        }
+        out.extend_from_slice(&self.names[e.what as usize]);
+        json::push_u64_bytes(out, s);
+        if let Some(p) = e.parent {
+            out.extend_from_slice(b",\"parent\":");
+            json::push_u64_bytes(out, p.raw());
+        }
+        if let Some(p) = e.page {
+            out.extend_from_slice(b",\"page\":");
+            json::push_u64_bytes(out, p.raw());
+        }
+        if let Some(v) = e.value {
+            out.extend_from_slice(b",\"value\":");
+            json::push_u64_bytes(out, v);
+        }
+        out.extend_from_slice(b"}}");
+        // One flow arrow per causal link, anchored at the parent span's
+        // first event. Links to spans absent from the stream draw nothing:
+        // a rendered arrow always references two emitted spans.
+        if let Some((p_at, p_lane)) = e.parent.and_then(|p| self.anchors.get(p.raw())) {
+            let p_lane = self.lanes.name(p_lane, &mut self.buf);
+            let out = &mut self.buf;
+            out.extend_from_slice(b",\n{\"ph\":\"s\",\"pid\":1,\"tid\":");
+            json::push_u64_bytes(out, p_lane);
+            out.extend_from_slice(b",\"ts\":");
+            json::push_u64_bytes(out, p_at);
+            out.extend_from_slice(b",\"id\":");
+            json::push_u64_bytes(out, s);
+            out.extend_from_slice(
+                b",\"name\":\"cause\",\"cat\":\"flow\"},\n\
+                  {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":",
+            );
+            json::push_u64_bytes(out, lane);
+            out.extend_from_slice(b",\"ts\":");
+            json::push_u64_bytes(out, at);
+            out.extend_from_slice(b",\"id\":");
+            json::push_u64_bytes(out, s);
+            out.extend_from_slice(b",\"name\":\"cause\",\"cat\":\"flow\"}");
+        }
+        if self.buf.len() >= CHROME_FLUSH_BYTES {
+            self.write_out();
+        }
+    }
+
+    /// Hands the buffered records to the writer, latching its first error.
+    fn write_out(&mut self) {
+        if let Some(out) = self.out.as_mut() {
+            if let Err(e) = out.write_all(&self.buf) {
+                self.error = Some(e);
+                self.out = None;
+            }
+        }
+        self.buf.clear();
+    }
+
+    /// Bytes the sink holds besides its output buffer, counted by
+    /// capacity.
     #[cfg(test)]
     fn retained_bytes(&self) -> usize {
-        self.log.bytes() + self.index.bytes()
+        use std::mem::size_of;
+        self.lanes.bytes()
+            + self.anchors.bytes()
+            + self.held.capacity() * size_of::<Held>()
+            + self.waiting.capacity() * size_of::<(u64, u64)>()
     }
 }
 
 impl<W: Write> TraceSink for ChromeTraceSink<W> {
-    fn on_event(&mut self, event: &LoggedEvent) {
-        self.index.observe(event);
-        self.log.push(event);
+    fn on_event(&mut self, e: &LoggedEvent) {
+        if self.out.is_none() {
+            return;
+        }
+        self.events += 1;
+        let lane = self.lanes.position(chrome_lane(e));
+        let (span, at) = (e.span.raw(), e.at.raw());
+        let reach = self.events.saturating_mul(2).saturating_add(FLAT_SLACK);
+        self.anchors.note(span, at, lane, reach);
+        if !(closes_span(e.what) && self.fold_close(span, at)) {
+            let pos = self.first_held + self.held.len() as u64;
+            let prev_opener = if opens_span(e.what) {
+                self.waiting.insert(span, pos)
+            } else {
+                None
+            };
+            self.held.push_back(Held {
+                event: *e,
+                lane,
+                close: None,
+                prev_opener,
+            });
+        }
+        self.release();
     }
 }
 
@@ -423,540 +625,233 @@ pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
 /// Bytes the render collects before handing them to its writer.
 const CHROME_FLUSH_BYTES: usize = 64 * 1024;
 
-/// [`Span::flags`] bit: the span's id appeared in the stream.
-const SEEN: u8 = 1;
-/// [`Span::flags`] bit: an opening event of the span appears in the
-/// stream.
-const OPENED: u8 = 2;
-/// [`Span::flags`] bit: a closing event of the span has appeared, and
-/// [`Span::close_at`] holds the first one's timestamp.
-const CLOSED: u8 = 4;
-
-/// What the render needs to know about one span.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    /// The span's first event's timestamp: the flow-arrow anchor.
-    anchor_at: u64,
-    /// The span's first event's lane, as a position in
-    /// [`TraceIndex::lane_ids`].
-    anchor_lane: u32,
-    /// The span's first closing event's timestamp, once [`CLOSED`]: an
-    /// opening event renders as a duration ending there.
-    close_at: u64,
-    /// [`SEEN`], [`OPENED`] and [`CLOSED`] bits.
-    flags: u8,
+/// The trace's lanes, each with its position by first appearance and
+/// whether its `thread_name` record is written.
+struct Lanes {
+    /// Lanes seen, sorted, each with its position in `ids`.
+    sorted: Vec<(u64, u32)>,
+    /// Lanes by first appearance, each with whether it is named. Lane 0,
+    /// the load channel, comes first and is named in the document's
+    /// header.
+    ids: Vec<(u64, bool)>,
 }
 
-impl Span {
-    /// Folds one more event of this span, of kind `what` at `at`, into its
-    /// facts.
-    fn note(&mut self, what: EventKind, at: u64) {
-        if let Some(close) = note_flags(&mut self.flags, what, at) {
-            self.close_at = close;
+impl Lanes {
+    fn new() -> Self {
+        Lanes {
+            sorted: vec![(0, 0)],
+            ids: vec![(0, true)],
         }
     }
-}
 
-/// Folds an event of kind `what` at `at` into a span's `flags`; returns
-/// `at` if the event is the span's first close, whose timestamp the span
-/// then records.
-fn note_flags(flags: &mut u8, what: EventKind, at: u64) -> Option<u64> {
-    if opens_span(what) {
-        *flags |= OPENED;
+    /// The position of `lane`, which it takes now if it is new.
+    fn position(&mut self, lane: u64) -> u32 {
+        match self.sorted.binary_search_by_key(&lane, |&(l, _)| l) {
+            Ok(i) => self.sorted[i].1,
+            Err(i) => {
+                let at = u32::try_from(self.ids.len()).expect("under 2^32 lanes");
+                self.sorted.insert(i, (lane, at));
+                self.ids.push((lane, false));
+                at
+            }
+        }
     }
-    (closes_span(what) && *flags & CLOSED == 0).then(|| {
-        *flags |= CLOSED;
-        at
-    })
+
+    /// The lane at `pos`; the first time a record uses it, its
+    /// `thread_name` record goes into `out` first.
+    fn name(&mut self, pos: u32, out: &mut Vec<u8>) -> u64 {
+        let (lane, named) = &mut self.ids[pos as usize];
+        if !*named {
+            *named = true;
+            out.extend_from_slice(b",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+            json::push_u64_bytes(out, *lane);
+            out.extend_from_slice(b",\"name\":\"thread_name\",\"args\":{\"name\":\"enclave ");
+            json::push_u64_bytes(out, *lane - 1);
+            out.extend_from_slice(b"\"}}");
+        }
+        *lane
+    }
+
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.sorted.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.ids.capacity() * std::mem::size_of::<(u64, bool)>()
+    }
 }
 
-/// What the render needs to know about a stream, gathered one event at a
-/// time: the lanes it uses and the facts of every span.
-/// [`ChromeTraceSink`] fills it as events arrive, and
-/// [`TraceIndex::write`] then renders the stream.
+/// Span ids per [`AnchorChunk`].
+const ANCHOR_CHUNK: u64 = 1 << 12;
+
+/// How far past twice the events seen [`Anchors::flat`] reaches.
+const FLAT_SLACK: u64 = 1024;
+
+/// Where each span starts: its first event's timestamp and lane, the point
+/// its children's flow arrows leave from.
 ///
 /// A kernel allocates span ids from one counter that starts at 1 and logs
 /// every id it allocates, so its ids are dense and stay near the count of
-/// events seen so far: `flat` holds their facts by id, and the stream
-/// never hashes. `flat` reaches ids up to twice the events seen plus
-/// [`FLAT_SLACK`]; larger ids come only from hand-built streams and go to
-/// `spill`, where they stay if `flat` later grows past them. Correctness
-/// never depends on that id property, and memory stays bounded by the
-/// event count for any input.
-struct TraceIndex {
-    /// Lanes seen, sorted (the header lists them in this order), each
-    /// with its position in `lane_ids`. Lane 0, the load channel, is
-    /// always listed.
-    lanes: Vec<(u64, u32)>,
-    /// Lanes by first appearance: what [`Span::anchor_lane`] indexes.
-    lane_ids: Vec<u64>,
-    /// Span facts by id, for the ids below its length.
-    flat: SpanTable,
-    /// Facts of the span ids `flat` did not reach when they first
-    /// appeared.
-    spill: HashMap<u64, Span>,
-    /// Events observed.
-    events: u64,
+/// events seen so far: `flat` holds their anchors by id, and the stream
+/// never hashes them. `flat` takes ids up to twice the events seen plus
+/// [`FLAT_SLACK`], on lanes at positions below 255; anything else comes
+/// only from hand-built streams and goes to `spill`, where it stays if
+/// `flat` later grows past it. Correctness never depends on that id
+/// property, and memory stays bounded by the event count for any input.
+#[derive(Default)]
+struct Anchors {
+    /// The anchors of ids `k * ANCHOR_CHUNK..(k + 1) * ANCHOR_CHUNK` in
+    /// `flat[k]`, once one of them appeared.
+    flat: Vec<Option<AnchorChunk>>,
+    /// The anchors `flat` could not take, as (timestamp, lane position).
+    spill: HashMap<u64, (u64, u32)>,
 }
 
-/// How far past twice the events seen [`TraceIndex::flat`] reaches.
-const FLAT_SLACK: u64 = 1024;
+/// The (chunk, index) of span `id` in [`Anchors::flat`], if it fits a
+/// `usize`.
+fn flat_slot(id: u64) -> Option<(usize, usize)> {
+    let chunk = usize::try_from(id / ANCHOR_CHUNK).ok()?;
+    Some((chunk, (id % ANCHOR_CHUNK) as usize))
+}
 
-impl TraceIndex {
-    fn new() -> Self {
-        TraceIndex {
-            lanes: vec![(0, 0)],
-            lane_ids: vec![0],
-            flat: SpanTable::default(),
-            spill: HashMap::new(),
-            events: 0,
-        }
-    }
-
-    /// The facts of span `id`, if it appeared.
+impl Anchors {
+    /// The anchor of span `id` as (timestamp, lane position), if it
+    /// appeared.
     #[inline]
-    fn span(&self, id: u64) -> Option<Span> {
-        usize::try_from(id)
-            .ok()
-            .and_then(|i| self.flat.get(i))
-            .or_else(|| self.spill.get(&id).copied())
+    fn get(&self, id: u64) -> Option<(u64, u32)> {
+        flat_slot(id)
+            .and_then(|(chunk, i)| self.flat.get(chunk)?.as_ref()?.get(i))
+            .or_else(|| {
+                if self.spill.is_empty() {
+                    None
+                } else {
+                    self.spill.get(&id).copied()
+                }
+            })
     }
 
-    /// Folds the stream's next event into the index.
-    fn observe(&mut self, e: &LoggedEvent) {
-        self.events += 1;
-        let lane = chrome_lane(e);
-        let lane = match self.lanes.binary_search_by_key(&lane, |&(l, _)| l) {
-            Ok(i) => self.lanes[i].1,
-            Err(i) => {
-                let at = u32::try_from(self.lane_ids.len()).expect("under 2^32 lanes");
-                self.lanes.insert(i, (lane, at));
-                self.lane_ids.push(lane);
-                at
-            }
-        };
-        let (id, at) = (e.span.raw(), e.at.raw());
-        let flat = usize::try_from(id).ok();
-        if let Some(i) = flat.filter(|&i| self.flat.seen(i)) {
-            self.flat.note(i, e.what, at);
-        } else if let Some(span) = self.spill.get_mut(&id) {
-            span.note(e.what, at);
-        } else {
-            let mut span = Span {
-                anchor_at: at,
-                anchor_lane: lane,
-                close_at: 0,
-                flags: SEEN,
-            };
-            span.note(e.what, at);
-            let reach = self.events.saturating_mul(2).saturating_add(FLAT_SLACK);
-            match flat {
-                Some(i) if id <= reach => self.flat.push_at(i, span),
-                _ => {
-                    self.spill.insert(id, span);
+    /// Whether span `id` appeared.
+    #[inline]
+    fn seen(&self, id: u64) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Takes (`at`, `lane`) as the anchor of span `id` unless it has one.
+    /// `flat` takes it if `id` is at most `reach`.
+    fn note(&mut self, id: u64, at: u64, lane: u32, reach: u64) {
+        if self.seen(id) {
+            return;
+        }
+        match flat_slot(id).filter(|_| id <= reach && lane < u32::from(u8::MAX)) {
+            Some((chunk, i)) => {
+                if self.flat.len() <= chunk {
+                    self.flat.resize_with(chunk + 1, || None);
                 }
+                match &mut self.flat[chunk] {
+                    Some(anchors) => anchors.set(i, at, lane),
+                    slot @ None => *slot = Some(AnchorChunk::new(i, at, lane)),
+                }
+            }
+            None => {
+                self.spill.insert(id, (at, lane));
             }
         }
     }
 
-    /// Writes `events`, the stream this index observed, to `w` as a Chrome
-    /// trace-event JSON document, in [`CHROME_FLUSH_BYTES`] chunks.
-    fn write(
-        &self,
-        events: impl IntoIterator<Item = LoggedEvent>,
-        w: &mut impl Write,
-    ) -> io::Result<()> {
-        // One record per line: the frame and its `,\n` separators are the
-        // file's layout; each record is one JSON object, written as
-        // constant key fragments around its values. The process record
-        // comes first, so every later record opens with its separator.
-        // The header and each kind's quoted name (with the keys around
-        // it) are formatted once; records go into a byte buffer, where
-        // an integer's digits go in with one copy.
-        let mut head = String::from(
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
-             {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"sgx-preload\"}}",
-        );
-        for &(lane, _) in &self.lanes {
-            head.push_str(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
-            json::push_u64(&mut head, lane);
-            head.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
-            match lane {
-                0 => json::push_str(&mut head, "load channel"),
-                _ => json::push_str(&mut head, &format!("enclave {}", lane - 1)),
-            }
-            head.push_str("}}");
-        }
-        let names = EventKind::ALL.map(|kind| {
-            let mut s = String::from(",\"name\":");
-            json::push_str(&mut s, kind.name());
-            s.push_str(",\"args\":{\"span\":");
-            s.into_bytes()
-        });
-        let mut out = Vec::with_capacity(CHROME_FLUSH_BYTES + 1024);
-        out.extend_from_slice(head.as_bytes());
-        for e in events {
-            if out.len() >= CHROME_FLUSH_BYTES {
-                w.write_all(&out)?;
-                out.clear();
-            }
-            let lane = chrome_lane(&e);
-            let s = e.span.raw();
-            let at = e.at.raw();
-            let (opens, closes) = (opens_span(e.what), closes_span(e.what));
-            let mut done = None;
-            if opens || closes {
-                let span = self.span(s).expect("every span is indexed");
-                let close_at = (span.flags & CLOSED != 0).then_some(span.close_at);
-                if closes && close_at == Some(at) && span.flags & OPENED != 0 {
-                    // Rendered as the duration of its opening event;
-                    // closes with no opener (foreign stream) fall through
-                    // to an instant.
-                    continue;
-                }
-                done = close_at.filter(|_| opens);
-            }
-            out.extend_from_slice(match done {
-                Some(_) => b",\n{\"ph\":\"X\",\"pid\":1,\"tid\":",
-                None => b",\n{\"ph\":\"i\",\"pid\":1,\"tid\":",
-            });
-            json::push_u64_bytes(&mut out, lane);
-            out.extend_from_slice(b",\"ts\":");
-            json::push_u64_bytes(&mut out, at);
-            match done {
-                Some(done) => {
-                    out.extend_from_slice(b",\"dur\":");
-                    json::push_u64_bytes(&mut out, done.saturating_sub(at));
-                }
-                None => out.extend_from_slice(b",\"s\":\"t\""),
-            }
-            out.extend_from_slice(&names[e.what as usize]);
-            json::push_u64_bytes(&mut out, s);
-            if let Some(p) = e.parent {
-                out.extend_from_slice(b",\"parent\":");
-                json::push_u64_bytes(&mut out, p.raw());
-            }
-            if let Some(p) = e.page {
-                out.extend_from_slice(b",\"page\":");
-                json::push_u64_bytes(&mut out, p.raw());
-            }
-            if let Some(v) = e.value {
-                out.extend_from_slice(b",\"value\":");
-                json::push_u64_bytes(&mut out, v);
-            }
-            out.extend_from_slice(b"}}");
-            // One flow arrow per causal link, anchored at the parent span's
-            // first event. Links to spans absent from the stream draw
-            // nothing — a rendered arrow always references two emitted
-            // spans.
-            if let Some(p) = e.parent.and_then(|p| self.span(p.raw())) {
-                out.extend_from_slice(b",\n{\"ph\":\"s\",\"pid\":1,\"tid\":");
-                json::push_u64_bytes(&mut out, self.lane_ids[p.anchor_lane as usize]);
-                out.extend_from_slice(b",\"ts\":");
-                json::push_u64_bytes(&mut out, p.anchor_at);
-                out.extend_from_slice(b",\"id\":");
-                json::push_u64_bytes(&mut out, s);
-                out.extend_from_slice(
-                    b",\"name\":\"cause\",\"cat\":\"flow\"},\n\
-                     {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":",
-                );
-                json::push_u64_bytes(&mut out, lane);
-                out.extend_from_slice(b",\"ts\":");
-                json::push_u64_bytes(&mut out, at);
-                out.extend_from_slice(b",\"id\":");
-                json::push_u64_bytes(&mut out, s);
-                out.extend_from_slice(b",\"name\":\"cause\",\"cat\":\"flow\"}");
-            }
-        }
-        out.extend_from_slice(b"\n]}\n");
-        w.write_all(&out)
-    }
-
-    /// Bytes the index holds, counted by capacity.
+    /// Bytes the anchors hold, counted by capacity.
     #[cfg(test)]
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.lanes.capacity() * size_of::<(u64, u32)>()
-            + self.lane_ids.capacity() * size_of::<u64>()
-            + self.flat.bytes()
-            + self.spill.capacity() * size_of::<(u64, Span)>()
+        self.flat.capacity() * size_of::<Option<AnchorChunk>>()
+            + self
+                .flat
+                .iter()
+                .flatten()
+                .map(AnchorChunk::bytes)
+                .sum::<usize>()
+            + self.spill.capacity() * size_of::<(u64, (u64, u32))>()
     }
 }
 
-/// Span facts by id, one chunked column per field; an id that has not
-/// appeared has no [`SEEN`] bit.
-#[derive(Default)]
-struct SpanTable {
-    anchor_at: Column<u64>,
-    anchor_lane: Column<u32>,
-    close_at: Column<u64>,
-    flags: Column<u8>,
+/// The anchors of [`ANCHOR_CHUNK`] consecutive span ids: five bytes per
+/// id, nine once the chunk's timestamps widen.
+struct AnchorChunk {
+    /// Each id's lane position plus one; 0 for an id that has not
+    /// appeared.
+    lanes: Box<[u8]>,
+    times: Times,
 }
 
-impl SpanTable {
-    /// Whether id `i` appeared.
+/// The timestamps of an [`AnchorChunk`].
+enum Times {
+    /// Offsets from `base`, the chunk's first anchor's timestamp, each
+    /// read as an `i32`.
+    Narrow { base: u64, offsets: Box<[u32]> },
+    /// Whole timestamps, once an offset did not fit.
+    Wide(Box<[u64]>),
+}
+
+impl AnchorChunk {
+    /// A chunk whose first anchor is (`at`, `lane`), at index `i`.
+    fn new(i: usize, at: u64, lane: u32) -> Self {
+        let mut chunk = AnchorChunk {
+            lanes: vec![0; ANCHOR_CHUNK as usize].into_boxed_slice(),
+            times: Times::Narrow {
+                base: at,
+                offsets: vec![0; ANCHOR_CHUNK as usize].into_boxed_slice(),
+            },
+        };
+        chunk.set(i, at, lane);
+        chunk
+    }
+
     #[inline]
-    fn seen(&self, i: usize) -> bool {
-        self.flags.get(i).is_some_and(|&f| f & SEEN != 0)
+    fn get(&self, i: usize) -> Option<(u64, u32)> {
+        let lane = self.lanes[i].checked_sub(1)?;
+        let at = match &self.times {
+            Times::Narrow { base, offsets } => widen(*base, offsets[i]),
+            Times::Wide(at) => at[i],
+        };
+        Some((at, u32::from(lane)))
     }
 
-    /// The facts stored for id `i`, if that id appeared.
-    #[inline]
-    fn get(&self, i: usize) -> Option<Span> {
-        self.seen(i).then(|| Span {
-            anchor_at: self.anchor_at[i],
-            anchor_lane: self.anchor_lane[i],
-            close_at: self.close_at[i],
-            flags: self.flags[i],
-        })
-    }
-
-    /// Folds one more event of id `i`, which appeared before, into its
-    /// facts; see [`Span::note`].
-    #[inline]
-    fn note(&mut self, i: usize, what: EventKind, at: u64) {
-        if let Some(close) = note_flags(&mut self.flags[i], what, at) {
-            self.close_at[i] = close;
-        }
-    }
-
-    /// Stores `span` as the facts of id `i`, which has not appeared,
-    /// growing the table to reach it.
-    fn push_at(&mut self, i: usize, span: Span) {
-        while self.flags.len() < i {
-            self.push(Span::default());
-        }
-        if i == self.flags.len() {
-            self.push(span);
-        } else {
-            self.anchor_at[i] = span.anchor_at;
-            self.anchor_lane[i] = span.anchor_lane;
-            self.close_at[i] = span.close_at;
-            self.flags[i] = span.flags;
-        }
-    }
-
-    fn push(&mut self, span: Span) {
-        self.anchor_at.push(span.anchor_at);
-        self.anchor_lane.push(span.anchor_lane);
-        self.close_at.push(span.close_at);
-        self.flags.push(span.flags);
-    }
-
-    /// Bytes the table holds, counted by capacity.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        self.anchor_at.bytes()
-            + self.anchor_lane.bytes()
-            + self.close_at.bytes()
-            + self.flags.bytes()
-    }
-}
-
-/// Entries per [`Column`] chunk.
-const CHUNK: usize = 1 << 16;
-
-/// An append-only column stored in fixed-size chunks: it grows without
-/// ever moving what it holds, so a long stream never pays a reallocation's
-/// copy or its transient double footprint. A chunk is allocated whole, but
-/// its pages become resident only as entries fill them.
-struct Column<T> {
-    /// Every chunk but the last holds exactly [`CHUNK`] entries.
-    chunks: Vec<Vec<T>>,
-}
-
-impl<T> Default for Column<T> {
-    fn default() -> Self {
-        Column { chunks: Vec::new() }
-    }
-}
-
-impl<T> Column<T> {
-    fn len(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |c| (self.chunks.len() - 1) * CHUNK + c.len())
-    }
-
-    fn push(&mut self, v: T) {
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(v),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(v);
-                self.chunks.push(chunk);
+    /// Stores (`at`, `lane`) at index `i`; `lane` is below 255.
+    fn set(&mut self, i: usize, at: u64, lane: u32) {
+        self.lanes[i] = u8::try_from(lane + 1).expect("flat lanes fit a byte");
+        match &mut self.times {
+            Times::Narrow { base, offsets } => {
+                let offset = at.wrapping_sub(*base);
+                if offset.wrapping_add(1 << 31) < 1 << 32 {
+                    offsets[i] = offset as u32;
+                } else {
+                    let mut wide: Box<[u64]> = offsets.iter().map(|&o| widen(*base, o)).collect();
+                    wide[i] = at;
+                    self.times = Times::Wide(wide);
+                }
             }
+            Times::Wide(times) => times[i] = at,
         }
     }
 
-    #[inline]
-    fn get(&self, i: usize) -> Option<&T> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
-    }
-
-    /// Bytes the column holds, counted by capacity.
     #[cfg(test)]
     fn bytes(&self) -> usize {
-        let entries: usize = self.chunks.iter().map(Vec::capacity).sum();
-        entries * std::mem::size_of::<T>() + self.chunks.capacity() * std::mem::size_of::<Vec<T>>()
+        self.lanes.len()
+            + match &self.times {
+                Times::Narrow { offsets, .. } => offsets.len() * 4,
+                Times::Wide(times) => times.len() * 8,
+            }
     }
 }
 
-impl<T> std::ops::Index<usize> for Column<T> {
-    type Output = T;
-
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.chunks[i / CHUNK][i % CHUNK]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Column<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.chunks[i / CHUNK][i % CHUNK]
-    }
-}
-
-/// Bytes per [`EventLog`] chunk.
-const LOG_CHUNK: usize = 1 << 16;
-/// The longest encoding of one event: the header byte and five varints.
-const MAX_EVENT_BYTES: usize = 1 + 5 * varint::MAX_BYTES;
-/// Header bits below the presence bits: the kind's index in
-/// [`EventKind::ALL`].
-const KIND_BITS: u8 = 0x0F;
-/// Header bit: a `page` varint follows.
-const HAS_PAGE: u8 = 0x10;
-/// Header bit: a `value` varint follows.
-const HAS_VALUE: u8 = 0x20;
-/// Header bit: a `parent` varint follows.
-const HAS_PARENT: u8 = 0x40;
-const _: () = assert!(EventKind::ALL.len() <= KIND_BITS as usize + 1);
-
-/// An append-only event stream, a few bytes per event.
-///
-/// Each event is one header byte (the kind's index, plus presence bits for
-/// `page`, `value` and `parent`) followed by LEB128 varints: the zigzag
-/// deltas of `at` and `span` from the previous event and of `page` from
-/// the previous page, the raw `value`, and the zigzag of `span − parent`.
-/// Like a [`Column`], the log grows in fixed-size chunks, so it never moves
-/// what it holds; a chunk takes a new event only while it has room for the
-/// longest one, so an event never straddles two chunks.
-#[derive(Default)]
-struct EventLog {
-    chunks: Vec<Vec<u8>>,
-    /// What the next event's deltas are taken from.
-    prev: Deltas,
-}
-
-/// The delta bases of an [`EventLog`]: the previous event's `at` and
-/// `span`, and the previous page.
-#[derive(Clone, Copy, Default)]
-struct Deltas {
-    at: u64,
-    span: u64,
-    page: u64,
-}
-
-impl EventLog {
-    fn push(&mut self, e: &LoggedEvent) {
-        if self
-            .chunks
-            .last()
-            .is_none_or(|c| c.len() + MAX_EVENT_BYTES > LOG_CHUNK)
-        {
-            self.chunks.push(Vec::with_capacity(LOG_CHUNK));
-        }
-        let out = self.chunks.last_mut().expect("a chunk with room");
-        let flag = |present: bool, bit: u8| if present { bit } else { 0 };
-        out.push(
-            e.what as u8
-                | flag(e.page.is_some(), HAS_PAGE)
-                | flag(e.value.is_some(), HAS_VALUE)
-                | flag(e.parent.is_some(), HAS_PARENT),
-        );
-        let (at, span) = (e.at.raw(), e.span.raw());
-        varint::push(out, zigzag(at.wrapping_sub(self.prev.at)));
-        varint::push(out, zigzag(span.wrapping_sub(self.prev.span)));
-        if let Some(p) = e.page {
-            varint::push(out, zigzag(p.raw().wrapping_sub(self.prev.page)));
-            self.prev.page = p.raw();
-        }
-        if let Some(v) = e.value {
-            varint::push(out, v);
-        }
-        if let Some(p) = e.parent {
-            varint::push(out, zigzag(span.wrapping_sub(p.raw())));
-        }
-        self.prev.at = at;
-        self.prev.span = span;
-    }
-
-    /// The logged events, decoded in order.
-    fn iter(&self) -> LogIter<'_> {
-        LogIter {
-            chunks: &self.chunks,
-            pos: 0,
-            prev: Deltas::default(),
-        }
-    }
-
-    /// Bytes the log holds, counted by capacity.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        self.chunks.iter().map(Vec::capacity).sum::<usize>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<u8>>()
-    }
-}
-
-/// Decodes an [`EventLog`].
-struct LogIter<'a> {
-    /// The chunk being decoded, then the rest.
-    chunks: &'a [Vec<u8>],
-    /// The next event's offset in `chunks[0]`.
-    pos: usize,
-    prev: Deltas,
-}
-
-impl Iterator for LogIter<'_> {
-    type Item = LoggedEvent;
-
-    fn next(&mut self) -> Option<LoggedEvent> {
-        while self.pos == self.chunks.first()?.len() {
-            self.chunks = &self.chunks[1..];
-            self.pos = 0;
-        }
-        let bytes = &self.chunks[0][..];
-        let mut pos = self.pos;
-        let head = bytes[pos];
-        pos += 1;
-        let mut read = || varint::read(bytes, &mut pos);
-        let at = self.prev.at.wrapping_add(unzigzag(read()));
-        let span = self.prev.span.wrapping_add(unzigzag(read()));
-        let page = (head & HAS_PAGE != 0).then(|| {
-            self.prev.page = self.prev.page.wrapping_add(unzigzag(read()));
-            VirtPage::new(self.prev.page)
-        });
-        let value = (head & HAS_VALUE != 0).then(&mut read);
-        let parent =
-            (head & HAS_PARENT != 0).then(|| SpanId::new(span.wrapping_sub(unzigzag(read()))));
-        self.pos = pos;
-        self.prev.at = at;
-        self.prev.span = span;
-        Some(LoggedEvent {
-            at: Cycles::new(at),
-            what: EventKind::ALL[usize::from(head & KIND_BITS)],
-            page,
-            value,
-            span: SpanId::new(span),
-            parent,
-        })
-    }
+/// The timestamp `offset` (an `i32`'s bits) past `base`.
+#[inline]
+fn widen(base: u64, offset: u32) -> u64 {
+    base.wrapping_add(offset as i32 as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpanId;
+    use sgx_epc::VirtPage;
 
     fn ev(
         at: u64,
@@ -1122,21 +1017,35 @@ mod tests {
         events.take()
     }
 
-    /// The sink keeps a few bytes per event, never the events themselves.
-    /// Buffering the 72-byte events, plus the 40-byte record per span the
-    /// render then built, took about 103 bytes per event on this stream.
+    /// The sink keeps an anchor of a few bytes per span and a short window
+    /// of undecided events, never the stream: a kernel stream decides each
+    /// record within a few events. Buffering the 72-byte events, plus the
+    /// 40-byte record per span the render then built, took about 103 bytes
+    /// per event on this stream; a varint log plus per-span close facts
+    /// took under 32.
     #[test]
-    fn chrome_sink_retains_a_few_bytes_per_event() {
+    fn chrome_sink_keeps_anchors_and_a_short_window() {
         let events = dev_microbenchmark_dfp_events();
         assert!(events.len() > 300_000, "{} events", events.len());
+        let spans: std::collections::BTreeSet<u64> = events.iter().map(|e| e.span.raw()).collect();
         let mut sink = ChromeTraceSink::new(io::sink());
+        let mut window = 0;
         for e in &events {
             sink.on_event(e);
+            window = window.max(sink.held.len());
         }
-        let per_event = sink.retained_bytes() as f64 / events.len() as f64;
-        eprintln!("{} events, {per_event:.2} bytes per event", events.len());
-        assert!(per_event < 32.0, "{per_event:.1} bytes per event");
-        assert!(sink.events().eq(events.iter().copied()));
+        let per_span = sink.retained_bytes() as f64 / spans.len() as f64;
+        eprintln!(
+            "{} events, {} spans: {per_span:.2} bytes per span, window of {window}",
+            events.len(),
+            spans.len()
+        );
+        assert!(per_span <= 8.0, "{per_span:.2} bytes per span");
+        assert!(window <= 32, "{window} events held at once");
+        assert!(
+            sink.anchors.spill.is_empty(),
+            "a kernel stream never spills"
+        );
     }
 
     #[test]

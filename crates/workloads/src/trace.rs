@@ -885,7 +885,7 @@ mod tests {
 
     #[test]
     fn sgxt_file_roundtrip() {
-        let dir = std::env::temp_dir().join("sgx_trace_sgxt_test");
+        let dir = std::env::temp_dir().join(format!("sgx_trace_sgxt_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.sgxt");
         let t = RecordedTrace::record(Benchmark::Lbm.build(InputSet::Ref, Scale::DEV, 1), 120);
@@ -954,7 +954,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sgx_trace_test");
+        let dir = std::env::temp_dir().join(format!("sgx_trace_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         let t = RecordedTrace::record(Benchmark::Lbm.build(InputSet::Ref, Scale::DEV, 1), 100);

@@ -1080,8 +1080,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("--series-out {path}: {e}"))?;
         run = run.sink(Box::new(series));
     }
-    // The Chrome sink renders the stream when the run is over; the shared
-    // handle lets its write errors reach the exit status.
+    // The Chrome sink writes each record while the run goes on, as soon as
+    // the stream decides it, and keeps its first write error; the shared
+    // handle lets `finish` bring that error to the exit status.
     let chrome = match args.get("chrome-out") {
         Some(path) => {
             let sink =

@@ -3,8 +3,8 @@
 //! Three rendered traces are pinned as golden files under `tests/golden/`
 //! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):
 //! one fixed small run; a small two-enclave SIP+DFP run; and a hand-built
-//! stream with the shapes a kernel never emits. `ChromeTraceSink` renders
-//! each from its own compact log of the stream, in memory and streamed to
+//! stream with the shapes a kernel never emits. `ChromeTraceSink` writes
+//! each record as soon as the stream decides it, in memory and streamed to
 //! a writer that takes a few bytes per call. Campaign timeline files are
 //! byte-identical regardless of worker count, and every flow arrow the
 //! renderer draws references two emitted spans.
@@ -90,26 +90,42 @@ fn chrome_trace_matches_golden() {
 }
 
 /// The two-enclave run's `sip_load` allocates its `SipLoaded` span before
-/// the blocking load evicts, so an `evict-fg` with a larger id precedes
-/// the `sip-loaded` it served: span ids appear out of order.
+/// the blocking load evicts, so an `evict-fg` with a larger id, whose
+/// parent is that span, precedes the `sip-loaded` it served: span ids
+/// appear out of order, and the eviction's record waits for its parent.
 #[test]
 fn two_enclave_sip_dfp_trace_matches_golden() {
     let events = two_enclave_run_events();
-    let evicted_first = events.windows(2).any(|w| {
-        w[0].what == EventKind::EvictForeground
-            && w[1].what == EventKind::SipLoaded
-            && w[0].span > w[1].span
-    });
-    assert!(evicted_first, "a SIP load evicts before it logs");
+    let (evict, loaded) = events
+        .windows(2)
+        .find(|w| {
+            w[0].what == EventKind::EvictForeground
+                && w[1].what == EventKind::SipLoaded
+                && w[0].parent == Some(w[1].span)
+                && w[0].span > w[1].span
+        })
+        .map(|w| (w[0], w[1]))
+        .expect("a SIP load evicts before it logs");
     let lanes: BTreeSet<u64> = events
         .iter()
         .filter_map(|e| e.page.map(|p| p.raw() >> 24))
         .collect();
     assert_eq!(lanes, [0, 1].into(), "both enclaves fault");
-    assert_golden(
-        "timeline_two_enclave.chrome.json",
-        &render_chrome_trace(&events),
+    let json = render_chrome_trace(&events);
+    // The arrow leaves the `sip-loaded` span, logged after its child, on
+    // the enclave's lane, and lands on the eviction in the channel lane.
+    let (id, lane) = (
+        evict.span.raw(),
+        1 + (loaded.page.expect("a page").raw() >> 24),
     );
+    let arrow = format!(
+        "{{\"ph\":\"s\",\"pid\":1,\"tid\":{lane},\"ts\":{},\"id\":{id},\"name\":\"cause\",\
+         \"cat\":\"flow\"}},\n{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":0,\"ts\":{},\"id\":{id},",
+        loaded.at.raw(),
+        evict.at.raw()
+    );
+    assert!(json.contains(&arrow), "no arrow from span {}", loaded.span);
+    assert_golden("timeline_two_enclave.chrome.json", &json);
 }
 
 /// A kernel allocates span ids from one counter starting at 1 and logs
@@ -392,7 +408,8 @@ fn timeline_campaign(dir: &Path) -> Campaign {
 /// matter how many workers ran the grid.
 #[test]
 fn campaign_timeline_files_are_stable_under_jobs() {
-    let base = std::env::temp_dir().join("sgx_chrome_trace_jobs_test");
+    let base =
+        std::env::temp_dir().join(format!("sgx_chrome_trace_jobs_test_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let serial_dir = base.join("serial");
     let jobs_dir = base.join("jobs");

@@ -6,6 +6,12 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sgx-preload"))
 }
 
+/// A directory under the system temp dir for one test, suffixed with this
+/// process's id so that overlapping test runs never share it.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("{name}_{}", std::process::id()))
+}
+
 fn run_ok(args: &[&str]) -> String {
     let out = cli().args(args).output().expect("spawn sgx-preload");
     assert!(
@@ -56,7 +62,7 @@ fn list_names_all_benchmarks_and_schemes() {
 
 #[test]
 fn run_reports_improvement() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_run_test");
+    let dir = scratch_dir("sgx_preload_cli_run_test");
     std::fs::create_dir_all(&dir).unwrap();
     let jsonl = dir.join("lbm.jsonl");
     let out = run_ok(&[
@@ -126,7 +132,7 @@ fn profile_shows_plan_and_sites() {
 
 #[test]
 fn trace_then_replay_roundtrip() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_test");
+    let dir = scratch_dir("sgx_preload_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("lbm.csv");
     let out = run_ok(&[
@@ -162,7 +168,7 @@ fn trace_then_replay_roundtrip() {
 
 #[test]
 fn trace_record_convert_replay_roundtrip() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_sgxt_test");
+    let dir = scratch_dir("sgx_preload_cli_sgxt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let sgxt = dir.join("kv.sgxt");
     let csv = dir.join("kv.csv");
@@ -243,7 +249,7 @@ fn trace_record_convert_replay_roundtrip() {
 
 #[test]
 fn trace_replay_rejects_corrupt_inputs_with_structured_errors() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_corrupt_test");
+    let dir = scratch_dir("sgx_preload_cli_corrupt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let write = |name: &str, bytes: &[u8]| {
         let p = dir.join(name);
@@ -331,7 +337,7 @@ fn trace_replay_rejects_corrupt_inputs_with_structured_errors() {
 /// the page, the benchmark and the range, not a panic in the kernel.
 #[test]
 fn trace_replay_rejects_a_page_outside_the_source_elrange() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_elrange_test");
+    let dir = scratch_dir("sgx_preload_cli_elrange_test");
     std::fs::create_dir_all(&dir).unwrap();
     let csv = dir.join("mcf.csv");
     run_ok(&[
@@ -371,7 +377,7 @@ fn trace_replay_rejects_a_page_outside_the_source_elrange() {
 
 #[test]
 fn timeline_streams_kernel_events() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_timeline_test");
+    let dir = scratch_dir("sgx_preload_cli_timeline_test");
     std::fs::create_dir_all(&dir).unwrap();
     let summary = dir.join("timeline.json");
     let chrome = dir.join("timeline.chrome.json");
@@ -442,7 +448,7 @@ fn timeline_streams_kernel_events() {
 
 #[test]
 fn campaign_runs_the_diverse_families_and_honours_predictor() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_campaign_test");
+    let dir = scratch_dir("sgx_preload_cli_campaign_test");
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("diverse.json");
     let diverse = "kvstore,phase-shift,graph-frontier,ml-inference";
@@ -508,7 +514,7 @@ fn leakage_gate_trips_on_exactly_the_sip_and_dfp_rows() {
 
 #[test]
 fn contend_reports_per_tenant_slowdown() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_contend_test");
+    let dir = scratch_dir("sgx_preload_cli_contend_test");
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("contend.json");
     let out = run_ok(&[
@@ -630,7 +636,7 @@ fn strip_number(json: &str, key: &str) -> String {
 /// EDMM scheme.
 #[test]
 fn every_campaign_and_leakage_flag_moves_the_report() {
-    let dir = std::env::temp_dir().join("sgx_preload_cli_flag_effect_test");
+    let dir = scratch_dir("sgx_preload_cli_flag_effect_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("report.json");
     // The exit code and the report, its wall-clock and worker count aside.
@@ -673,5 +679,70 @@ fn every_campaign_and_leakage_flag_moves_the_report() {
         report(&format!("{leakage} --tolerance 0")).0,
     );
     assert_eq!(codes, (Some(0), Some(1)), "--tolerance");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every flag `run` and `timeline` read moves what they show: at some
+/// non-default value, each one changes the exit status, stdout, or a file
+/// the command writes (the `--json-out` report among them, its wall-clock
+/// aside). The base runs use schemes that reach each flag's mechanism:
+/// hybrid runs SIP (`--threshold`, `--early`) and DFP (the stream knobs
+/// and `--predictor`), and the EPC ceiling needs an EDMM scheme.
+#[test]
+fn every_run_and_timeline_flag_moves_the_output() {
+    let dir = scratch_dir("sgx_preload_cli_run_flag_effect_test");
+    let at = dir.to_str().unwrap().to_string();
+    // The exit code, stdout and every file written into `dir`, by name.
+    let outcome = |args: &str| {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let args = args.replace("{dir}", &at);
+        let out = cli()
+            .args(args.split(' '))
+            .output()
+            .expect("spawn sgx-preload");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{args}: {stderr}");
+        let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| {
+                let f = f.unwrap();
+                let text = std::fs::read_to_string(f.path()).unwrap();
+                let name = f.file_name().into_string().unwrap();
+                (name, strip_number(&text, "wall_nanos"))
+            })
+            .collect();
+        files.sort();
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        (out.status.code(), stdout, files)
+    };
+    let config = "--seed 7|--scale 32|--epc-pages 600|--load-length 1|--list-len 1|\
+                  --threshold 0.0|--early 2|--predictor next-line";
+    let run = "run --bench deepsjeng --scale 64 --scheme hybrid";
+    let timeline =
+        "timeline --bench deepsjeng --scale 64 --scheme hybrid -n 0 --series-out {dir}/s.csv";
+    let cases = [
+        (run, "--bench mcf|--scheme dfp|--jsonl {dir}/e.jsonl|--hist"),
+        (
+            timeline,
+            "--bench mcf|--scheme dfp|-n 5|--chrome-out {dir}/t.json|\
+             --series-out {dir}/s.json|--series-every 5000|--attr|--json-out {dir}/r.json",
+        ),
+    ];
+    for (base, picks) in cases {
+        let want = outcome(base);
+        assert_eq!(want.0, Some(0), "{base}");
+        // The later of two equal flags wins.
+        for flag in config.split('|').chain(picks.split('|')) {
+            let got = outcome(&format!("{base} {flag}"));
+            assert!(got != want, "`{base} {flag}` changed nothing");
+        }
+        let edmm = base.replace("hybrid", "edmm");
+        let want = outcome(&edmm);
+        assert!(
+            outcome(&format!("{edmm} --epc-ceiling 50")) != want,
+            "`{edmm} --epc-ceiling 50` changed nothing"
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

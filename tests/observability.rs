@@ -191,7 +191,7 @@ fn run_end_is_emitted_once_last_and_reconciles_with_the_report() {
 #[test]
 fn campaign_trace_dir_streams_one_jsonl_file_per_cell() {
     use sgx_preloading::Campaign;
-    let dir = std::env::temp_dir().join("sgx_obs_trace_dir_test");
+    let dir = std::env::temp_dir().join(format!("sgx_obs_trace_dir_test_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let campaign = Campaign::grid(
         "traced",
@@ -362,7 +362,8 @@ fn stream_partition_agrees_with_per_app_reports_on_contention() {
 #[test]
 fn jsonl_sink_agrees_with_collector() {
     let c = cfg();
-    let path = std::env::temp_dir().join("sgx_obs_jsonl_test.jsonl");
+    let path =
+        std::env::temp_dir().join(format!("sgx_obs_jsonl_test_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let (collector, events) = CollectingSink::new();
     let writer = JsonlWriterSink::create(&path).unwrap();

@@ -8,9 +8,12 @@
 //! on one kernel. Every app's attribution sums to its total with its own
 //! world switches, the event stream split by ELRANGE owner reproduces
 //! each app's counters, fault lineage points at preload spans, and no
-//! preload starts after the valve latches. The reach counts at the end
-//! keep the test from passing on runs that never reach those paths, and
-//! the apps whose books over-bill are pinned by name.
+//! preload starts after the valve latches. The stream also has the shape
+//! the Chrome render relies on: every close follows an opener of its span
+//! that no close has yet met, no span opens twice, and every parent
+//! appears in the stream. The reach counts at the end keep the test from
+//! passing on runs that never reach those paths, and the apps whose books
+//! over-bill are pinned by name.
 //!
 //! A failure names its seed; `random_case(seed)` rebuilds the case.
 
@@ -178,7 +181,8 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
     let events = collected.borrow();
 
     // One pass over the stream: each app's share, the pages the abort and
-    // valve events drop, lineage and the latch.
+    // valve events drop, lineage, the latch, and the span facts the Chrome
+    // render relies on to write each record within a few events.
     let owner = |page: VirtPage| (page.raw() >> ENCLAVE_SHIFT) as usize;
     let starts: BTreeSet<u64> = events
         .iter()
@@ -190,10 +194,32 @@ fn check(seed: u64, case: &Case, scheme: Scheme, reach: &mut Reach) {
         })
         .map(|e| e.span.raw())
         .collect();
+    let emitted: BTreeSet<u64> = events.iter().map(|e| e.span.raw()).collect();
     let mut share = vec![EventCounts::default(); reports.len()];
     let mut batch_owner = HashMap::new();
+    let (mut opened, mut waiting) = (BTreeSet::new(), BTreeSet::new());
     let (mut dropped, mut latched, mut cross_aborts) = (0, false, false);
     for e in events.iter() {
+        let span = e.span.raw();
+        match e.what {
+            EventKind::Fault | EventKind::PreloadStart | EventKind::SipPrefetchStart => {
+                assert!(opened.insert(span), "{ctx}: span {span} opens twice");
+                waiting.insert(span);
+            }
+            EventKind::FaultResolved | EventKind::PreloadDone => assert!(
+                waiting.remove(&span),
+                "{ctx}: {} at {} closes span {span}, which no opener left open",
+                e.what,
+                e.at
+            ),
+            _ => {}
+        }
+        if let Some(p) = e.parent {
+            assert!(
+                emitted.contains(&p.raw()),
+                "{ctx}: parent {p} never appears"
+            );
+        }
         if matches!(e.what, EventKind::PreloadAbort | EventKind::ValveStopped) {
             dropped += e.value.unwrap_or(0);
         }

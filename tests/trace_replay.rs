@@ -33,7 +33,7 @@ fn roundtripped_replays(dir: &std::path::Path, cfg: &SimConfig) -> Vec<TraceRepl
 #[test]
 fn replayed_sgxt_grids_match_generator_grids_at_any_worker_count() {
     let cfg = SimConfig::at_scale(Scale::new(64));
-    let dir = std::env::temp_dir().join("sgx_trace_replay_battery");
+    let dir = std::env::temp_dir().join(format!("sgx_trace_replay_battery_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let replays = roundtripped_replays(&dir, &cfg);
 
