@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, docs, release build, the
-# full-scale Chrome trace digest, full test suite, then the same checks on
-# the bench ledger (a workspace of its own, so the workspace-wide commands
-# skip it). Every other behavioural check lives in a cargo test. Run from
-# the repo root. Fails fast on the first broken stage.
+# full-scale Chrome trace and gauge series digests, full test suite, then
+# the same checks on the bench ledger (a workspace of its own, so the
+# workspace-wide commands skip it). Every other behavioural check lives in
+# a cargo test. Run from the repo root. Fails fast on the first broken
+# stage.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,23 +31,30 @@ echo "==> cargo build --release --locked"
 # --locked fails the build when a manifest edit left Cargo.lock stale.
 cargo build --release --locked
 
-echo "==> full-scale Chrome trace digest"
-# The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) must keep
-# its bytes. `timeline --chrome-out` streams the run through
+echo "==> full-scale Chrome trace and gauge series digests"
+# The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) and its
+# gauge series (21,910,721 bytes, sampled every 100,000 cycles) must keep
+# their bytes. `timeline --chrome-out` streams the run through
 # ChromeTraceSink, the one render path `campaign --timeline-out` also uses.
-# The sink writes each record once the events decide it and keeps a
-# five-byte anchor per span, so the run must fit a 64 MiB address space
-# (`ulimit -v`, this subshell only); a sink that held the stream until the
-# end needed 128 MiB.
+# Each sink renders on a thread of its own, which owns the writer; the
+# run's thread fills one of four batches of 4,096 events, and at most two
+# wait for the render.
+# The render writes each record once the events decide it and keeps a
+# five-byte anchor per span, so the run, render thread included, must fit
+# a 64 MiB address space (`ulimit -v`, this subshell only); a sink that
+# held the stream until the end needed 128 MiB.
 TRACE_SHA256=5a49065972cea4954cdf1e9d68db20585c27bb5e579dfbe709f1a88b951bf1e0
+SERIES_SHA256=621a25db4350411608d881ab8e5cc8122db2fb3553ddcb36c459b9e0ef6bc819
 trace_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir"' EXIT
 (
   ulimit -v 65536
   ./target/release/sgx-preload timeline --bench microbenchmark --scheme dfp \
-    --scale full -n 0 --chrome-out "$trace_dir/trace.chrome.json" > /dev/null
+    --scale full -n 0 --chrome-out "$trace_dir/trace.chrome.json" \
+    --series-out "$trace_dir/series.csv" > /dev/null
 )
 echo "$TRACE_SHA256  $trace_dir/trace.chrome.json" | sha256sum --check --quiet
+echo "$SERIES_SHA256  $trace_dir/series.csv" | sha256sum --check --quiet
 rm -rf "$trace_dir"
 
 echo "==> cargo test -q"

@@ -10,6 +10,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 use sgx_sim::json::{self, Value};
 use sgx_sim::Cycles;
@@ -322,31 +324,199 @@ fn closes_span(kind: EventKind) -> bool {
 }
 
 /// Streams the run's events as Chrome trace-event JSON (loadable in
-/// `ui.perfetto.dev` or `chrome://tracing`) while the run goes on: each
-/// record goes out, in stream order, as soon as the events seen so far
-/// decide it. [`ChromeTraceSink::finish`] (called from `Drop` if not
-/// called explicitly) decides the rest and closes the document.
+/// `ui.perfetto.dev` or `chrome://tracing`) while the run goes on, and
+/// renders them on a thread of its own, so the render overlaps the run.
 ///
-/// Layout: one lane per enclave plus a load-channel lane (`tid 0`); each
-/// enclave lane is named just before the first record on it. An opening
-/// event (`fault`, `preload-start`, `sip-prefetch-start`) waits for the
-/// next close (`fault-resolved`, `preload-done`) of its span and becomes a
-/// complete (`"X"`) duration event ending there; that close folds into
-/// every opener of its span still waiting and writes nothing. A close no
-/// opener waits for, an opener no close follows, and every other event
-/// is an instant. Every causal `parent` link becomes a flow arrow
+/// The sink is a front and a render thread. The front copies each event
+/// into a batch of 4,096 events and sends each full batch over a channel
+/// that holds two, then takes an emptied batch back. Four batches exist:
+/// the one the front fills, two in flight and the one the thread renders,
+/// so the sink never holds the stream. The render thread, one per sink,
+/// owns the writer, which is why `W` must be `Send + 'static`.
+/// [`ChromeTraceSink::finish`] (called from `Drop` if not called
+/// explicitly) sends the last batch and joins the thread;
+/// [`ChromeTraceSink::into_inner`] does the same and returns the writer.
+///
+/// The thread writes each record, in stream order, as soon as the events
+/// seen so far decide it, and closes the document once the last batch is
+/// in. Layout: one lane per enclave plus a load-channel lane (`tid 0`);
+/// each enclave lane is named just before the first record on it. An
+/// opening event (`fault`, `preload-start`, `sip-prefetch-start`) waits
+/// for the next close (`fault-resolved`, `preload-done`) of its span and
+/// becomes a complete (`"X"`) duration event ending there; that close
+/// folds into every opener of its span still waiting and writes nothing. A
+/// close no opener waits for, an opener no close follows, and every other
+/// event is an instant. Every causal `parent` link becomes a flow arrow
 /// (`"s"`/`"f"` pair, `id` = the child span) from the parent span's first
 /// event: the child waits until its parent appears, and draws nothing if
-/// it never does. Timestamps are simulated cycles, rendered as the
-/// trace's microsecond unit.
+/// it never does. Timestamps are simulated cycles, rendered as the trace's
+/// microsecond unit.
 ///
-/// The sink holds no event it has written. Per span it keeps only an
+/// The render holds no event it has written. Per span it keeps only an
 /// anchor, the span's first timestamp and lane, in five bytes (nine where
 /// nearby spans' timestamps spread past an `i32`); beyond that it holds
 /// the events a record still waits on, with the decided ones behind them.
-/// Write errors are latched: the first one stops the output and is
-/// reported by `finish`.
-pub struct ChromeTraceSink<W: Write> {
+/// The first write error stops the render. `finish` reports it, a failed
+/// spawn or a panic on the render thread as an [`io::Error`].
+pub struct ChromeTraceSink<W: Write + Send + 'static> {
+    /// The batch being filled; it has no capacity between sending a batch
+    /// and taking an emptied one.
+    batch: Vec<LoggedEvent>,
+    /// Full batches to the render thread, until `finish` or the thread
+    /// stops taking them.
+    full: Option<SyncSender<Vec<LoggedEvent>>>,
+    /// Batches the render thread has emptied, for the front to fill.
+    empty: Receiver<Vec<LoggedEvent>>,
+    /// The render thread until `finish` joins it, or the error that kept
+    /// it from starting.
+    render: Option<io::Result<JoinHandle<io::Result<W>>>>,
+    /// The writer, once a render that succeeded handed it back.
+    out: Option<W>,
+}
+
+impl ChromeTraceSink<io::BufWriter<std::fs::File>> {
+    /// Creates (truncating) `path` and streams the trace into it as the
+    /// run goes on.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the file cannot be created.
+    pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
+        Ok(Self::new(io::BufWriter::new(std::fs::File::create(path)?)))
+    }
+}
+
+impl<W: Write + Send + 'static> ChromeTraceSink<W> {
+    /// Starts the render thread on `out`; records reach it in 64 KiB chunks
+    /// as the events decide them.
+    pub fn new(out: W) -> Self {
+        let (full, batches) = mpsc::sync_channel::<Vec<LoggedEvent>>(CHROME_IN_FLIGHT);
+        let (emptied, empty) = mpsc::sync_channel(CHROME_BATCHES);
+        let render = std::thread::Builder::new()
+            .name("chrome-render".into())
+            .spawn(move || {
+                // The thread allocates the batches, so they share the heap
+                // of the render's own tables, which the allocator returns
+                // once the render ends; on the run's thread they stayed
+                // resident after the run.
+                for _ in 0..CHROME_BATCHES {
+                    let _ = emptied.send(Vec::with_capacity(CHROME_BATCH));
+                }
+                let mut render = ChromeRender::new(out);
+                for mut batch in batches {
+                    for e in &batch {
+                        render.on_event(e);
+                    }
+                    if render.out.is_none() {
+                        // The writer failed: dropping `batches` tells the
+                        // front to stop sending.
+                        break;
+                    }
+                    batch.clear();
+                    // Never waits: after `finish` the front takes no batch
+                    // back, and its last one may come on top of the four.
+                    let _ = emptied.try_send(batch);
+                }
+                render.finish()
+            });
+        ChromeTraceSink {
+            batch: Vec::new(),
+            full: render.is_ok().then_some(full),
+            empty,
+            render: Some(render),
+            out: None,
+        }
+    }
+
+    /// Sends the last batch, waits for the render thread to write every
+    /// record still held, close the document and flush, and keeps the
+    /// writer. Idempotent: the second call is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Reports the first write error, whether the run or this call met
+    /// it, or why the render thread did not start or did not end.
+    pub fn finish(&mut self) -> io::Result<()> {
+        let Some(render) = self.render.take() else {
+            return Ok(());
+        };
+        if let Some(full) = self.full.take() {
+            // A failed send means the thread stopped on a write error or
+            // a panic, which the join returns.
+            let _ = full.send(std::mem::take(&mut self.batch));
+        }
+        self.out = Some(render?.join().map_err(render_panicked)??);
+        Ok(())
+    }
+
+    /// Finishes the trace and returns the writer, for renders into
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`ChromeTraceSink::finish`] reports; after an earlier
+    /// `finish` reported an error, there is no writer to return.
+    pub fn into_inner(mut self) -> io::Result<W> {
+        self.finish()?;
+        self.out
+            .take()
+            .ok_or_else(|| io::Error::other("the Chrome trace's writer failed earlier"))
+    }
+}
+
+/// The error a panic on the render thread comes back as.
+fn render_panicked(payload: Box<dyn std::any::Any + Send>) -> io::Error {
+    let why = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    io::Error::other(format!("the Chrome trace render panicked: {why}"))
+}
+
+impl<W: Write + Send + 'static> TraceSink for ChromeTraceSink<W> {
+    fn on_event(&mut self, e: &LoggedEvent) {
+        let Some(full) = &self.full else {
+            return;
+        };
+        if self.batch.capacity() == 0 {
+            // Waits while the thread holds every batch. A closed channel
+            // means the thread stopped, and `finish` reports why.
+            let Ok(batch) = self.empty.recv() else {
+                self.full = None;
+                return;
+            };
+            self.batch = batch;
+        }
+        self.batch.push(*e);
+        if self.batch.len() == CHROME_BATCH && full.send(std::mem::take(&mut self.batch)).is_err() {
+            self.full = None;
+        }
+    }
+}
+
+impl<W: Write + Send + 'static> Drop for ChromeTraceSink<W> {
+    fn drop(&mut self) {
+        let _ = self.finish();
+    }
+}
+
+/// Events per batch the front of a [`ChromeTraceSink`] sends its render
+/// thread.
+const CHROME_BATCH: usize = 4096;
+
+/// Full batches a [`ChromeTraceSink`]'s channel holds before the front
+/// waits for its render thread.
+const CHROME_IN_FLIGHT: usize = 2;
+
+/// The batches of a [`ChromeTraceSink`]: the one the front fills, those in
+/// flight and the one the render thread renders.
+const CHROME_BATCHES: usize = CHROME_IN_FLIGHT + 2;
+
+/// The streaming renderer a [`ChromeTraceSink`]'s thread runs: it writes
+/// each record once the events seen so far decide it, through a 64 KiB
+/// buffer, and latches the first write error.
+struct ChromeRender<W: Write> {
     out: Option<W>,
     /// The first write error, which `finish` reports.
     error: Option<io::Error>,
@@ -388,22 +558,10 @@ impl Held {
     }
 }
 
-impl ChromeTraceSink<io::BufWriter<std::fs::File>> {
-    /// Creates (truncating) `path` and streams the trace into it as the
-    /// run goes on.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be created.
-    pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Ok(Self::new(io::BufWriter::new(std::fs::File::create(path)?)))
-    }
-}
-
-impl<W: Write> ChromeTraceSink<W> {
+impl<W: Write> ChromeRender<W> {
     /// Wraps `out`; records reach it in 64 KiB chunks as the events decide
     /// them.
-    pub fn new(out: W) -> Self {
+    fn new(out: W) -> Self {
         // One record per line: the frame and its `,\n` separators are the
         // file's layout; each record is one JSON object, written as
         // constant key fragments around its values. The process record
@@ -420,7 +578,7 @@ impl<W: Write> ChromeTraceSink<W> {
             s.push_str(",\"args\":{\"span\":");
             s.into_bytes()
         });
-        ChromeTraceSink {
+        ChromeRender {
             out: Some(out),
             error: None,
             buf,
@@ -434,14 +592,14 @@ impl<W: Write> ChromeTraceSink<W> {
         }
     }
 
-    /// Writes every record still held, closes the document and flushes.
-    /// Idempotent: the second call is a no-op.
+    /// Writes every record still held, closes the document, flushes and
+    /// returns the writer.
     ///
     /// # Errors
     ///
     /// Reports the first write error, whether the run or this call met
     /// it.
-    pub fn finish(&mut self) -> io::Result<()> {
+    fn finish(mut self) -> io::Result<W> {
         if self.out.is_some() {
             while let Some(h) = self.held.pop_front() {
                 self.write_record(&h);
@@ -449,11 +607,39 @@ impl<W: Write> ChromeTraceSink<W> {
             self.buf.extend_from_slice(b"\n]}\n");
             self.write_out();
         }
-        if let Some(e) = self.error.take() {
-            self.out = None;
+        if let Some(e) = self.error {
             return Err(e);
         }
-        self.out.take().map_or(Ok(()), |mut out| out.flush())
+        let mut out = self.out.expect("the writer goes only with an error");
+        out.flush()?;
+        Ok(out)
+    }
+
+    /// Takes the stream's next event and writes the records it decides.
+    fn on_event(&mut self, e: &LoggedEvent) {
+        if self.out.is_none() {
+            return;
+        }
+        self.events += 1;
+        let lane = self.lanes.position(chrome_lane(e));
+        let (span, at) = (e.span.raw(), e.at.raw());
+        let reach = self.events.saturating_mul(2).saturating_add(FLAT_SLACK);
+        self.anchors.note(span, at, lane, reach);
+        if !(closes_span(e.what) && self.fold_close(span, at)) {
+            let pos = self.first_held + self.held.len() as u64;
+            let prev_opener = if opens_span(e.what) {
+                self.waiting.insert(span, pos)
+            } else {
+                None
+            };
+            self.held.push_back(Held {
+                event: *e,
+                lane,
+                close: None,
+                prev_opener,
+            });
+        }
+        self.release();
     }
 
     /// Folds a close of `span` at `at` into every held opener of that
@@ -561,7 +747,7 @@ impl<W: Write> ChromeTraceSink<W> {
         self.buf.clear();
     }
 
-    /// Bytes the sink holds besides its output buffer, counted by
+    /// Bytes the render holds besides its output buffer, counted by
     /// capacity.
     #[cfg(test)]
     fn retained_bytes(&self) -> usize {
@@ -573,52 +759,18 @@ impl<W: Write> ChromeTraceSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for ChromeTraceSink<W> {
-    fn on_event(&mut self, e: &LoggedEvent) {
-        if self.out.is_none() {
-            return;
-        }
-        self.events += 1;
-        let lane = self.lanes.position(chrome_lane(e));
-        let (span, at) = (e.span.raw(), e.at.raw());
-        let reach = self.events.saturating_mul(2).saturating_add(FLAT_SLACK);
-        self.anchors.note(span, at, lane, reach);
-        if !(closes_span(e.what) && self.fold_close(span, at)) {
-            let pos = self.first_held + self.held.len() as u64;
-            let prev_opener = if opens_span(e.what) {
-                self.waiting.insert(span, pos)
-            } else {
-                None
-            };
-            self.held.push_back(Held {
-                event: *e,
-                lane,
-                close: None,
-                prev_opener,
-            });
-        }
-        self.release();
-    }
-}
-
-impl<W: Write> Drop for ChromeTraceSink<W> {
-    fn drop(&mut self) {
-        let _ = self.finish();
-    }
-}
-
 /// Renders `events` (one run's stream, in emission order) as a Chrome
 /// trace-event JSON document held in memory, by feeding them through a
 /// [`ChromeTraceSink`]. Deterministic: a byte-identical stream renders to
 /// byte-identical JSON.
 pub fn render_chrome_trace(events: &[LoggedEvent]) -> String {
-    let mut out = Vec::new();
-    let mut sink = ChromeTraceSink::new(&mut out);
+    let mut sink = ChromeTraceSink::new(Vec::new());
     for e in events {
         sink.on_event(e);
     }
-    sink.finish().expect("writing to a Vec cannot fail");
-    drop(sink);
+    let out = sink
+        .into_inner()
+        .expect("a render into memory fails only if its thread cannot start");
     String::from_utf8(out).expect("the render writes only UTF-8")
 }
 
@@ -961,13 +1113,11 @@ mod tests {
         let events: Vec<_> = (0..2_000)
             .map(|i| ev(i, EventKind::Fault, Some(i), None, i + 1, None))
             .collect();
-        let mut w = Calls(Vec::new());
-        let mut sink = ChromeTraceSink::new(&mut w);
+        let mut sink = ChromeTraceSink::new(Calls(Vec::new()));
         for e in &events {
             sink.on_event(e);
         }
-        sink.finish().unwrap();
-        drop(sink);
+        let w = sink.into_inner().unwrap();
         let (last, chunks) = w.0.split_last().unwrap();
         assert!(chunks.len() >= 2, "{:?}", w.0);
         // A chunk goes out once it reaches the flush size, so it overshoots
@@ -979,6 +1129,101 @@ mod tests {
             w.0.iter().sum::<usize>(),
             render_chrome_trace(&events).len()
         );
+    }
+
+    /// `n` events telling one fault's story per seven: the fault, the
+    /// prediction it causes, the preload that causes, an eviction, the two
+    /// closes and a hit. Spans open and close, a flow arrow points two
+    /// stories back, the prediction waits for the next story's fault, and
+    /// stories alternate between two enclave lanes, so records wait on
+    /// closes and parents across batch boundaries.
+    fn story_events(n: u64) -> Vec<LoggedEvent> {
+        use EventKind::*;
+        (0..n)
+            .map(|i| {
+                let story = i / 7;
+                let f = 1 + 5 * story;
+                let (kind, span, parent) = match i % 7 {
+                    0 => (Fault, f, story.checked_sub(2).map(|_| f - 10)),
+                    1 => (StreamPredicted, f + 2, Some(f + 5)),
+                    2 => (PreloadStart, f + 1, Some(f + 2)),
+                    3 => (EvictBackground, f + 3, None),
+                    4 => (PreloadDone, f + 1, None),
+                    5 => (FaultResolved, f, None),
+                    _ => (PreloadHit, f + 4, Some(f + 1)),
+                };
+                let page = ((story % 2) << 24) | (i % 97);
+                ev(10 * i, kind, Some(page), Some(i), span, parent)
+            })
+            .collect()
+    }
+
+    /// The renderer driven on the calling thread.
+    fn render_here(events: &[LoggedEvent]) -> Vec<u8> {
+        let mut render = ChromeRender::new(Vec::new());
+        for e in events {
+            render.on_event(e);
+        }
+        render.finish().unwrap()
+    }
+
+    #[test]
+    fn sink_renders_the_same_bytes_across_batch_boundaries() {
+        let batch = CHROME_BATCH as u64;
+        for n in [batch - 1, batch, batch + 1, 2 * batch + 1] {
+            let events = story_events(n);
+            let mut sink = ChromeTraceSink::new(Vec::new());
+            for e in &events {
+                sink.on_event(e);
+            }
+            let got = sink.into_inner().unwrap();
+            assert!(got == render_here(&events), "{n} events");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_render_thread_comes_back_as_an_error() {
+        /// A writer that panics on its first write.
+        struct Panics;
+        impl Write for Panics {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                panic!("the writer gave up");
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = ChromeTraceSink::new(Panics);
+        for e in &story_events(3 * CHROME_BATCH as u64) {
+            sink.on_event(e);
+        }
+        let err = sink.finish().expect_err("the render panicked");
+        assert!(err.to_string().contains("the writer gave up"), "{err}");
+        sink.finish().expect("a second finish is a no-op");
+    }
+
+    #[test]
+    fn dropping_the_sink_closes_the_document() {
+        /// A writer the test reads back after the sink is gone.
+        struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+        impl Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().expect("no writer panics").write(buf)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let events = story_events(CHROME_BATCH as u64 + 5);
+        let out = std::sync::Arc::default();
+        let mut sink = ChromeTraceSink::new(Shared(std::sync::Arc::clone(&out)));
+        for e in &events {
+            sink.on_event(e);
+        }
+        drop(sink);
+        let got = out.lock().unwrap();
+        assert!(got.ends_with(b"\n]}\n"), "an unclosed document");
+        assert!(*got == render_here(&events));
     }
 
     #[test]
@@ -1017,18 +1262,18 @@ mod tests {
         events.take()
     }
 
-    /// The sink keeps an anchor of a few bytes per span and a short window
-    /// of undecided events, never the stream: a kernel stream decides each
-    /// record within a few events. Buffering the 72-byte events, plus the
-    /// 40-byte record per span the render then built, took about 103 bytes
-    /// per event on this stream; a varint log plus per-span close facts
-    /// took under 32.
+    /// The render keeps an anchor of a few bytes per span and a short
+    /// window of undecided events, never the stream: a kernel stream
+    /// decides each record within a few events. Buffering the 72-byte
+    /// events, plus the 40-byte record per span the render then built, took
+    /// about 103 bytes per event on this stream; a varint log plus per-span
+    /// close facts took under 32.
     #[test]
-    fn chrome_sink_keeps_anchors_and_a_short_window() {
+    fn chrome_render_keeps_anchors_and_a_short_window() {
         let events = dev_microbenchmark_dfp_events();
         assert!(events.len() > 300_000, "{} events", events.len());
         let spans: std::collections::BTreeSet<u64> = events.iter().map(|e| e.span.raw()).collect();
-        let mut sink = ChromeTraceSink::new(io::sink());
+        let mut sink = ChromeRender::new(io::sink());
         let mut window = 0;
         for e in &events {
             sink.on_event(e);

@@ -291,13 +291,14 @@ impl TraceSink for CollectingSink {
 /// writer, typically a buffered file.
 ///
 /// Write errors are latched rather than panicking mid-simulation: the first
-/// failure stops further writes and [`JsonlWriterSink::into_inner`] /
-/// [`Drop`] surface nothing (the simulation result is still valid, the
-/// trace file is just truncated).
+/// failure stops further writes (the simulation result is still valid, the
+/// trace file is just truncated) and [`JsonlWriterSink::finish`] reports
+/// it; `Drop` flushes and surfaces nothing.
 pub struct JsonlWriterSink<W: Write> {
-    // Option only so into_inner can move the writer out despite Drop.
+    // Taken by into_inner despite Drop, and dropped on the first error.
     out: Option<W>,
-    failed: bool,
+    /// The first write error, which `finish` reports.
+    error: Option<io::Error>,
     written: u64,
     // One line's bytes, reused across events.
     line: String,
@@ -320,7 +321,7 @@ impl<W: Write> JsonlWriterSink<W> {
     pub fn new(out: W) -> Self {
         JsonlWriterSink {
             out: Some(out),
-            failed: false,
+            error: None,
             written: 0,
             line: String::with_capacity(96),
         }
@@ -331,18 +332,36 @@ impl<W: Write> JsonlWriterSink<W> {
         self.written
     }
 
+    /// Flushes the writer. Idempotent once it has reported an error.
+    ///
+    /// # Errors
+    ///
+    /// Reports the first write error the run met, or the flush's.
+    pub fn finish(&mut self) -> io::Result<()> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.out.as_mut().map_or(Ok(()), Write::flush)
+    }
+
     /// Flushes and returns the writer (for in-memory writers in tests).
-    pub fn into_inner(mut self) -> W {
-        let mut out = self.out.take().expect("writer only taken here");
-        let _ = out.flush();
-        out
+    ///
+    /// # Errors
+    ///
+    /// Everything [`JsonlWriterSink::finish`] reports; after an earlier
+    /// `finish` reported an error, there is no writer to return.
+    pub fn into_inner(mut self) -> io::Result<W> {
+        self.finish()?;
+        self.out
+            .take()
+            .ok_or_else(|| io::Error::other("the JSONL writer failed earlier"))
     }
 }
 
 impl<W: Write> std::fmt::Debug for JsonlWriterSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlWriterSink")
-            .field("failed", &self.failed)
+            .field("failed", &self.out.is_none())
             .field("written", &self.written)
             .finish()
     }
@@ -350,9 +369,6 @@ impl<W: Write> std::fmt::Debug for JsonlWriterSink<W> {
 
 impl<W: Write> TraceSink for JsonlWriterSink<W> {
     fn on_event(&mut self, event: &LoggedEvent) {
-        if self.failed {
-            return;
-        }
         let Some(out) = self.out.as_mut() else {
             return;
         };
@@ -372,8 +388,9 @@ impl<W: Write> TraceSink for JsonlWriterSink<W> {
             }
         });
         line.push('\n');
-        if out.write_all(line.as_bytes()).is_err() {
-            self.failed = true;
+        if let Err(e) = out.write_all(line.as_bytes()) {
+            self.error = Some(e);
+            self.out = None;
             return;
         }
         self.written += 1;
@@ -382,9 +399,7 @@ impl<W: Write> TraceSink for JsonlWriterSink<W> {
 
 impl<W: Write> Drop for JsonlWriterSink<W> {
     fn drop(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+        let _ = self.finish();
     }
 }
 
@@ -451,7 +466,7 @@ mod tests {
             parent: Some(crate::SpanId::new(5)),
         });
         assert_eq!(sink.written(), 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert_eq!(
             text,
             "{\"at\":5,\"kind\":\"fault\",\"page\":7,\"value\":5,\"span\":5}\n\
@@ -474,6 +489,9 @@ mod tests {
         sink.on_event(&ev(1, EventKind::Fault));
         sink.on_event(&ev(2, EventKind::Fault));
         assert_eq!(sink.written(), 0);
+        let err = sink.finish().expect_err("the writer fails");
+        assert_eq!(err.to_string(), "disk full");
+        sink.finish().expect("a second finish is a no-op");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! backwards, closes before their opens and repeated closes, dangling and
 //! forward parents, and pages in several ELRANGEs or anywhere.
 //!
-//! `ChromeTraceSink`, which writes each record as soon as the stream
-//! decides it, renders what a plainly written reference render of the
-//! whole stream says.
+//! `ChromeTraceSink`, whose render thread writes each record as soon as
+//! the stream decides it, renders what a plainly written reference render
+//! of the whole stream says.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -188,13 +188,11 @@ fn reference_render(events: &[LoggedEvent]) -> String {
 /// Renders `events` through a sink and compares the bytes with the
 /// reference render.
 fn check_stream(events: &[LoggedEvent]) -> Result<(), TestCaseError> {
-    let mut from_sink = Vec::new();
-    let mut sink = ChromeTraceSink::new(&mut from_sink);
+    let mut sink = ChromeTraceSink::new(Vec::new());
     for e in events {
         sink.on_event(e);
     }
-    sink.finish().expect("a Vec never fails");
-    drop(sink);
+    let from_sink = sink.into_inner().expect("a Vec never fails");
     let want = reference_render(events);
     prop_assert_eq!(String::from_utf8(from_sink).expect("UTF-8"), want);
     Ok(())

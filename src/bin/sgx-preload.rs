@@ -103,6 +103,14 @@ run OPTIONS:
                                    (fault latency, preload lead, stream
                                    length, eviction scan cost)
 
+profile OPTIONS:
+    --bench <name>                 benchmark to profile on its train input
+    --epc-pages <N>                EPC capacity the classifier assumes
+    --threshold <F>                SIP irregular-ratio threshold of the plan
+                                   (the classifier runs the paper's default
+                                   stream settings, so profile takes no
+                                   stream, predictor or EDMM flag)
+
 trace record OPTIONS:
     --bench <name>                 benchmark to record (full Ref stream)
     -n <N>                         cap the recording at N accesses
@@ -339,6 +347,21 @@ fn write_json_out(args: &Args, json: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A sink the run feeds while the command keeps a handle to it, so that
+/// after the run the command can `finish` the sink and bring its first
+/// write error to the exit status.
+struct Shared<S>(Rc<RefCell<S>>);
+
+impl<S: TraceSink> TraceSink for Shared<S> {
+    fn on_event(&mut self, event: &LoggedEvent) {
+        self.0.borrow_mut().on_event(event);
+    }
+
+    fn on_sample(&mut self, sample: &GaugeSample) {
+        self.0.borrow_mut().on_sample(sample);
+    }
+}
+
 fn cmd_list() {
     println!("benchmarks:");
     for b in Benchmark::ALL {
@@ -372,11 +395,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // Streaming sinks attach to the --scheme run only, never to the
     // baseline reference run.
     let mut run = SimRun::new(&cfg).scheme(scheme).bench(bench);
-    if let Some(path) = jsonl {
-        let sink =
-            JsonlWriterSink::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        run = run.sink(Box::new(sink));
-    }
+    let jsonl = match jsonl {
+        Some(path) => {
+            let sink = JsonlWriterSink::create(path).map_err(|e| format!("--jsonl {path}: {e}"))?;
+            let sink = Rc::new(RefCell::new(sink));
+            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
+            Some((path, sink))
+        }
+        None => None,
+    };
     let hist = if args.flag("hist") {
         let (sink, h) = HistogramSink::new();
         run = run.sink(Box::new(sink));
@@ -399,7 +426,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             r.total_cycles
         );
     }
-    if let Some(path) = jsonl {
+    if let Some((path, sink)) = jsonl {
+        sink.borrow_mut()
+            .finish()
+            .map_err(|e| format!("--jsonl {path}: {e}"))?;
         println!("streamed paging events -> {path}");
     }
     if let Some(h) = hist {
@@ -735,12 +765,15 @@ fn cmd_contend(args: &Args) -> Result<(), String> {
     let victim = bench_arg("victim", "microbenchmark")?;
     let aggressor = bench_arg("aggressor", "mixed-blood")?;
     let policy = tenant_policy_arg(args, cfg.epc_pages)?;
+    // Each enclave runs its benchmark's SIP plan, as `SimRun::bench` gives
+    // it, when the scheme instruments.
     let mk = |bench: Benchmark, label: &str, seed: u64| {
         AppSpec::new(
             label,
             bench.elrange_pages(cfg.scale),
             bench.build(InputSet::Ref, cfg.scale, seed),
         )
+        .plan(build_plan(bench, &cfg, scheme))
         .build()
         .map_err(|e| e.to_string())
     };
@@ -1070,28 +1103,29 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .scheme(scheme)
         .bench(bench)
         .sink(Box::new(table));
-    if let Some(path) = series_out {
-        let format = if path.ends_with(".json") {
-            SeriesFormat::Json
-        } else {
-            SeriesFormat::Csv
-        };
-        let series = TimeSeriesSink::create(path, format)
-            .map_err(|e| format!("--series-out {path}: {e}"))?;
-        run = run.sink(Box::new(series));
-    }
-    // The Chrome sink writes each record while the run goes on, as soon as
-    // the stream decides it, and keeps its first write error; the shared
-    // handle lets `finish` bring that error to the exit status.
+    // Both sinks write while the run goes on and keep their first write
+    // error, which `finish` brings to the exit status after the run.
+    let series = match series_out {
+        Some(path) => {
+            let format = if path.ends_with(".json") {
+                SeriesFormat::Json
+            } else {
+                SeriesFormat::Csv
+            };
+            let sink = TimeSeriesSink::create(path, format)
+                .map_err(|e| format!("--series-out {path}: {e}"))?;
+            let sink = Rc::new(RefCell::new(sink));
+            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
+            Some((path, sink))
+        }
+        None => None,
+    };
     let chrome = match args.get("chrome-out") {
         Some(path) => {
             let sink =
                 ChromeTraceSink::create(path).map_err(|e| format!("--chrome-out {path}: {e}"))?;
             let sink = Rc::new(RefCell::new(sink));
-            let feed = Rc::clone(&sink);
-            run = run.sink(Box::new(move |e: &LoggedEvent| {
-                feed.borrow_mut().on_event(e)
-            }));
+            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
             Some((path, sink))
         }
         None => None,
@@ -1135,6 +1169,11 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
                 v as f64 * 100.0 / total
             );
         }
+    }
+    if let Some((path, sink)) = series {
+        sink.borrow_mut()
+            .finish()
+            .map_err(|e| format!("--series-out {path}: {e}"))?;
     }
     if let Some((path, sink)) = chrome {
         sink.borrow_mut()
@@ -1186,7 +1225,9 @@ fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> 
             cmd_campaign,
             &[CONFIG_FLAGS, GRID_FLAGS, "benches schemes hist attr"],
         ),
-        "profile" => (cmd_profile, &[CONFIG_FLAGS, "bench"]),
+        // The classifier runs the paper's default stream settings, so the
+        // stream, predictor and EDMM knobs mean nothing here.
+        "profile" => (cmd_profile, &["scale seed epc-pages threshold bench"]),
         "trace record" => (cmd_trace_record, &[CONFIG_FLAGS, "bench n out"]),
         "trace convert" => (cmd_trace_convert, &["in out"]),
         "trace replay" => (

@@ -3,9 +3,9 @@
 //! Three rendered traces are pinned as golden files under `tests/golden/`
 //! (regenerate with `SGX_GOLDEN_UPDATE=1 cargo test --test chrome_trace`):
 //! one fixed small run; a small two-enclave SIP+DFP run; and a hand-built
-//! stream with the shapes a kernel never emits. `ChromeTraceSink` writes
-//! each record as soon as the stream decides it, in memory and streamed to
-//! a writer that takes a few bytes per call. Campaign timeline files are
+//! stream with the shapes a kernel never emits. `ChromeTraceSink`'s render
+//! thread writes each record as soon as the stream decides it, in memory
+//! and streamed to a writer that takes a few bytes per call. Campaign timeline files are
 //! byte-identical regardless of worker count, and every flow arrow the
 //! renderer draws references two emitted spans.
 
@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use sgx_preloading::kernel::{EventKind, LoggedEvent};
 use sgx_preloading::prelude::*;
@@ -239,12 +240,13 @@ impl Write for Trickle {
 }
 
 /// The 7-byte trickle behind a shared handle, so a sink subscribed to a
-/// run, which owns its writer, leaves bytes the test can read back.
-struct SharedTrickle(Rc<RefCell<Trickle>>);
+/// run, whose render thread owns its writer, leaves bytes the test can
+/// read back.
+struct SharedTrickle(Arc<Mutex<Trickle>>);
 
 impl Write for SharedTrickle {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().write(buf)
+        self.0.lock().expect("no writer panics").write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -256,9 +258,9 @@ impl Write for SharedTrickle {
 /// subscribes one, streams the golden bytes through the 7-byte trickle.
 #[test]
 fn streamed_render_through_short_writes_matches_golden() {
-    let out = Rc::new(RefCell::new(Trickle(Vec::new())));
+    let out = Arc::new(Mutex::new(Trickle(Vec::new())));
     let sink = Rc::new(RefCell::new(ChromeTraceSink::new(SharedTrickle(
-        Rc::clone(&out),
+        Arc::clone(&out),
     ))));
     let feed = Rc::clone(&sink);
     small_run(&SimConfig::at_scale(Scale::new(16_384)))
@@ -270,7 +272,7 @@ fn streamed_render_through_short_writes_matches_golden() {
     sink.borrow_mut().finish().expect("a trickle never fails");
     let want = std::fs::read(golden_path("timeline_small.chrome.json")).expect("golden trace");
     assert!(
-        out.borrow().0 == want,
+        out.lock().unwrap().0 == want,
         "streamed chrome trace diverged from the golden"
     );
 }
@@ -285,13 +287,11 @@ fn sink_render_matches_every_golden() {
         ("timeline_foreign.chrome.json", foreign_events()),
     ] {
         let want = std::fs::read(golden_path(name)).expect("golden trace");
-        let mut trickle = Trickle(Vec::new());
-        let mut sink = ChromeTraceSink::new(&mut trickle);
+        let mut sink = ChromeTraceSink::new(Trickle(Vec::new()));
         for e in &events {
             sink.on_event(e);
         }
-        sink.finish().expect("a trickle never fails");
-        drop(sink);
+        let trickle = sink.into_inner().expect("a trickle never fails");
         assert!(
             trickle.0 == want,
             "{name}: the sink's trickled render diverged"

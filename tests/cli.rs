@@ -92,6 +92,15 @@ fn run_reports_improvement() {
     assert!(events.lines().count() > 1000 && events.lines().all(|l| l.starts_with('{')));
     let err = run_err(&["run", "--bench", "lbm", "--scheme", "user-level", "--hist"]);
     assert!(err.contains("needs a kernel scheme"), "{err}");
+    // A path that cannot be created, or a stream that cannot be written,
+    // fails naming the flag and the path.
+    let bad = dir.join("no_such_dir").join("e.jsonl");
+    for path in [bad.to_str().unwrap(), "/dev/full"] {
+        let err = run_err(&[
+            "run", "--bench", "lbm", "--scheme", "dfp", "--scale", "dev", "--jsonl", path,
+        ]);
+        assert!(err.contains(&format!("--jsonl {path}: ")), "{err}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -421,7 +430,7 @@ fn timeline_streams_kernel_events() {
     let count = format!("{} events across", json_number(&json, "events"));
     assert!(out.contains(&count), "{out}");
 
-    // A path that cannot be created, or a render that cannot be written,
+    // A path that cannot be created, or an output that cannot be written,
     // fails naming the flag and the path.
     let timeline_err = |flags: &[&str]| {
         let dev = [
@@ -435,10 +444,12 @@ fn timeline_streams_kernel_events() {
         ];
         run_err(&[&dev[..], flags].concat())
     };
-    let bad = dir.join("no_such_dir").join("t.chrome.json");
-    for path in [bad.to_str().unwrap(), "/dev/full"] {
-        let err = timeline_err(&["--chrome-out", path]);
-        assert!(err.contains(&format!("--chrome-out {path}: ")), "{err}");
+    let bad = dir.join("no_such_dir").join("t.out");
+    for flag in ["--chrome-out", "--series-out"] {
+        for path in [bad.to_str().unwrap(), "/dev/full"] {
+            let err = timeline_err(&[flag, path]);
+            assert!(err.contains(&format!("{flag} {path}: ")), "{err}");
+        }
     }
     // The sampling interval means nothing without a series to sample.
     let err = timeline_err(&["--series-every", "5000"]);
@@ -682,6 +693,33 @@ fn every_campaign_and_leakage_flag_moves_the_report() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// What `args` shows, run with `{dir}` standing for `dir`, which starts
+/// empty: the exit code, stdout and every file written into `dir`, by name
+/// (wall-clock fields aside).
+fn outcome_in(dir: &std::path::Path, args: &str) -> (Option<i32>, String, Vec<(String, String)>) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    let args = args.replace("{dir}", dir.to_str().unwrap());
+    let out = cli()
+        .args(args.split(' '))
+        .output()
+        .expect("spawn sgx-preload");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(matches!(out.status.code(), Some(0 | 1)), "{args}: {stderr}");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|f| {
+            let f = f.unwrap();
+            let text = std::fs::read_to_string(f.path()).unwrap();
+            let name = f.file_name().into_string().unwrap();
+            (name, strip_number(&text, "wall_nanos"))
+        })
+        .collect();
+    files.sort();
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    (out.status.code(), stdout, files)
+}
+
 /// Every flag `run` and `timeline` read moves what they show: at some
 /// non-default value, each one changes the exit status, stdout, or a file
 /// the command writes (the `--json-out` report among them, its wall-clock
@@ -691,31 +729,7 @@ fn every_campaign_and_leakage_flag_moves_the_report() {
 #[test]
 fn every_run_and_timeline_flag_moves_the_output() {
     let dir = scratch_dir("sgx_preload_cli_run_flag_effect_test");
-    let at = dir.to_str().unwrap().to_string();
-    // The exit code, stdout and every file written into `dir`, by name.
-    let outcome = |args: &str| {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let args = args.replace("{dir}", &at);
-        let out = cli()
-            .args(args.split(' '))
-            .output()
-            .expect("spawn sgx-preload");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(matches!(out.status.code(), Some(0 | 1)), "{args}: {stderr}");
-        let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|f| {
-                let f = f.unwrap();
-                let text = std::fs::read_to_string(f.path()).unwrap();
-                let name = f.file_name().into_string().unwrap();
-                (name, strip_number(&text, "wall_nanos"))
-            })
-            .collect();
-        files.sort();
-        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-        (out.status.code(), stdout, files)
-    };
+    let outcome = |args: &str| outcome_in(&dir, args);
     let config = "--seed 7|--scale 32|--epc-pages 600|--load-length 1|--list-len 1|\
                   --threshold 0.0|--early 2|--predictor next-line";
     let run = "run --bench deepsjeng --scale 64 --scheme hybrid";
@@ -742,6 +756,60 @@ fn every_run_and_timeline_flag_moves_the_output() {
         assert!(
             outcome(&format!("{edmm} --epc-ceiling 50")) != want,
             "`{edmm} --epc-ceiling 50` changed nothing"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every flag `profile` and `contend` read moves what they show, as for
+/// `run` and `timeline`. The contend base runs hybrid, so the SIP knobs
+/// reach each enclave's plan and the stream knobs its DFP. `profile`'s
+/// classifier runs the paper's default stream settings, so it rejects the
+/// stream, predictor and EDMM knobs.
+#[test]
+fn every_profile_and_contend_flag_moves_the_output() {
+    let dir = scratch_dir("sgx_preload_cli_profile_flag_effect_test");
+    let outcome = |args: &str| outcome_in(&dir, args);
+    let profile = "profile --bench deepsjeng --scale 64";
+    let contend = "contend --victim deepsjeng --aggressor mcf --scale 64 --scheme hybrid";
+    let cases = [
+        (
+            profile,
+            "--seed 7|--scale 32|--epc-pages 600|--threshold 0.0|--bench mcf",
+        ),
+        (
+            contend,
+            "--seed 7|--scale 32|--epc-pages 600|--load-length 1|--list-len 1|\
+             --threshold 0.0|--early 2|--predictor next-line|--victim lbm|\
+             --aggressor roms|--scheme dfp|--policy none|--weights 3:1|--json-out {dir}/c.json",
+        ),
+    ];
+    for (base, flags) in cases {
+        let want = outcome(base);
+        assert_eq!(want.0, Some(0), "{base}");
+        for flag in flags.split('|') {
+            let got = outcome(&format!("{base} {flag}"));
+            assert!(got != want, "`{base} {flag}` changed nothing");
+        }
+    }
+    let edmm = contend.replace("hybrid", "edmm");
+    assert!(
+        outcome(&format!("{edmm} --epc-ceiling 50")) != outcome(&edmm),
+        "`{edmm} --epc-ceiling 50` changed nothing"
+    );
+    for flag in [
+        "--load-length 1",
+        "--list-len 1",
+        "--early 2",
+        "--predictor next-line",
+        "--epc-ceiling 50",
+    ] {
+        let args: Vec<&str> = profile.split(' ').chain(flag.split(' ')).collect();
+        let name = flag.split(' ').next().unwrap();
+        let err = run_err(&args);
+        assert!(
+            err.contains(&format!("unknown flag {name} for `profile`")),
+            "{err}"
         );
     }
     let _ = std::fs::remove_dir_all(dir);
