@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, docs, release build, the
-# full-scale Chrome trace and gauge series digests, full test suite, then
-# the same checks on the bench ledger (a workspace of its own, so the
-# workspace-wide commands skip it). Every other behavioural check lives in
-# a cargo test. Run from the repo root. Fails fast on the first broken
-# stage.
+# full-scale figures against results/, the full-scale Chrome trace and
+# gauge series digests, full test suite, then the same checks on the bench
+# ledger (a workspace of its own, so the workspace-wide commands skip it).
+# Every other behavioural check lives in a cargo test. Run from the repo
+# root. Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,6 +30,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> cargo build --release --locked"
 # --locked fails the build when a manifest edit left Cargo.lock stale.
 cargo build --release --locked
+
+echo "==> full-scale figures against results/"
+# Every figure at full scale must write exactly the committed results/.
+# The log shows each paper claim's full-scale verdict; a claim that FAILS
+# here is reported, not gated (the gate is the dev-scale test in
+# crates/bench/tests/figures.rs).
+results_dir=$(mktemp -d)
+trap 'rm -rf "$results_dir"' EXIT
+SGX_BENCH_OUT="$results_dir" cargo bench --locked -q -p sgx-bench --bench figures
+diff -r results "$results_dir"
+rm -rf "$results_dir"
 
 echo "==> full-scale Chrome trace and gauge series digests"
 # The full-scale microbenchmark/DFP trace (1,005,243,974 bytes) and its

@@ -3,9 +3,10 @@
 //! One `figures` bench regenerates every table and figure of the paper plus
 //! the ablations (run with `cargo bench --workspace`, or
 //! `cargo bench -p sgx-bench --bench figures -- <id>...` for a few); each
-//! figure prints the paper's series next to the measured one and drops a
-//! CSV under `results/`. The figures are entries of one table,
-//! [`figures::FIGURES`], whose distinct cells each run once.
+//! figure prints the paper's series next to the measured one, a verdict
+//! per paper claim it carries, and drops a CSV under `results/`. The
+//! figures are entries of one table, [`figures::FIGURES`], whose distinct
+//! cells each run once.
 //! `micro_primitives` holds Criterion micro-benches over the hot
 //! primitives.
 //!

@@ -1,7 +1,8 @@
 //! The figure table at dev scale: every table matches its golden under
-//! `tests/golden/figures/` and is well-formed CSV, `results/` holds exactly
-//! the CSVs the figures write, a figure run alone gives the tables it
-//! gives in the full run, and every distinct run is one cell.
+//! `tests/golden/figures/` and is well-formed CSV, every paper claim the
+//! figures carry holds, `results/` holds exactly the CSVs the figures
+//! write, a figure run alone gives the tables and verdicts it gives in the
+//! full run, and every distinct run is one cell.
 //!
 //! After an intentional change, regenerate the goldens with:
 //!
@@ -96,6 +97,31 @@ fn every_table_matches_its_golden() {
     assert_eq!(file_names(&dir), ids);
 }
 
+/// The gate on the paper's claims: every verdict of the dev-scale run at
+/// seed 42 holds. A failure names each failing figure and claim with its
+/// measured values.
+#[test]
+fn every_claim_holds_at_dev_scale() {
+    for (figure, output) in FIGURES.iter().zip(full_run()) {
+        for verdict in &output.verdicts {
+            assert_eq!(verdict.figure, figure.id(), "{verdict}");
+        }
+    }
+    let verdicts: Vec<_> = full_run().iter().flat_map(|o| &o.verdicts).collect();
+    let failing: Vec<String> = verdicts
+        .iter()
+        .filter(|v| !v.holds)
+        .map(ToString::to_string)
+        .collect();
+    assert!(
+        failing.is_empty(),
+        "claims that fail at dev scale:\n{}",
+        failing.join("\n")
+    );
+    // No claim drops out unnoticed.
+    assert_eq!(verdicts.len(), 22);
+}
+
 /// The committed full-scale CSVs are exactly what a figure run writes:
 /// one per table plus the raw series, so no result outlives its figure.
 #[test]
@@ -141,6 +167,7 @@ fn a_figure_run_alone_matches_the_full_run() {
         let csvs = |o: &Output| o.tables.iter().map(|t| t.csv()).collect::<Vec<_>>();
         assert_eq!(csvs(&alone[0]), csvs(full), "{id} tables");
         assert_eq!(alone[0].notes, full.notes, "{id} notes");
+        assert_eq!(alone[0].verdicts, full.verdicts, "{id} verdicts");
     }
 }
 
@@ -164,7 +191,7 @@ fn every_distinct_run_is_one_cell() {
     assert_eq!(fig9.cells().len(), 2 + 2 * 8);
     // threshold=5.0% is the paper default: fig10 reads the same cell.
     assert!(fig9.cells().iter().any(|c| c.label == "deepsjeng/SIP"));
-    assert_eq!(plan.cells().len(), 154);
+    assert_eq!(plan.cells().len(), 169);
 }
 
 #[cfg(debug_assertions)]

@@ -52,7 +52,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use sgx_kernel::{
-    ChromeTraceSink, EventCounts, JsonlWriterSink, SeriesFormat, TimeSeriesSink, TraceSink,
+    ChromeTraceSink, EventCounts, JsonlWriterSink, SeriesFormat, SharedSink, TimeSeriesSink,
+    TraceSink,
 };
 use sgx_observer::{LeakageReport, ObserverSink, OramModel};
 use sgx_sim::json;
@@ -81,11 +82,11 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
-/// A cell that failed to run, with enough context to find it: the label
-/// and enumeration index of the offending cell plus the underlying
-/// [`SimError`]. Returned by the `Campaign::run*` family; when several
-/// cells fail in one parallel run, the error reported is the failing cell
-/// with the lowest index, so serial and parallel runs agree.
+/// A cell that failed, with enough context to find it: the label and
+/// enumeration index of the offending cell plus what failed. Returned by
+/// the `Campaign::run*` family; when several cells fail in one parallel
+/// run, the error reported is the failing cell with the lowest index, so
+/// serial and parallel runs agree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignError {
     /// Enumeration index of the failing cell.
@@ -93,7 +94,7 @@ pub struct CampaignError {
     /// Label of the failing cell.
     pub label: String,
     /// What went wrong inside the cell.
-    pub source: SimError,
+    pub source: CellError,
 }
 
 impl fmt::Display for CampaignError {
@@ -109,6 +110,49 @@ impl fmt::Display for CampaignError {
 impl Error for CampaignError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         Some(&self.source)
+    }
+}
+
+/// What failed in a campaign cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CellError {
+    /// The simulation could not run.
+    Sim(SimError),
+    /// A trace or timeline file of the cell (or its directory) could not
+    /// be created or written.
+    Output {
+        /// The file or directory.
+        path: PathBuf,
+        /// The I/O error, as text.
+        error: String,
+    },
+}
+
+impl CellError {
+    fn output(path: &Path, error: &std::io::Error) -> Self {
+        CellError::Output {
+            path: path.to_path_buf(),
+            error: error.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for CellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CellError::Sim(e) => e.fmt(f),
+            CellError::Output { path, error } => {
+                write!(f, "cannot write {}: {error}", path.display())
+            }
+        }
+    }
+}
+
+impl Error for CellError {}
+
+impl From<SimError> for CellError {
+    fn from(e: SimError) -> Self {
+        CellError::Sim(e)
     }
 }
 
@@ -413,9 +457,9 @@ impl Campaign {
     /// Streams every cell's paging events to
     /// `<dir>/<index>_<label>.jsonl` (one JSONL file per cell, labels
     /// sanitized to filename-safe characters). The directory is created on
-    /// demand; a cell whose file cannot be opened runs untraced with a
-    /// warning on stderr. Tracing never affects the measured results or
-    /// the canonical JSON.
+    /// demand. A cell whose file cannot be created or written fails with a
+    /// [`CellError::Output`] naming the path. Tracing never affects the
+    /// measured results or the canonical JSON.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
         self
@@ -426,8 +470,9 @@ impl Campaign {
     /// series (`<index>_<label>.series.csv`). Cells whose config leaves
     /// [`SimConfig::series_interval`] at `0` sample every
     /// [`DEFAULT_TIMELINE_SERIES_INTERVAL`] cycles so the series is never
-    /// empty. Like tracing, timelines never affect measured results or
-    /// canonical JSON.
+    /// empty. Like tracing, a file that cannot be created or written fails
+    /// the cell, and timelines never affect measured results or canonical
+    /// JSON.
     pub fn with_timeline_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.timeline_dir = Some(dir.into());
         self
@@ -572,51 +617,64 @@ fn sanitize_label(label: &str) -> String {
         .collect()
 }
 
-/// Opens the per-cell JSONL trace file, or explains why it could not.
-fn open_cell_trace(
-    dir: &Path,
-    index: usize,
-    label: &str,
-) -> Option<JsonlWriterSink<impl std::io::Write>> {
-    let path = dir.join(format!("{:03}_{}.jsonl", index, sanitize_label(label)));
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
-        return None;
-    }
-    match JsonlWriterSink::create(&path) {
-        Ok(sink) => Some(sink),
-        Err(e) => {
-            eprintln!(
-                "warning: cell {label} runs untraced: {}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
-}
-
 /// The gauge-sampling interval (cycles) timeline cells fall back to when
 /// their config leaves [`SimConfig::series_interval`] unset.
 pub const DEFAULT_TIMELINE_SERIES_INTERVAL: u64 = 100_000;
 
-/// Opens the per-cell timeline sinks (Chrome trace + gauge series), or
-/// explains why it could not.
-fn open_cell_timeline(dir: &Path, index: usize, label: &str) -> Vec<Box<dyn TraceSink>> {
-    let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create timeline dir {}: {e}", dir.display());
-        return sinks;
+/// A file a cell's sink streams to, and the handle that finishes the sink
+/// after the run, bringing back its first write error.
+type CellFile = (PathBuf, Box<dyn FnOnce() -> std::io::Result<()>>);
+
+/// Creates the cell's JSONL trace (in `trace_dir`) and its Chrome trace and
+/// gauge series (in `timeline_dir`), subscribes their sinks to `run`, and
+/// returns the files to finish after it.
+fn open_cell_files<'a>(
+    mut run: SimRun<'a>,
+    index: usize,
+    label: &str,
+    trace_dir: Option<&Path>,
+    timeline_dir: Option<&Path>,
+) -> Result<(SimRun<'a>, Vec<CellFile>), CellError> {
+    /// Subscribes `created`, the sink created at `path`, to `run`.
+    fn open<'a, S: TraceSink + 'static>(
+        run: SimRun<'a>,
+        files: &mut Vec<CellFile>,
+        path: PathBuf,
+        created: std::io::Result<S>,
+        finish: fn(&mut S) -> std::io::Result<()>,
+    ) -> Result<SimRun<'a>, CellError> {
+        let sink = created.map_err(|e| CellError::output(&path, &e))?;
+        let (shared, sink) = SharedSink::new(sink);
+        files.push((path, Box::new(move || finish(&mut sink.borrow_mut()))));
+        Ok(run.sink(Box::new(shared)))
     }
     let base = format!("{:03}_{}", index, sanitize_label(label));
-    match ChromeTraceSink::create(dir.join(format!("{base}.chrome.json"))) {
-        Ok(sink) => sinks.push(Box::new(sink)),
-        Err(e) => eprintln!("warning: cell {label} has no chrome trace: {e}"),
+    let mut files = Vec::new();
+    for dir in trace_dir.iter().chain(&timeline_dir) {
+        std::fs::create_dir_all(dir).map_err(|e| CellError::output(dir, &e))?;
     }
-    match TimeSeriesSink::create(dir.join(format!("{base}.series.csv")), SeriesFormat::Csv) {
-        Ok(sink) => sinks.push(Box::new(sink)),
-        Err(e) => eprintln!("warning: cell {label} has no gauge series: {e}"),
+    if let Some(dir) = trace_dir {
+        let path = dir.join(format!("{base}.jsonl"));
+        let sink = JsonlWriterSink::create(&path);
+        run = open(run, &mut files, path, sink, JsonlWriterSink::finish)?;
     }
-    sinks
+    if let Some(dir) = timeline_dir {
+        let path = dir.join(format!("{base}.chrome.json"));
+        let sink = ChromeTraceSink::create(&path);
+        run = open(run, &mut files, path, sink, ChromeTraceSink::finish)?;
+        let path = dir.join(format!("{base}.series.csv"));
+        let sink = TimeSeriesSink::create(&path, SeriesFormat::Csv);
+        run = open(run, &mut files, path, sink, TimeSeriesSink::finish)?;
+    }
+    Ok((run, files))
+}
+
+/// Finishes each of a cell's files after its run; the first that fails
+/// names its path.
+fn finish_cell_files(files: Vec<CellFile>) -> Result<(), CellError> {
+    files
+        .into_iter()
+        .try_for_each(|(path, finish)| finish().map_err(|e| CellError::output(&path, &e)))
 }
 
 /// Executes one cell: profiling (when SIP is armed), the measurement run,
@@ -636,28 +694,22 @@ fn run_cell(
         return run_leakage_cell(cell, *spec, &cfg, index, seed, trace_dir, timeline_dir);
     }
     let t0 = Instant::now();
+    let fail = |source: CellError| CampaignError {
+        index,
+        label: cell.label.clone(),
+        source,
+    };
     let mut run = SimRun::new(&cfg).scheme(cell.scheme);
     run = match &cell.work {
         CellWork::Bench(bench) => run.bench(*bench),
         CellWork::Replay(replay) => run.replay(replay.clone()),
         CellWork::Leakage(_) => unreachable!("dispatched above"),
     };
-    if let Some(dir) = trace_dir {
-        if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
-            run = run.sink(Box::new(sink) as Box<dyn TraceSink>);
-        }
-    }
-    if let Some(dir) = timeline_dir {
-        for sink in open_cell_timeline(dir, index, &cell.label) {
-            run = run.sink(sink);
-        }
-    }
+    let (run, files) =
+        open_cell_files(run, index, &cell.label, trace_dir, timeline_dir).map_err(fail)?;
     // A user-level cell bypasses the kernel: its report carries no events.
-    let report = run.run_one().map_err(|e| CampaignError {
-        index,
-        label: cell.label.clone(),
-        source: e,
-    })?;
+    let report = run.run_one().map_err(|e| fail(e.into()))?;
+    finish_cell_files(files).map_err(fail)?;
     Ok(CellReport {
         index,
         label: cell.label.clone(),
@@ -688,7 +740,7 @@ fn run_leakage_cell(
     timeline_dir: Option<&Path>,
 ) -> Result<CellReport, CampaignError> {
     let t0 = Instant::now();
-    let fail = |source: SimError| CampaignError {
+    let fail = |source: CellError| CampaignError {
         index,
         label: cell.label.clone(),
         source,
@@ -727,24 +779,18 @@ fn run_leakage_cell(
         let app = AppSpec::new(cell.work.name(), elrange, stream)
             .plan(plan)
             .build()
-            .map_err(|e| fail(e.into()))?;
-        let mut run = SimRun::new(cfg)
+            .map_err(|e| fail(SimError::from(e).into()))?;
+        let run = SimRun::new(cfg)
             .scheme(cell.scheme)
             .app(app)
             .sink(Box::new(observer));
-        if secret == SecretBit::A {
-            if let Some(dir) = trace_dir {
-                if let Some(sink) = open_cell_trace(dir, index, &cell.label) {
-                    run = run.sink(Box::new(sink) as Box<dyn TraceSink>);
-                }
-            }
-            if let Some(dir) = timeline_dir {
-                for sink in open_cell_timeline(dir, index, &cell.label) {
-                    run = run.sink(sink);
-                }
-            }
-        }
-        let report = run.run_one().map_err(fail)?;
+        let (run, files) = if secret == SecretBit::A {
+            open_cell_files(run, index, &cell.label, trace_dir, timeline_dir).map_err(fail)?
+        } else {
+            (run, Vec::new())
+        };
+        let report = run.run_one().map_err(|e| fail(e.into()))?;
+        finish_cell_files(files).map_err(fail)?;
         first.get_or_insert(report);
         // The sink went with the run's kernel: move the observation out.
         observations.push(obs.take());

@@ -48,8 +48,8 @@ mod simulator;
 mod userspace;
 
 pub use campaign::{
-    effective_jobs, run_indexed, Campaign, CampaignError, CampaignReport, Cell, CellReport,
-    CellWork, LeakageSpec, SeedMode, DEFAULT_TIMELINE_SERIES_INTERVAL, JOBS_ENV,
+    effective_jobs, run_indexed, Campaign, CampaignError, CampaignReport, Cell, CellError,
+    CellReport, CellWork, LeakageSpec, SeedMode, DEFAULT_TIMELINE_SERIES_INTERVAL, JOBS_ENV,
 };
 pub use config::SimConfig;
 pub use replay::{ElrangeError, TraceReplay};
@@ -62,8 +62,7 @@ pub use sgx_kernel::{
     SpanId, TenantPolicy, TenantShare, TimeSeriesSink, MAX_TENANTS,
 };
 pub use sgx_observer::{
-    is_os_visible, LeakageMetric, LeakageReport, Observation, ObserverSink, OramModel,
-    ParseLeakageMetricError, VariantLeakage,
+    is_os_visible, LeakageReport, Observation, ObserverSink, OramModel, VariantLeakage,
 };
 pub use simrun::{SimError, SimRun};
 pub use simulator::{build_plan, AppSpec, AppSpecBuilder, SpecError};

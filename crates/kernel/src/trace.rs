@@ -47,6 +47,29 @@ impl<F: FnMut(&LoggedEvent)> TraceSink for F {
     }
 }
 
+/// Forwards a run's events and samples to a sink its creator keeps a
+/// handle to, so that after the run the creator can `finish` a file sink
+/// and report its first write error.
+pub struct SharedSink<S>(Rc<RefCell<S>>);
+
+impl<S> SharedSink<S> {
+    /// Wraps `sink`; subscribe the first half and keep the second.
+    pub fn new(sink: S) -> (Self, Rc<RefCell<S>>) {
+        let shared = Rc::new(RefCell::new(sink));
+        (SharedSink(Rc::clone(&shared)), shared)
+    }
+}
+
+impl<S: TraceSink> TraceSink for SharedSink<S> {
+    fn on_event(&mut self, event: &LoggedEvent) {
+        self.0.borrow_mut().on_event(event);
+    }
+
+    fn on_sample(&mut self, sample: &GaugeSample) {
+        self.0.borrow_mut().on_sample(sample);
+    }
+}
+
 /// Per-kind tallies of the kernel's paging events — the event-level
 /// telemetry a campaign cell derives from a [`CountingSink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

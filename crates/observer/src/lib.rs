@@ -63,7 +63,5 @@ pub use metrics::{
     transition_histogram, windowed_entropy, WindowedEntropy, EDIT_DISTANCE_CAP,
 };
 pub use oram::OramModel;
-pub use report::{
-    LeakageMetric, LeakageReport, ParseLeakageMetricError, VariantLeakage, DEFAULT_WINDOW,
-};
+pub use report::{LeakageReport, VariantLeakage, DEFAULT_WINDOW};
 pub use sink::{is_os_visible, Observation, ObserverSink};

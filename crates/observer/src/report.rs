@@ -1,8 +1,5 @@
 //! The leakage report: what the untrusted OS learned from a secret pair.
 
-use std::fmt;
-use std::str::FromStr;
-
 use sgx_sim::json;
 use sgx_workloads::SecretBit;
 
@@ -14,85 +11,6 @@ use crate::sink::Observation;
 
 /// Default window (in faults) for the windowed-entropy summary.
 pub const DEFAULT_WINDOW: usize = 64;
-
-/// The individual leakage metrics the observatory computes — named so the
-/// CLI and reports can select or label them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LeakageMetric {
-    /// Shannon entropy of the fault-page distribution (global and
-    /// windowed).
-    FaultEntropy,
-    /// Bigram conditional entropy H(next | prev) of the fault trace.
-    TransitionEntropy,
-    /// Normalized Levenshtein distance between the two variants' page
-    /// sequences.
-    EditDistance,
-    /// Smoothed symmetrized KL divergence over page-transition
-    /// histograms.
-    KlDivergence,
-}
-
-impl LeakageMetric {
-    /// Every metric, in report order.
-    pub const ALL: [LeakageMetric; 4] = [
-        LeakageMetric::FaultEntropy,
-        LeakageMetric::TransitionEntropy,
-        LeakageMetric::EditDistance,
-        LeakageMetric::KlDivergence,
-    ];
-
-    /// The metric's stable identifier.
-    pub fn name(self) -> &'static str {
-        match self {
-            LeakageMetric::FaultEntropy => "fault-entropy",
-            LeakageMetric::TransitionEntropy => "transition-entropy",
-            LeakageMetric::EditDistance => "edit-distance",
-            LeakageMetric::KlDivergence => "kl-divergence",
-        }
-    }
-}
-
-impl fmt::Display for LeakageMetric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The error [`LeakageMetric::from_str`] reports for an unknown name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseLeakageMetricError(String);
-
-impl fmt::Display for ParseLeakageMetricError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown leakage metric {:?} (fault-entropy|transition-entropy|edit-distance|kl-divergence)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseLeakageMetricError {}
-
-impl FromStr for LeakageMetric {
-    type Err = ParseLeakageMetricError;
-
-    /// Parses a metric name, case-insensitively. Accepts the stable names
-    /// ([`LeakageMetric::name`], so `parse(x.to_string()) == x` round-
-    /// trips) plus the CLI aliases `entropy`, `ngram`, `bigram`, `edit`
-    /// and `kl`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "fault-entropy" | "faultentropy" | "entropy" => Ok(LeakageMetric::FaultEntropy),
-            "transition-entropy" | "transitionentropy" | "ngram" | "bigram" => {
-                Ok(LeakageMetric::TransitionEntropy)
-            }
-            "edit-distance" | "editdistance" | "edit" => Ok(LeakageMetric::EditDistance),
-            "kl-divergence" | "kldivergence" | "kl" => Ok(LeakageMetric::KlDivergence),
-            _ => Err(ParseLeakageMetricError(s.to_string())),
-        }
-    }
-}
 
 /// Leakage summary of one secret-labelled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,23 +203,6 @@ mod tests {
             o.counts.demand_loads += 1;
         }
         o
-    }
-
-    #[test]
-    fn metric_names_round_trip_with_aliases() {
-        for m in LeakageMetric::ALL {
-            assert_eq!(m.to_string().parse::<LeakageMetric>(), Ok(m));
-        }
-        assert_eq!(
-            "entropy".parse::<LeakageMetric>(),
-            Ok(LeakageMetric::FaultEntropy)
-        );
-        assert_eq!(
-            "KL".parse::<LeakageMetric>(),
-            Ok(LeakageMetric::KlDivergence)
-        );
-        let err = "turbo".parse::<LeakageMetric>().unwrap_err();
-        assert!(err.to_string().contains("turbo"));
     }
 
     #[test]

@@ -1,33 +1,14 @@
 //! Property pins for the observatory's string surfaces: `FromStr`
-//! inverts `Display` for every [`LeakageMetric`], [`SecretPair`] and
-//! [`SecretBit`] under arbitrary per-character casing, and unknown names
-//! never parse.
+//! inverts `Display` for every [`SecretPair`] and [`SecretBit`] under
+//! arbitrary per-character casing, and unknown names never parse.
 
 use proptest::prelude::*;
 
-use sgx_observer::LeakageMetric;
 use sgx_workloads::{SecretBit, SecretPair};
 
-/// The full alias vocabulary `LeakageMetric::from_str` accepts
-/// (lower-cased).
-const METRIC_ALIASES: [&str; 11] = [
-    "fault-entropy",
-    "faultentropy",
-    "entropy",
-    "transition-entropy",
-    "transitionentropy",
-    "ngram",
-    "bigram",
-    "edit-distance",
-    "editdistance",
-    "edit",
-    "kl",
-];
-
 /// The full alias vocabulary `SecretPair::from_str` accepts
-/// (lower-cased). "kl-divergence"/"kldivergence" are metric-only but the
-/// soup generator never emits '-', so only unpunctuated aliases matter
-/// there.
+/// (lower-cased). The soup generator never emits '-', so only the
+/// unpunctuated aliases can match there.
 const PAIR_ALIASES: [&str; 9] = [
     "branch-halves",
     "branchhalves",
@@ -55,21 +36,6 @@ fn mangle_case(s: &str, mask: u64) -> String {
 }
 
 proptest! {
-    /// `parse(display(x)) == x` for every leakage metric, however cased.
-    #[test]
-    fn metric_parse_inverts_display(
-        i in 0usize..LeakageMetric::ALL.len(),
-        mask in any::<u64>(),
-    ) {
-        let m = LeakageMetric::ALL[i];
-        prop_assert_eq!(m.to_string().parse::<LeakageMetric>().unwrap(), m);
-        let mangled = mangle_case(m.name(), mask);
-        prop_assert_eq!(
-            mangled.parse::<LeakageMetric>().unwrap(), m,
-            "mangled form {:?}", mangled
-        );
-    }
-
     /// `parse(display(x)) == x` for every secret pair, however cased.
     #[test]
     fn pair_parse_inverts_display(
@@ -101,11 +67,6 @@ proptest! {
         let s: String = (0..n)
             .map(|i| (b'a' + ((raw >> (i * 5)) % 26) as u8) as char)
             .collect();
-        prop_assert_eq!(
-            s.parse::<LeakageMetric>().is_ok(),
-            METRIC_ALIASES.contains(&s.as_str()),
-            "metric input {:?}", s
-        );
         prop_assert_eq!(
             s.parse::<SecretPair>().is_ok(),
             PAIR_ALIASES.contains(&s.as_str()),

@@ -23,7 +23,7 @@ use sgx_preloading::sim::json::{self, Value};
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
     build_plan, effective_jobs, profile_stream, ChromeTraceSink, CycleAttribution, EpcSizing,
-    HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, StreamConfig,
+    HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, SharedSink, StreamConfig,
     DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
 
@@ -114,6 +114,9 @@ profile OPTIONS:
 trace record OPTIONS:
     --bench <name>                 benchmark to record (full Ref stream)
     -n <N>                         cap the recording at N accesses
+    --scale, --seed                the stream's scale and seed; a recording
+                                   runs no simulator, so it takes no other
+                                   common option
     --out <file>                   output file (default <bench>.trace.sgxt;
                                    a .csv extension writes CSV instead)
 
@@ -347,21 +350,6 @@ fn write_json_out(args: &Args, json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A sink the run feeds while the command keeps a handle to it, so that
-/// after the run the command can `finish` the sink and bring its first
-/// write error to the exit status.
-struct Shared<S>(Rc<RefCell<S>>);
-
-impl<S: TraceSink> TraceSink for Shared<S> {
-    fn on_event(&mut self, event: &LoggedEvent) {
-        self.0.borrow_mut().on_event(event);
-    }
-
-    fn on_sample(&mut self, sample: &GaugeSample) {
-        self.0.borrow_mut().on_sample(sample);
-    }
-}
-
 fn cmd_list() {
     println!("benchmarks:");
     for b in Benchmark::ALL {
@@ -398,8 +386,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let jsonl = match jsonl {
         Some(path) => {
             let sink = JsonlWriterSink::create(path).map_err(|e| format!("--jsonl {path}: {e}"))?;
-            let sink = Rc::new(RefCell::new(sink));
-            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
+            let (shared, sink) = SharedSink::new(sink);
+            run = run.sink(Box::new(shared));
             Some((path, sink))
         }
         None => None,
@@ -1114,8 +1102,8 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
             };
             let sink = TimeSeriesSink::create(path, format)
                 .map_err(|e| format!("--series-out {path}: {e}"))?;
-            let sink = Rc::new(RefCell::new(sink));
-            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
+            let (shared, sink) = SharedSink::new(sink);
+            run = run.sink(Box::new(shared));
             Some((path, sink))
         }
         None => None,
@@ -1124,8 +1112,8 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         Some(path) => {
             let sink =
                 ChromeTraceSink::create(path).map_err(|e| format!("--chrome-out {path}: {e}"))?;
-            let sink = Rc::new(RefCell::new(sink));
-            run = run.sink(Box::new(Shared(Rc::clone(&sink))));
+            let (shared, sink) = SharedSink::new(sink);
+            run = run.sink(Box::new(shared));
             Some((path, sink))
         }
         None => None,
@@ -1228,7 +1216,8 @@ fn handler(command: &str) -> Result<(Handler, &'static [&'static str]), String> 
         // The classifier runs the paper's default stream settings, so the
         // stream, predictor and EDMM knobs mean nothing here.
         "profile" => (cmd_profile, &["scale seed epc-pages threshold bench"]),
-        "trace record" => (cmd_trace_record, &[CONFIG_FLAGS, "bench n out"]),
+        // A recording runs the generator alone: no simulator knob reaches it.
+        "trace record" => (cmd_trace_record, &["scale seed bench n out"]),
         "trace convert" => (cmd_trace_convert, &["in out"]),
         "trace replay" => (
             cmd_trace_replay,

@@ -457,6 +457,49 @@ fn timeline_streams_kernel_events() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A cell file that cannot be written, or a directory that cannot be
+/// created, fails `campaign` and `leakage` with exit 1 and names the path,
+/// as `run --jsonl` does.
+#[test]
+fn campaign_and_leakage_fail_naming_an_unwritable_cell_file() {
+    let dir = scratch_dir("sgx_preload_cli_cell_file_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let campaign = "campaign --benches lbm --schemes dfp --scale dev --jobs 1";
+    for (flag, file) in [
+        ("--trace-out", "000_lbm-DFP.jsonl"),
+        ("--timeline-out", "000_lbm-DFP.chrome.json"),
+        ("--timeline-out", "000_lbm-DFP.series.csv"),
+    ] {
+        let out = dir.join(file.replace('.', "_"));
+        std::fs::create_dir_all(&out).unwrap();
+        let full = out.join(file);
+        std::os::unix::fs::symlink("/dev/full", &full).unwrap();
+        let args: Vec<&str> = campaign.split(' ').collect();
+        let err = run_err(&[&args[..], &[flag, out.to_str().unwrap()]].concat());
+        assert!(
+            err.contains(&format!("cannot write {}: ", full.display())),
+            "{err}"
+        );
+    }
+    // A directory under a regular file cannot be created.
+    let plain = dir.join("plain");
+    std::fs::write(&plain, "").unwrap();
+    let under = plain.join("cells");
+    let leakage = "leakage --pairs dfp-echo --schemes baseline --scale 64 --jobs 1";
+    for cmd in [campaign, leakage] {
+        for flag in ["--trace-out", "--timeline-out"] {
+            let args: Vec<&str> = cmd.split(' ').collect();
+            let err = run_err(&[&args[..], &[flag, under.to_str().unwrap()]].concat());
+            assert!(
+                err.contains(&format!("cannot write {}: ", under.display())),
+                "{err}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn campaign_runs_the_diverse_families_and_honours_predictor() {
     let dir = scratch_dir("sgx_preload_cli_campaign_test");
@@ -695,7 +738,7 @@ fn every_campaign_and_leakage_flag_moves_the_report() {
 
 /// What `args` shows, run with `{dir}` standing for `dir`, which starts
 /// empty: the exit code, stdout and every file written into `dir`, by name
-/// (wall-clock fields aside).
+/// (wall-clock fields aside; a binary file by its bytes).
 fn outcome_in(dir: &std::path::Path, args: &str) -> (Option<i32>, String, Vec<(String, String)>) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
@@ -710,9 +753,11 @@ fn outcome_in(dir: &std::path::Path, args: &str) -> (Option<i32>, String, Vec<(S
         .unwrap()
         .map(|f| {
             let f = f.unwrap();
-            let text = std::fs::read_to_string(f.path()).unwrap();
-            let name = f.file_name().into_string().unwrap();
-            (name, strip_number(&text, "wall_nanos"))
+            let text = match String::from_utf8(std::fs::read(f.path()).unwrap()) {
+                Ok(text) => strip_number(&text, "wall_nanos"),
+                Err(binary) => format!("{:?}", binary.into_bytes()),
+            };
+            (f.file_name().into_string().unwrap(), text)
         })
         .collect();
     files.sort();
@@ -813,4 +858,81 @@ fn every_profile_and_contend_flag_moves_the_output() {
         );
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every flag `trace record`, `trace convert` and `trace replay` read
+/// moves what they show, as for `run`. The replay base runs hybrid on a
+/// trace with its source declared, so the SIP knobs reach its plan and the
+/// stream knobs its DFP. A recording runs the generator alone, so `trace
+/// record` rejects the simulator's knobs.
+#[test]
+fn every_trace_flag_moves_the_output() {
+    let dir = scratch_dir("sgx_preload_cli_trace_flag_effect_test");
+    let inputs = scratch_dir("sgx_preload_cli_trace_flag_effect_inputs");
+    std::fs::create_dir_all(&inputs).unwrap();
+    let record = |bench: &str, name: &str| {
+        let path = inputs.join(name).to_str().unwrap().to_string();
+        run_ok(&[
+            "trace", "record", "--bench", bench, "--scale", "64", "--out", &path,
+        ]);
+        path
+    };
+    let (deepsjeng, mcf) = (record("deepsjeng", "d.sgxt"), record("mcf", "m.csv"));
+    let outcome = |args: &str| outcome_in(&dir, args);
+    let replay = format!(
+        "trace replay --trace {deepsjeng} --scale 64 --scheme hybrid --source-bench deepsjeng"
+    );
+    let cases = [
+        (
+            "trace record --bench lbm -n 500 --out {dir}/t.sgxt".to_string(),
+            "--seed 7|--scale 32|--bench mcf|-n 400|--out {dir}/t.csv".to_string(),
+        ),
+        (
+            format!("trace convert --in {deepsjeng} --out {{dir}}/c.csv"),
+            format!("--in {mcf}|--out {{dir}}/c.sgxt"),
+        ),
+        (
+            replay.clone(),
+            format!(
+                "--seed 7|--scale 32|--epc-pages 600|--load-length 1|--list-len 1|\
+                 --threshold 0.0|--early 2|--predictor next-line|--trace {mcf}|--scheme dfp|\
+                 --source-bench mcf|--diff"
+            ),
+        ),
+    ];
+    for (base, flags) in &cases {
+        let want = outcome(base);
+        assert_eq!(want.0, Some(0), "{base}");
+        for flag in flags.split('|') {
+            let got = outcome(&format!("{base} {flag}"));
+            assert!(got != want, "`{base} {flag}` changed nothing");
+        }
+    }
+    let edmm = replay.replace("hybrid", "edmm");
+    assert!(
+        outcome(&format!("{edmm} --epc-ceiling 50")) != outcome(&edmm),
+        "`{edmm} --epc-ceiling 50` changed nothing"
+    );
+    for flag in [
+        "--epc-pages 99",
+        "--load-length 2",
+        "--list-len 3",
+        "--threshold 0.5",
+        "--early 4",
+        "--predictor stride",
+        "--epc-ceiling 50",
+    ] {
+        let args: Vec<&str> = ["trace", "record", "--bench", "lbm", "-n", "500"]
+            .into_iter()
+            .chain(flag.split(' '))
+            .collect();
+        let name = flag.split(' ').next().unwrap();
+        let err = run_err(&args);
+        assert!(
+            err.contains(&format!("unknown flag {name} for `trace record`")),
+            "{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_dir_all(inputs);
 }

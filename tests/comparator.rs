@@ -3,41 +3,6 @@
 use sgx_preloading::{Benchmark, Cycles, Scale, Scheme, SimConfig, SimRun, UserPagingConfig};
 
 #[test]
-fn user_level_beats_hardware_paging_on_speed() {
-    // The whole reason Eleos/CoSMIX exist: software swaps (~8k cycles)
-    // against hardware faults (~64k). The paper's counterargument is
-    // security/TCB, not speed.
-    let cfg = SimConfig::at_scale(Scale::DEV);
-    for bench in [Benchmark::Lbm, Benchmark::Deepsjeng] {
-        let base = SimRun::new(&cfg)
-            .scheme(Scheme::Baseline)
-            .bench(bench)
-            .run_one()
-            .unwrap();
-        let user = SimRun::new(&cfg)
-            .scheme(Scheme::UserLevel)
-            .bench(bench)
-            .run_one()
-            .unwrap();
-        let hybrid = SimRun::new(&cfg)
-            .scheme(Scheme::Hybrid)
-            .bench(bench)
-            .run_one()
-            .unwrap();
-        assert!(
-            user.improvement_over(&base) > hybrid.improvement_over(&base),
-            "{bench}: the user-level runtime should win on raw speed"
-        );
-        assert!(
-            user.improvement_over(&base) > 0.3,
-            "{bench}: sizable win expected"
-        );
-        // And it instruments *every* execution — the cost the paper avoids.
-        assert_eq!(user.sip_checks, user.executions);
-    }
-}
-
-#[test]
 fn user_level_check_cost_can_erase_the_win() {
     // Without the software TLB (CoSMIX's point), per-access checks get
     // expensive enough to matter on check-heavy code.

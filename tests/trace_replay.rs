@@ -117,7 +117,7 @@ fn a_trace_outside_its_source_elrange_is_a_structured_error() {
     let err = Campaign::grid("elrange", 7, &[replay], &[Scheme::Dfp], cfg)
         .run()
         .expect_err("the replay cell fails");
-    assert_eq!(err.source, want);
+    assert_eq!(err.source, CellError::Sim(want));
     SimRun::new(&cfg)
         .replay(TraceReplay::new("capture", trace))
         .run_one()
