@@ -9,6 +9,7 @@
 use std::process::ExitCode;
 
 use sgx_bench::figures;
+use sgx_preload_core::ProfileMemo;
 
 fn main() -> ExitCode {
     // `cargo bench` passes `--bench` to every harness-less target.
@@ -19,13 +20,15 @@ fn main() -> ExitCode {
     match figures::select(&ids) {
         Ok(selected) => {
             let dir = sgx_bench::out_dir();
-            let outputs = figures::run(&selected, sgx_bench::scale_from_env());
+            let profiles = ProfileMemo::new();
+            let outputs = figures::run(&selected, sgx_bench::scale_from_env(), &profiles);
             for output in &outputs {
                 output.write(&dir);
             }
             let verdicts: Vec<_> = outputs.iter().flat_map(|o| &o.verdicts).collect();
             let held = verdicts.iter().filter(|v| v.holds).count();
             println!("\nclaims: {held} of {} hold", verdicts.len());
+            println!("SIP train profiles computed: {}", profiles.computed());
             ExitCode::SUCCESS
         }
         Err(e) => {

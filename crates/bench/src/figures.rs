@@ -12,7 +12,9 @@
 //! drops out of the label, so every figure reading a run reads one cell.
 //! A figure reads only the cells it declared. Runs no cell expresses
 //! (co-runs, victim policies, the outside-enclave model) stay in their
-//! figure's builder.
+//! figure's builder. The pass reads every SIP train profile from one
+//! [`ProfileMemo`], so SIP and hybrid cells, threshold and placement points
+//! and Table 2 share one profile per benchmark.
 //!
 //! A figure also carries the paper's claims about it: each claim is a
 //! predicate over the values its builder already reads, judged in the same
@@ -29,7 +31,7 @@ use sgx_epc::{usable_epc_pages, VictimPolicy, PAGE_SIZE_BYTES};
 use sgx_kernel::{HistogramSink, Kernel, KernelConfig, TraceHistograms};
 use sgx_observer::OramModel;
 use sgx_preload_core::{
-    build_plan, effective_jobs, run_indexed, AppSpec, PredictorKind, RunReport, Scheme, SimConfig,
+    effective_jobs, run_indexed, AppSpec, PredictorKind, ProfileMemo, RunReport, Scheme, SimConfig,
     SimRun, TenantPolicy,
 };
 use sgx_sim::Cycles;
@@ -222,16 +224,19 @@ impl Plan {
 
     /// Runs every cell once, in one pass on the work-stealing pool, with a
     /// [`HistogramSink`] on the cells declared through
-    /// [`Plan::histograms`].
+    /// [`Plan::histograms`] and every SIP profile read from `profiles`.
     ///
     /// # Panics
     ///
     /// Panics if a cell fails to run (every figure cell is a kernel or
     /// user-level scheme on a known benchmark, so none does).
-    fn execute(&self) -> HashMap<String, Run> {
+    fn execute(&self, profiles: &ProfileMemo) -> HashMap<String, Run> {
         let runs = run_indexed(self.cells.len(), effective_jobs(None), |i| {
             let c = &self.cells[i];
-            let mut run = SimRun::new(&c.cfg).scheme(c.scheme).bench(c.bench);
+            let mut run = SimRun::new(&c.cfg)
+                .scheme(c.scheme)
+                .bench(c.bench)
+                .profiles(profiles);
             let mut hists = None;
             if c.histograms {
                 let (sink, shared) = HistogramSink::new();
@@ -250,10 +255,12 @@ impl Plan {
 /// [`HistogramSink`].
 type Run = (RunReport, Option<TraceHistograms>);
 
-/// A figure's view of the shared runs: only the cells it declared.
+/// A figure's view of the shared runs: only the cells it declared, plus
+/// the pass's SIP profiles.
 struct Reports<'a> {
     own: Plan,
     runs: &'a HashMap<String, Run>,
+    profiles: &'a ProfileMemo,
 }
 
 impl Reports<'_> {
@@ -427,13 +434,20 @@ pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<&'static Figure>, String> 
 }
 
 /// Runs the cells of `figures` once and builds their tables and verdicts
-/// at `scale`.
-pub fn run(figures: &[&Figure], scale: Scale) -> Vec<Output> {
-    let runs = Plan::new(figures, scale).execute();
+/// at `scale`, reading every SIP train profile from `profiles`: pass a
+/// fresh memo per pass, and its [`ProfileMemo::computed`] afterwards counts
+/// the profiles the pass computed.
+pub fn run(figures: &[&Figure], scale: Scale, profiles: &ProfileMemo) -> Vec<Output> {
+    let runs = Plan::new(figures, scale).execute(profiles);
     run_indexed(figures.len(), effective_jobs(None), |i| {
         // A figure sees only the cells it declares.
         let own = Plan::new(&figures[i..=i], scale);
-        let mut output = (figures[i].tables)(&Reports { own, runs: &runs });
+        let reports = Reports {
+            own,
+            runs: &runs,
+            profiles,
+        };
+        let mut output = (figures[i].tables)(&reports);
         for verdict in &mut output.verdicts {
             verdict.figure = figures[i].id();
         }
@@ -1131,7 +1145,7 @@ fn table2_tcb(r: &Reports) -> Output {
     let mut points = HashMap::new();
     for &(name, reference) in paper::TABLE2_POINTS {
         let bench = Benchmark::from_name(name).expect("paper name known");
-        let plan = build_plan(bench, r.cfg(), Sip);
+        let plan = r.profiles.plan(bench, r.cfg(), Sip);
         t.row(
             name,
             vec![

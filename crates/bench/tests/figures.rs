@@ -2,7 +2,8 @@
 //! `tests/golden/figures/` and is well-formed CSV, every paper claim the
 //! figures carry holds, `results/` holds exactly the CSVs the figures
 //! write, a figure run alone gives the tables and verdicts it gives in the
-//! full run, and every distinct run is one cell.
+//! full run, every distinct run is one cell, and the pass computes each
+//! distinct SIP train profile once.
 //!
 //! After an intentional change, regenerate the goldens with:
 //!
@@ -15,7 +16,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use sgx_bench::figures::{self, Figure, Output, Plan, Point, FIGURES};
-use sgx_preload_core::Scheme;
+use sgx_bench::paper;
+use sgx_preload_core::{ProfileMemo, Scheme};
 use sgx_workloads::{Benchmark, Scale};
 
 /// Environment variable that switches the golden check to regenerate.
@@ -37,10 +39,20 @@ fn all() -> Vec<&'static Figure> {
     FIGURES.iter().collect()
 }
 
-/// Every figure at dev scale, run once and shared by the tests.
+/// Every figure at dev scale, run once and shared by the tests, with the
+/// number of SIP train profiles the pass computed.
+fn full_pass() -> &'static (Vec<Output>, usize) {
+    static RUN: OnceLock<(Vec<Output>, usize)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let profiles = ProfileMemo::new();
+        let outputs = figures::run(&all(), Scale::DEV, &profiles);
+        (outputs, profiles.computed())
+    })
+}
+
+/// Every figure's output in the shared dev-scale run.
 fn full_run() -> &'static [Output] {
-    static RUN: OnceLock<Vec<Output>> = OnceLock::new();
-    RUN.get_or_init(|| figures::run(&all(), Scale::DEV))
+    &full_pass().0
 }
 
 /// Counts a CSV record's fields, honouring RFC 4180 quotes (a doubled
@@ -161,7 +173,8 @@ fn a_figure_run_alone_matches_the_full_run() {
         "ablation_epc_size",
     ] {
         let at = FIGURES.iter().position(|f| f.id() == id).expect("known id");
-        let alone = figures::run(&figures::select(&[id]).expect("known id"), Scale::DEV);
+        let selected = figures::select(&[id]).expect("known id");
+        let alone = figures::run(&selected, Scale::DEV, &ProfileMemo::new());
         let full = &full_run()[at];
         assert_eq!(alone.len(), 1);
         let csvs = |o: &Output| o.tables.iter().map(|t| t.csv()).collect::<Vec<_>>();
@@ -192,6 +205,32 @@ fn every_distinct_run_is_one_cell() {
     // threshold=5.0% is the paper default: fig10 reads the same cell.
     assert!(fig9.cells().iter().any(|c| c.label == "deepsjeng/SIP"));
     assert_eq!(plan.cells().len(), 169);
+}
+
+/// The pass profiles each SIP-capable benchmark's train input once: once
+/// per distinct benchmark and EPC size among its SIP and hybrid cells and
+/// Table 2's programs, however many thresholds, placements and schemes
+/// read it.
+#[test]
+fn every_distinct_profile_is_computed_once() {
+    let plan = Plan::new(&all(), Scale::DEV);
+    let mut inputs = HashSet::new();
+    for c in plan.cells() {
+        if c.scheme.uses_sip() && c.bench.sip_supported() {
+            inputs.insert((c.bench, c.cfg.epc_pages));
+        }
+    }
+    let base_epc = Scale::DEV.epc_pages();
+    for &(name, _) in paper::TABLE2_POINTS {
+        let bench = Benchmark::from_name(name).expect("paper name known");
+        if bench.sip_supported() {
+            inputs.insert((bench, base_epc));
+        }
+    }
+    let sip_cells = plan.cells().iter().filter(|c| c.scheme.uses_sip());
+    assert!(sip_cells.count() > inputs.len(), "cells share profiles");
+    assert_eq!(full_pass().1, inputs.len());
+    assert_eq!(full_pass().1, 12);
 }
 
 #[cfg(debug_assertions)]

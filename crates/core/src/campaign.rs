@@ -60,7 +60,7 @@ use sgx_sim::json;
 use sgx_workloads::{AccessIter, Benchmark, PageRange, SecretBit, SecretPair};
 
 use crate::replay::TraceReplay;
-use crate::simulator::AppSpec;
+use crate::simulator::{AppSpec, ProfileMemo};
 use crate::{RunReport, Scheme, SimConfig, SimError, SimRun};
 
 /// Environment variable overriding the default worker count.
@@ -516,29 +516,20 @@ impl Campaign {
 
     /// Runs every cell on the calling thread, in order (the reference
     /// execution the regression harness compares parallel runs against).
+    /// The run computes each SIP train profile its cells read once.
     ///
     /// # Errors
     ///
     /// [`CampaignError`] for the first cell whose run failed; later cells
     /// do not run.
     pub fn run_serial(&self) -> Result<CampaignReport, CampaignError> {
-        let t0 = Instant::now();
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for (i, cell) in self.cells.iter().enumerate() {
-            cells.push(run_cell(
-                cell,
-                i,
-                self.seed,
-                self.trace_dir.as_deref(),
-                self.timeline_dir.as_deref(),
-            )?);
-        }
-        Ok(self.assemble(cells, 1, t0))
+        self.run_pass(1, &ProfileMemo::new())
     }
 
     /// Runs the campaign on a `jobs`-worker work-stealing pool (see
     /// [`run_indexed`]). Results are returned in cell order regardless of
-    /// scheduling.
+    /// scheduling. The run computes each SIP train profile its cells read
+    /// once, whichever worker asks first.
     ///
     /// # Errors
     ///
@@ -546,23 +537,37 @@ impl Campaign {
     /// the same cell a serial run would report first, so error behaviour
     /// is scheduling-independent too. Every queued cell still runs.
     pub fn run_with_jobs(&self, jobs: usize) -> Result<CampaignReport, CampaignError> {
+        self.run_pass(jobs, &ProfileMemo::new())
+    }
+
+    /// Runs every cell once on `jobs` workers (in order on the calling
+    /// thread for one worker or one cell), reading the bench and replay
+    /// cells' SIP profiles from `profiles`.
+    fn run_pass(
+        &self,
+        jobs: usize,
+        profiles: &ProfileMemo,
+    ) -> Result<CampaignReport, CampaignError> {
         let jobs = jobs.max(1);
-        if jobs == 1 || self.cells.len() <= 1 {
-            let mut r = self.run_serial()?;
-            r.jobs = jobs;
-            return Ok(r);
-        }
         let t0 = Instant::now();
-        let results = run_indexed(self.cells.len(), jobs, |i| {
+        let run = |i: usize| {
             run_cell(
                 &self.cells[i],
                 i,
                 self.seed,
                 self.trace_dir.as_deref(),
                 self.timeline_dir.as_deref(),
+                profiles,
             )
-        });
-        let cells = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        };
+        let cells = if jobs == 1 || self.cells.len() <= 1 {
+            (0..self.cells.len())
+                .map(run)
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            let results = run_indexed(self.cells.len(), jobs, run);
+            results.into_iter().collect::<Result<Vec<_>, _>>()?
+        };
         Ok(self.assemble(cells, jobs, t0))
     }
 
@@ -677,14 +682,15 @@ fn finish_cell_files(files: Vec<CellFile>) -> Result<(), CellError> {
         .try_for_each(|(path, finish)| finish().map_err(|e| CellError::output(&path, &e)))
 }
 
-/// Executes one cell: profiling (when SIP is armed), the measurement run,
-/// and telemetry collection.
+/// Executes one cell: profiling (when SIP is armed, through the pass's
+/// `profiles`), the measurement run, and telemetry collection.
 fn run_cell(
     cell: &Cell,
     index: usize,
     seed: u64,
     trace_dir: Option<&Path>,
     timeline_dir: Option<&Path>,
+    profiles: &ProfileMemo,
 ) -> Result<CellReport, CampaignError> {
     let mut cfg = cell.cfg.with_seed(seed);
     if timeline_dir.is_some() && cfg.series_interval == 0 {
@@ -699,7 +705,7 @@ fn run_cell(
         label: cell.label.clone(),
         source,
     };
-    let mut run = SimRun::new(&cfg).scheme(cell.scheme);
+    let mut run = SimRun::new(&cfg).scheme(cell.scheme).profiles(profiles);
     run = match &cell.work {
         CellWork::Bench(bench) => run.bench(*bench),
         CellWork::Replay(replay) => run.replay(replay.clone()),
@@ -729,6 +735,8 @@ fn run_cell(
 /// The SIP plan (when the scheme instruments) is compiled from the
 /// pair's *train* stream — variant A on a decorrelated seed — exactly
 /// once per program, never per secret, mirroring the paper's PGO flow.
+/// The cell profiles on its own, outside the pass's [`ProfileMemo`], whose
+/// key names benchmarks, not secret pairs.
 /// Trace/timeline artifacts, when requested, capture variant A's run.
 fn run_leakage_cell(
     cell: &Cell,
@@ -981,6 +989,58 @@ mod tests {
             assert_eq!(s.seed, p.seed);
         }
         assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
+    }
+
+    /// A pass profiles each train input once, however many cells read it:
+    /// SIP and hybrid cells at three thresholds and a replay naming the
+    /// same source benchmark compute one profile at every worker count,
+    /// and every worker count gives the same canonical JSON.
+    #[test]
+    fn a_pass_computes_each_profile_once() {
+        use sgx_sip::SipConfig;
+        use sgx_workloads::{InputSet, RecordedTrace};
+        let cfg = tiny_cfg();
+        let seed = 5;
+        let threshold = |t| cfg.with_sip(SipConfig::paper_defaults().with_threshold(t));
+        let mut c = Campaign::sweep(
+            "profiles",
+            seed,
+            &[Benchmark::Deepsjeng],
+            &[Scheme::Baseline, Scheme::Sip, Scheme::Hybrid],
+            "threshold",
+            &[
+                ("5%", cfg),
+                ("10%", threshold(0.10)),
+                ("20%", threshold(0.20)),
+            ],
+        );
+        let stream = Benchmark::Deepsjeng.build(InputSet::Ref, cfg.scale, seed);
+        let trace = RecordedTrace::record(stream, usize::MAX);
+        let replay = TraceReplay::of_benchmark(Benchmark::Deepsjeng, trace);
+        c.push(Cell::new(replay, Scheme::Sip, cfg).with_label("replay/SIP"));
+        let serial = c.run_serial().unwrap();
+        let canonical = serial.to_canonical_json();
+        for jobs in 1..=4 {
+            let profiles = ProfileMemo::new();
+            let r = c.run_pass(jobs, &profiles).unwrap();
+            assert_eq!(profiles.computed(), 1, "jobs {jobs}");
+            assert_eq!(r.to_canonical_json(), canonical, "jobs {jobs}");
+            let r = c.run_with_jobs(jobs).unwrap();
+            assert_eq!(r.to_canonical_json(), canonical, "jobs {jobs}");
+        }
+        // The shared profile selects the plan a fresh one does.
+        let alone = SimRun::new(&cfg.with_seed(seed))
+            .scheme(Scheme::Sip)
+            .bench(Benchmark::Deepsjeng)
+            .run_one()
+            .unwrap();
+        assert!(alone.instrumentation_points > 0);
+        let cell = serial.cell("deepsjeng/SIP/threshold=5%").unwrap();
+        assert_eq!(cell.report, alone);
+        assert_eq!(
+            serial.cell("replay/SIP").unwrap().report.total_cycles,
+            alone.total_cycles
+        );
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub use sgx_observer::{
     is_os_visible, LeakageReport, Observation, ObserverSink, OramModel, VariantLeakage,
 };
 pub use simrun::{SimError, SimRun};
-pub use simulator::{build_plan, AppSpec, AppSpecBuilder, SpecError};
+pub use simulator::{build_plan, AppSpec, AppSpecBuilder, ProfileMemo, SpecError};
 pub use userspace::{run_userspace_paging, UserPagingConfig};

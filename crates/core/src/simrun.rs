@@ -15,7 +15,9 @@ use sgx_sip::InstrumentationPlan;
 use sgx_workloads::{AccessIter, Benchmark, InputSet};
 
 use crate::replay::{ElrangeError, TraceReplay};
-use crate::simulator::{build_plan, run_kernel_apps, run_outside_model, AppSpec, SpecError};
+use crate::simulator::{
+    build_plan, run_kernel_apps, run_outside_model, AppSpec, ProfileMemo, SpecError,
+};
 use crate::{RunReport, Scheme, SimConfig};
 
 /// Errors from [`SimRun::run`].
@@ -119,6 +121,7 @@ pub struct SimRun<'a> {
     scheme: Scheme,
     entries: Vec<Entry>,
     sinks: Vec<Box<dyn TraceSink>>,
+    profiles: Option<&'a ProfileMemo>,
 }
 
 impl<'a> SimRun<'a> {
@@ -129,6 +132,7 @@ impl<'a> SimRun<'a> {
             scheme: Scheme::Baseline,
             entries: Vec::new(),
             sinks: Vec::new(),
+            profiles: None,
         }
     }
 
@@ -183,6 +187,14 @@ impl<'a> SimRun<'a> {
         self
     }
 
+    /// Reads the SIP profiles of benchmark entries, and of replays that
+    /// declare a source benchmark, from `memo` instead of profiling each
+    /// one afresh. The plans are the same either way.
+    pub fn profiles(mut self, memo: &'a ProfileMemo) -> Self {
+        self.profiles = Some(memo);
+        self
+    }
+
     /// Subscribes a streaming trace sink to the run's kernel. Sinks observe
     /// the merged event stream of all enclave entries; outside/user-level
     /// entries produce no kernel events.
@@ -210,7 +222,12 @@ impl<'a> SimRun<'a> {
             scheme,
             entries,
             sinks,
+            profiles,
         } = self;
+        let plan = |bench| match profiles {
+            Some(memo) => memo.plan(bench, cfg, scheme),
+            None => build_plan(bench, cfg, scheme),
+        };
 
         // Entries that bypass the kernel (outside model, user-level paging)
         // run immediately; enclave entries are gathered into one shared
@@ -236,7 +253,7 @@ impl<'a> SimRun<'a> {
                     ))));
                 }
                 Entry::Bench(bench) => {
-                    let plan = build_plan(bench, cfg, scheme);
+                    let plan = plan(bench);
                     let app = AppSpec::new(
                         bench.name(),
                         bench.elrange_pages(cfg.scale),
@@ -259,7 +276,7 @@ impl<'a> SimRun<'a> {
                 }
                 Entry::Replay(replay) => {
                     let plan = match replay.source() {
-                        Some(bench) => build_plan(bench, cfg, scheme),
+                        Some(bench) => plan(bench),
                         None => InstrumentationPlan::none(),
                     };
                     let app = AppSpec::new(

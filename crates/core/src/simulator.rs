@@ -1,12 +1,14 @@
 //! The simulator: applications executing inside enclaves over the
 //! kernel/EPC substrate, under any [`Scheme`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use sgx_dfp::{NoPredictor, Predictor, ProcessId};
 use sgx_kernel::{CycleAttribution, Kernel, KernelConfig, KernelError, TraceSink};
 use sgx_sim::Cycles;
-use sgx_sip::{profile_stream, InstrumentationPlan};
+use sgx_sip::{profile_stream, InstrumentationPlan, Profile};
 use sgx_workloads::{AccessIter, Benchmark, InputSet};
 
 use crate::{RunReport, Scheme, SimConfig, SimError};
@@ -386,20 +388,109 @@ pub(crate) fn run_kernel_apps(
 /// Builds the SIP instrumentation plan for a benchmark by profiling its
 /// *train* input (the paper's PGO pipeline, §5.2). Returns an empty plan
 /// when the scheme does not instrument or the paper's prototype could not
-/// handle the program (Fortran, omnetpp).
+/// handle the program (Fortran, omnetpp). Every call profiles afresh; the
+/// cells of one pass share their profiles through a [`ProfileMemo`].
 pub fn build_plan(bench: Benchmark, cfg: &SimConfig, scheme: Scheme) -> InstrumentationPlan {
-    if !scheme.uses_sip() || !bench.sip_supported() {
+    if !instruments(bench, scheme) {
         return InstrumentationPlan::none();
     }
     // The paper's compiler always cedes Class-2-dominant sites to DFP
     // (§4.4) — DFP is an OS-side property the compiled binary can rely on,
     // whether or not this particular run arms it.
-    let sip = cfg.sip;
-    let profile = profile_stream(
+    InstrumentationPlan::from_profile(&train_profile(bench, cfg), cfg.sip)
+}
+
+/// Whether a run of `bench` under `scheme` carries a SIP plan.
+fn instruments(bench: Benchmark, scheme: Scheme) -> bool {
+    scheme.uses_sip() && bench.sip_supported()
+}
+
+/// The profile of `bench`'s train input that SIP's plan is selected from.
+fn train_profile(bench: Benchmark, cfg: &SimConfig) -> Profile {
+    profile_stream(
         bench.build(InputSet::Train, cfg.scale, cfg.seed),
         cfg.epc_pages as usize,
-    );
-    InstrumentationPlan::from_profile(&profile, sip)
+    )
+}
+
+/// Everything [`train_profile`] reads: benchmark, input set, scale divisor,
+/// seed and EPC pages. The threshold, costs, scheme, predictor and notify
+/// distance are read only by [`InstrumentationPlan::from_profile`] or the
+/// run, so the cells that differ in them share one profile.
+type ProfileKey = (Benchmark, InputSet, u64, u64, u64);
+
+/// The SIP train profiles of one pass, each computed at most once.
+///
+/// In the paper a program's profile is a one-off compile step (§3.2,
+/// §5.2): the cells of a pass that profile the same input read one
+/// profile, and [`ProfileMemo::plan`] selects each cell's plan from it
+/// under the cell's own threshold. Two workers asking for the same input
+/// at once compute it once; the second waits for the first. A memo lives
+/// as long as its owner's pass: each campaign run and each figure pass
+/// makes its own, and [`build_plan`] never reads one.
+///
+/// # Examples
+///
+/// ```
+/// use sgx_preload_core::{build_plan, ProfileMemo, Scheme, SimConfig};
+/// use sgx_workloads::{Benchmark, Scale};
+///
+/// let cfg = SimConfig::at_scale(Scale::DEV);
+/// let memo = ProfileMemo::new();
+/// let sip = memo.plan(Benchmark::Deepsjeng, &cfg, Scheme::Sip);
+/// let hybrid = memo.plan(Benchmark::Deepsjeng, &cfg, Scheme::Hybrid);
+/// assert_eq!(memo.computed(), 1, "SIP and the hybrid share the profile");
+/// assert_eq!(sip.sites(), hybrid.sites());
+/// assert_eq!(sip.sites(), build_plan(Benchmark::Deepsjeng, &cfg, Scheme::Sip).sites());
+/// ```
+#[derive(Debug, Default)]
+pub struct ProfileMemo {
+    slots: Mutex<HashMap<ProfileKey, Arc<OnceLock<Profile>>>>,
+    computed: AtomicUsize,
+}
+
+impl ProfileMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`build_plan`]'s plan, selected from the memo's profile of the
+    /// train input, which the first call for that input computes.
+    pub fn plan(&self, bench: Benchmark, cfg: &SimConfig, scheme: Scheme) -> InstrumentationPlan {
+        if !instruments(bench, scheme) {
+            return InstrumentationPlan::none();
+        }
+        let key = (
+            bench,
+            InputSet::Train,
+            cfg.scale.divisor(),
+            cfg.seed,
+            cfg.epc_pages,
+        );
+        // The map lock is held only to find the slot, so different inputs
+        // profile in parallel. A worker that panicked under the lock left
+        // the map whole (it only ever gains an empty slot), so its poison
+        // is cleared.
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let profile = slot.get_or_init(|| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            train_profile(bench, cfg)
+        });
+        InstrumentationPlan::from_profile(profile, cfg.sip)
+    }
+
+    /// How many profiles the memo has computed: one per distinct input
+    /// asked for.
+    pub fn computed(&self) -> usize {
+        self.computed.load(Ordering::Relaxed)
+    }
 }
 
 /// The outside-the-enclave model behind [`SimRun::outside`]: unlimited
@@ -475,6 +566,41 @@ mod tests {
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.sip_checks, b.sip_checks);
+    }
+
+    /// The memo keys a profile on everything the profile reads and nothing
+    /// else, and selects the plans `build_plan` selects.
+    #[test]
+    fn profile_memo_keys_on_what_the_profile_reads() {
+        use sgx_sip::SipConfig;
+        let c = cfg();
+        let memo = ProfileMemo::new();
+        let asked = [
+            (Benchmark::Deepsjeng, c, Scheme::Sip),
+            (Benchmark::Deepsjeng, c, Scheme::Hybrid),
+            (
+                Benchmark::Deepsjeng,
+                c.with_sip(SipConfig::paper_defaults().with_threshold(0.3)),
+                Scheme::Sip,
+            ),
+            (Benchmark::Deepsjeng, c.with_seed(7), Scheme::Sip),
+            (
+                Benchmark::Deepsjeng,
+                c.with_epc_pages(c.epc_pages / 2),
+                Scheme::Sip,
+            ),
+            (Benchmark::Mser, c, Scheme::Hybrid),
+            (Benchmark::Deepsjeng, c, Scheme::Dfp),
+            (Benchmark::Bwaves, c, Scheme::Sip),
+        ];
+        for (bench, cfg, scheme) in asked {
+            let shared = memo.plan(bench, &cfg, scheme);
+            let fresh = build_plan(bench, &cfg, scheme);
+            assert_eq!(shared.sites(), fresh.sites(), "{bench:?} {scheme:?}");
+        }
+        // Deepsjeng at the base, at seed 7 and at half the EPC, and MSER:
+        // no profile for a threshold, a scheme, DFP or a Fortran program.
+        assert_eq!(memo.computed(), 4);
     }
 
     #[test]

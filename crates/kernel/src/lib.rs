@@ -83,7 +83,7 @@ pub use timeline::{
     TimeSeriesSink,
 };
 pub use trace::{
-    CollectingSink, CountingSink, EventCounts, HistogramSink, JsonlWriterSink, SharedSink,
-    TraceHistograms, TraceSink,
+    CollectingSink, CountingSink, EventCounts, HistogramSink, JsonlWriterSink, SharedCounts,
+    SharedSink, TraceHistograms, TraceSink,
 };
 pub use watermark::{WatermarkError, Watermarks};

@@ -109,7 +109,12 @@ impl EventCounts {
     /// Tallies one event of `kind`. Every event counts once, whatever its
     /// `value`, so [`EventCounts::total`] is the number of events seen.
     pub fn bump(&mut self, kind: EventKind) {
-        *match kind {
+        *self.tally_mut(kind) += 1;
+    }
+
+    /// The tally of `kind`.
+    fn tally_mut(&mut self, kind: EventKind) -> &mut u64 {
+        match kind {
             EventKind::Fault => &mut self.faults,
             EventKind::DemandLoaded => &mut self.demand_loads,
             EventKind::PreloadStart => &mut self.preload_starts,
@@ -124,7 +129,7 @@ impl EventCounts {
             EventKind::PreloadHit => &mut self.preload_hits,
             EventKind::StreamPredicted => &mut self.stream_predictions,
             EventKind::RunEnd => &mut self.run_ends,
-        } += 1;
+        }
     }
 
     /// Every tally as `(name, count)`, in schema order.
@@ -162,7 +167,9 @@ impl EventCounts {
     }
 }
 
-/// A sink that tallies events per kind into a shared [`EventCounts`].
+/// A sink that tallies events per kind, readable as [`EventCounts`]
+/// through the [`SharedCounts`] handle it hands out. Each event bumps its
+/// kind's counter in place.
 ///
 /// # Examples
 ///
@@ -185,16 +192,16 @@ impl EventCounts {
 /// ```
 #[derive(Debug)]
 pub struct CountingSink {
-    counts: Rc<Cell<EventCounts>>,
+    counts: SharedCounts,
 }
 
 impl CountingSink {
     /// Creates the sink plus the shared handle the caller keeps.
-    pub fn new() -> (Self, Rc<Cell<EventCounts>>) {
-        let counts = Rc::new(Cell::new(EventCounts::default()));
+    pub fn new() -> (Self, SharedCounts) {
+        let counts = SharedCounts::default();
         (
             CountingSink {
-                counts: Rc::clone(&counts),
+                counts: counts.clone(),
             },
             counts,
         )
@@ -203,9 +210,25 @@ impl CountingSink {
 
 impl TraceSink for CountingSink {
     fn on_event(&mut self, event: &LoggedEvent) {
-        let mut c = self.counts.get();
-        c.bump(event.what);
-        self.counts.set(c);
+        // `EventKind::ALL[k as usize] == k`: one counter per kind.
+        let n = &self.counts.0[event.what as usize];
+        n.set(n.get() + 1);
+    }
+}
+
+/// The caller's handle on a [`CountingSink`]'s tallies: one counter per
+/// [`EventKind`], indexed by the kind.
+#[derive(Debug, Clone, Default)]
+pub struct SharedCounts(Rc<[Cell<u64>; EventKind::ALL.len()]>);
+
+impl SharedCounts {
+    /// The tallies so far.
+    pub fn get(&self) -> EventCounts {
+        let mut counts = EventCounts::default();
+        for (kind, n) in EventKind::ALL.into_iter().zip(self.0.iter()) {
+            *counts.tally_mut(kind) = n.get();
+        }
+        counts
     }
 }
 

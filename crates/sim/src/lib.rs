@@ -41,5 +41,5 @@ pub mod varint;
 
 pub use cycles::Cycles;
 pub use fastmap::{FastMap, FastSet};
-pub use rng::{mix, DetRng};
+pub use rng::{mix, DetRng, Zipf};
 pub use stats::{Histogram, HistogramSummary};

@@ -143,49 +143,14 @@ impl DetRng {
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s > 0`, rank 0 being
-    /// the most popular.
-    ///
-    /// Implemented with rejection-inversion (Hörmann & Derflinger), which is
-    /// O(1) per sample and needs no per-`n` precomputation — important
-    /// because workloads draw from regions holding hundreds of thousands of
-    /// pages.
+    /// the most popular: one draw of [`Zipf::new`]`(n, s)`. A generator
+    /// drawing many ranks at one `(n, s)` builds the [`Zipf`] once instead.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s <= 0`.
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0, "zipf over empty support");
-        assert!(s > 0.0, "zipf exponent must be positive");
-        if n == 1 {
-            return 0;
-        }
-        // Helper H(x) = integral of x^-s (handles s == 1 via ln).
-        let h = |x: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-            }
-        };
-        let h_inv = |y: f64| -> f64 {
-            if (s - 1.0).abs() < 1e-9 {
-                y.exp()
-            } else {
-                (1.0 + y * (1.0 - s)).powf(1.0 / (1.0 - s))
-            }
-        };
-        let nf = n as f64;
-        let h_x1 = h(1.5) - 1.0;
-        let h_n = h(nf + 0.5);
-        loop {
-            let u = h_x1 + self.unit() * (h_n - h_x1);
-            let x = h_inv(u);
-            let k = x.round().clamp(1.0, nf);
-            // Acceptance test.
-            if u >= h(k + 0.5) - k.powf(-s) {
-                return k as u64 - 1;
-            }
-        }
+        Zipf::new(n, s).sample(self)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -193,6 +158,102 @@ impl DetRng {
         for i in (1..xs.len()).rev() {
             let j = self.uniform(i as u64 + 1) as usize;
             xs.swap(i, j);
+        }
+    }
+}
+
+/// A Zipf sampler over ranks `[0, n)` with exponent `s > 0`, rank 0 being
+/// the most popular.
+///
+/// Implemented with rejection-inversion (Hörmann & Derflinger), which is
+/// O(1) per sample and needs no per-`n` table — important because
+/// workloads draw from regions holding hundreds of thousands of pages. The
+/// constants that depend only on `(n, s)` are computed once, here, so a
+/// draw costs the inversion and the acceptance test alone.
+///
+/// # Examples
+///
+/// ```
+/// use sgx_sim::{DetRng, Zipf};
+///
+/// let zipf = Zipf::new(1_000, 1.1);
+/// let (mut a, mut b) = (DetRng::seed_from(3), DetRng::seed_from(3));
+/// for _ in 0..100 {
+///     assert_eq!(zipf.sample(&mut a), b.zipf(1_000, 1.1));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    /// `-s`, the exponent of the acceptance test's `k^-s`.
+    neg_s: f64,
+    /// `s == 1` (within 1e-9): H is `ln` and its inverse `exp`.
+    log: bool,
+    /// `1 - s`, the power in H.
+    one_minus_s: f64,
+    /// `1 / (1 - s)`, the power in H's inverse.
+    inv_one_minus_s: f64,
+    /// `H(1.5) - 1`: the lower end of the inversion interval.
+    h_x1: f64,
+    /// `H(n + 0.5) - H(1.5) + 1`: the inversion interval's width.
+    span: f64,
+}
+
+impl Zipf {
+    /// A sampler over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s <= 0`.
+    pub fn new(n: u64, s: f64) -> Self {
+        assert!(n > 0, "zipf over empty support");
+        assert!(s > 0.0, "zipf exponent must be positive");
+        let mut zipf = Zipf {
+            n,
+            neg_s: -s,
+            log: (s - 1.0).abs() < 1e-9,
+            one_minus_s: 1.0 - s,
+            inv_one_minus_s: 1.0 / (1.0 - s),
+            h_x1: 0.0,
+            span: 0.0,
+        };
+        zipf.h_x1 = zipf.h(1.5) - 1.0;
+        zipf.span = zipf.h(n as f64 + 0.5) - zipf.h_x1;
+        zipf
+    }
+
+    /// H(x), the integral of x^-s (`ln` at s == 1).
+    fn h(&self, x: f64) -> f64 {
+        if self.log {
+            x.ln()
+        } else {
+            (x.powf(self.one_minus_s) - 1.0) / self.one_minus_s
+        }
+    }
+
+    /// The inverse of [`Zipf::h`].
+    fn h_inv(&self, y: f64) -> f64 {
+        if self.log {
+            y.exp()
+        } else {
+            (1.0 + y * self.one_minus_s).powf(self.inv_one_minus_s)
+        }
+    }
+
+    /// Draws one rank from `rng`. A one-rank support draws nothing.
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        if self.n == 1 {
+            return 0;
+        }
+        let nf = self.n as f64;
+        loop {
+            let u = self.h_x1 + rng.unit() * self.span;
+            let x = self.h_inv(u);
+            let k = x.round().clamp(1.0, nf);
+            // Acceptance test.
+            if u >= self.h(k + 0.5) - k.powf(self.neg_s) {
+                return k as u64 - 1;
+            }
         }
     }
 }

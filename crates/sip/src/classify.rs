@@ -13,11 +13,15 @@
 //!
 //! SIP instruments the sites whose Class-3 share exceeds a threshold and,
 //! in the hybrid scheme, leaves Class-2 traffic to DFP.
+//!
+//! Classification runs once per profiled access, so it follows the hot-path
+//! rule of DESIGN §5: no SipHash and no allocation per access.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sgx_dfp::{StreamConfig, StreamList};
 use sgx_epc::VirtPage;
+use sgx_sim::FastMap;
 
 /// The access classes of paper §4.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,7 +41,10 @@ pub enum AccessClass {
 pub struct LruSet {
     cap: usize,
     stamp: u64,
-    live: HashMap<VirtPage, u64>,
+    /// Page number → the stamp of its latest touch.
+    live: FastMap,
+    /// Touches, oldest first; an entry whose stamp is not its page's live
+    /// stamp is stale and skipped.
     order: VecDeque<(VirtPage, u64)>,
 }
 
@@ -52,14 +59,14 @@ impl LruSet {
         LruSet {
             cap,
             stamp: 0,
-            live: HashMap::new(),
+            live: FastMap::new(),
             order: VecDeque::new(),
         }
     }
 
     /// Whether `page` is among the `cap` most recently touched pages.
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.live.contains_key(&page)
+        self.live.contains(page.raw())
     }
 
     /// Number of pages retained.
@@ -74,21 +81,28 @@ impl LruSet {
 
     /// Marks `page` as just-touched.
     pub fn touch(&mut self, page: VirtPage) {
+        self.record(page);
+    }
+
+    /// Marks `page` as just-touched and returns whether it was retained
+    /// before: [`LruSet::contains`] then [`LruSet::touch`], in one probe.
+    fn record(&mut self, page: VirtPage) -> bool {
         self.stamp += 1;
-        self.live.insert(page, self.stamp);
+        let was_live = self.live.insert(page.raw(), self.stamp).is_some();
         self.order.push_back((page, self.stamp));
         while self.live.len() > self.cap {
             // Lazy deletion: skip stale queue entries for re-touched pages.
             let (p, s) = self.order.pop_front().expect("live non-empty => queued");
-            if self.live.get(&p) == Some(&s) {
-                self.live.remove(&p);
+            if self.live.get(p.raw()) == Some(s) {
+                self.live.remove(p.raw());
             }
         }
         // Bound queue growth from re-touches.
         if self.order.len() > self.cap * 4 {
             let live = &self.live;
-            self.order.retain(|(p, s)| live.get(p) == Some(s));
+            self.order.retain(|&(p, s)| live.get(p.raw()) == Some(s));
         }
+        was_live
     }
 }
 
@@ -110,6 +124,8 @@ impl LruSet {
 pub struct Classifier {
     recent: LruSet,
     streams: StreamList,
+    /// Reused for each stream prediction; only its emptiness is read.
+    predicted: Vec<VirtPage>,
 }
 
 impl Classifier {
@@ -124,26 +140,27 @@ impl Classifier {
         Classifier {
             recent: LruSet::new(epc_proxy_pages),
             streams: StreamList::new(cfg),
+            predicted: Vec::new(),
         }
     }
 
     /// Classifies the next access in trace order and updates the model.
     pub fn classify(&mut self, page: VirtPage) -> AccessClass {
-        let class = if self.recent.contains(page) {
-            AccessClass::Class1
+        // The stream list never reads the residency proxy, so touching the
+        // page first changes nothing but saves a second probe.
+        if self.recent.record(page) {
+            return AccessClass::Class1;
+        }
+        // Not recently touched: would fault. Stream detection decides
+        // whether DFP would have covered it. `on_fault_into` both tests and
+        // learns, exactly as the kernel-side Algorithm 1 does.
+        self.predicted.clear();
+        self.streams.on_fault_into(page, &mut self.predicted);
+        if self.predicted.is_empty() {
+            AccessClass::Class3
         } else {
-            // Not recently touched: would fault. Stream detection decides
-            // whether DFP would have covered it. `on_fault` both tests and
-            // learns, exactly as the kernel-side Algorithm 1 does.
-            let followed_stream = !self.streams.on_fault(page).is_empty();
-            if followed_stream {
-                AccessClass::Class2
-            } else {
-                AccessClass::Class3
-            }
-        };
-        self.recent.touch(page);
-        class
+            AccessClass::Class2
+        }
     }
 
     /// Pages currently retained by the residency proxy.

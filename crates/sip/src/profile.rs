@@ -8,9 +8,12 @@
 //! sweet spot, Fig. 9). This module is that pipeline minus LLVM: the
 //! "source line" is the workload's [`SiteId`], and the output is an
 //! [`InstrumentationPlan`] the simulator consults at run time.
+//!
+//! Profiling touches every access of the train input, and the plan is
+//! consulted on every access of a SIP or hybrid run, so both follow the
+//! hot-path rule of DESIGN §5: no SipHash and no allocation per access.
 
-use std::collections::{BTreeMap, HashSet};
-
+use sgx_sim::{FastMap, FastSet};
 use sgx_workloads::{Access, SiteId};
 
 use crate::{AccessClass, Classifier};
@@ -54,19 +57,21 @@ impl SiteProfile {
 /// The classified result of one profiling run.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    sites: BTreeMap<SiteId, SiteProfile>,
+    /// One tally per site that appeared, ascending by site ID.
+    sites: Vec<(SiteId, SiteProfile)>,
     total_events: u64,
 }
 
 impl Profile {
     /// Per-site tallies, ordered by site ID.
     pub fn sites(&self) -> impl Iterator<Item = (SiteId, &SiteProfile)> {
-        self.sites.iter().map(|(&id, p)| (id, p))
+        self.sites.iter().map(|(id, p)| (*id, p))
     }
 
     /// The tally for one site, if it appeared in the trace.
     pub fn site(&self, id: SiteId) -> Option<&SiteProfile> {
-        self.sites.get(&id)
+        let i = self.sites.binary_search_by_key(&id, |&(s, _)| s).ok()?;
+        Some(&self.sites[i].1)
     }
 
     /// Total events profiled.
@@ -85,7 +90,7 @@ impl Profile {
         if self.total_events == 0 {
             return 0.0;
         }
-        let class3: u64 = self.sites.values().map(|s| s.class3).sum();
+        let class3: u64 = self.sites.iter().map(|(_, s)| s.class3).sum();
         class3 as f64 / self.total_events as f64
     }
 
@@ -95,7 +100,7 @@ impl Profile {
         if self.total_events == 0 {
             return 0.0;
         }
-        let class2: u64 = self.sites.values().map(|s| s.class2).sum();
+        let class2: u64 = self.sites.iter().map(|(_, s)| s.class2).sum();
         class2 as f64 / self.total_events as f64
     }
 }
@@ -120,9 +125,22 @@ impl Profile {
 pub fn profile_stream(stream: impl Iterator<Item = Access>, epc_proxy_pages: usize) -> Profile {
     let mut classifier = Classifier::new(epc_proxy_pages);
     let mut profile = Profile::default();
+    // Site ID → its tally's index in `profile.sites`, in first-seen order
+    // until the sort below. A trace may carry any `u32` ID, so the tallies
+    // are not indexed by the ID itself.
+    let mut slots = FastMap::new();
     for access in stream {
         let class = classifier.classify(access.page);
-        let entry = profile.sites.entry(access.site).or_default();
+        let id = u64::from(access.site.0);
+        let slot = match slots.get(id) {
+            Some(slot) => slot as usize,
+            None => {
+                slots.insert(id, profile.sites.len() as u64);
+                profile.sites.push((access.site, SiteProfile::default()));
+                profile.sites.len() - 1
+            }
+        };
+        let entry = &mut profile.sites[slot].1;
         match class {
             AccessClass::Class1 => entry.class1 += 1,
             AccessClass::Class2 => entry.class2 += 1,
@@ -131,6 +149,7 @@ pub fn profile_stream(stream: impl Iterator<Item = Access>, epc_proxy_pages: usi
         entry.executions += access.repeats as u64;
         profile.total_events += 1;
     }
+    profile.sites.sort_unstable_by_key(|&(id, _)| id);
     profile
 }
 
@@ -167,7 +186,10 @@ pub const NOTIFY_FUNCTION_LOC: u64 = 23;
 /// The compiler's output: which sites carry a preloading notification.
 #[derive(Debug, Clone, Default)]
 pub struct InstrumentationPlan {
-    sites: HashSet<SiteId>,
+    /// The instrumented sites, ascending.
+    sites: Vec<SiteId>,
+    /// The same sites, for the per-access probe.
+    lookup: FastSet,
 }
 
 impl InstrumentationPlan {
@@ -181,7 +203,7 @@ impl InstrumentationPlan {
     /// predominantly Class 2 — "we can leave instructions in Class 2 to
     /// DFP" (§4.4).
     pub fn from_profile(profile: &Profile, cfg: SipConfig) -> Self {
-        let mut sites = HashSet::new();
+        let mut sites = Vec::new();
         for (id, s) in profile.sites() {
             if s.irregular_ratio() <= cfg.threshold {
                 continue;
@@ -190,15 +212,25 @@ impl InstrumentationPlan {
             if n > 0 && s.class2 * 2 > n {
                 continue; // majority Class 2: DFP covers it
             }
-            sites.insert(id);
+            sites.push(id);
         }
-        InstrumentationPlan { sites }
+        Self::of_sites(sites)
+    }
+
+    /// A plan instrumenting `sites`, which are ascending and distinct.
+    fn of_sites(sites: Vec<SiteId>) -> Self {
+        let mut lookup = FastSet::new();
+        for id in &sites {
+            lookup.insert(u64::from(id.0));
+        }
+        InstrumentationPlan { sites, lookup }
     }
 
     /// Whether `site` carries a notification (checked on every execution).
+    /// An empty plan answers without a probe.
     #[inline]
     pub fn is_instrumented(&self, site: SiteId) -> bool {
-        self.sites.contains(&site)
+        !self.sites.is_empty() && self.lookup.contains(u64::from(site.0))
     }
 
     /// Number of instrumentation points — the paper's Table 2.
@@ -213,9 +245,7 @@ impl InstrumentationPlan {
 
     /// The instrumented sites, ascending.
     pub fn sites(&self) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self.sites.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.sites.clone()
     }
 
     /// TCB growth estimate: the fixed notification function plus roughly
@@ -319,9 +349,7 @@ mod tests {
 
     #[test]
     fn tcb_estimate_scales_with_points() {
-        let mut plan = InstrumentationPlan::none();
-        plan.sites.insert(SiteId(1));
-        plan.sites.insert(SiteId(2));
+        let plan = InstrumentationPlan::of_sites(vec![SiteId(1), SiteId(2)]);
         assert_eq!(plan.tcb_loc_estimate(), NOTIFY_FUNCTION_LOC + 6);
     }
 

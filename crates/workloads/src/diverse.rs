@@ -17,7 +17,7 @@
 //! crate: the same [`DetRng`] produces the identical access stream.
 
 use sgx_epc::VirtPage;
-use sgx_sim::{Cycles, DetRng};
+use sgx_sim::{Cycles, DetRng, Zipf};
 
 use crate::{Access, PageRange, SiteRange};
 
@@ -38,7 +38,8 @@ pub struct ZipfKv {
     region: PageRange,
     hot_pages: u64,
     remaining: u64,
-    exponent: f64,
+    /// Rank sampler over the region, built once.
+    zipf: Zipf,
     compute: Cycles,
     sites: SiteRange,
     hot_repeats: u32,
@@ -72,7 +73,7 @@ impl ZipfKv {
             region,
             hot_pages,
             remaining: total,
-            exponent,
+            zipf: Zipf::new(region.len(), exponent),
             compute,
             sites,
             hot_repeats: 1,
@@ -106,7 +107,7 @@ impl Iterator for ZipfKv {
             return None;
         }
         self.remaining -= 1;
-        let rank = self.rng.zipf(self.region.len(), self.exponent);
+        let rank = self.zipf.sample(&mut self.rng);
         let (offset, repeats) = if rank < self.hot_pages {
             (rank, self.hot_repeats)
         } else {

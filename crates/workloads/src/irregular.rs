@@ -6,7 +6,7 @@
 //! *mcf* a wash under SIP (paper §5.2).
 
 use sgx_epc::VirtPage;
-use sgx_sim::{Cycles, DetRng};
+use sgx_sim::{Cycles, DetRng, Zipf};
 
 use crate::{Access, PageRange, SiteRange};
 
@@ -70,7 +70,8 @@ impl Iterator for UniformRandom {
 pub struct ZipfRandom {
     region: PageRange,
     remaining: u64,
-    exponent: f64,
+    /// Rank sampler over the region, built once.
+    zipf: Zipf,
     compute: Cycles,
     sites: SiteRange,
     rng: DetRng,
@@ -95,7 +96,7 @@ impl ZipfRandom {
         ZipfRandom {
             region,
             remaining: total,
-            exponent,
+            zipf: Zipf::new(region.len(), exponent),
             compute,
             sites,
             rng,
@@ -112,7 +113,7 @@ impl Iterator for ZipfRandom {
         }
         self.remaining -= 1;
         let n = self.region.len();
-        let rank = self.rng.zipf(n, self.exponent);
+        let rank = self.zipf.sample(&mut self.rng);
         // Scramble rank → offset so hot pages scatter across the region.
         let offset = rank.wrapping_mul(SCRAMBLE) % n;
         let page = VirtPage::new(self.region.start + offset);

@@ -23,8 +23,8 @@ use sgx_preloading::sim::json::{self, Value};
 use sgx_preloading::workloads::SGXT_MAGIC;
 use sgx_preloading::{
     build_plan, effective_jobs, profile_stream, ChromeTraceSink, CycleAttribution, EpcSizing,
-    HistogramSink, NotifyPlacement, RecordedTrace, SeriesFormat, SharedSink, StreamConfig,
-    DEFAULT_TIMELINE_SERIES_INTERVAL,
+    HistogramSink, InstrumentationPlan, NotifyPlacement, RecordedTrace, SeriesFormat, SharedSink,
+    StreamConfig, DEFAULT_TIMELINE_SERIES_INTERVAL,
 };
 
 const USAGE: &str = "\
@@ -563,7 +563,13 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         profile.stream_share() * 100.0,
         profile.irregular_share() * 100.0
     );
-    let plan = build_plan(bench, &cfg, Scheme::Sip);
+    // The plan SIP would compile from the profile above; the paper's
+    // prototype could not instrument the Fortran programs or omnetpp.
+    let plan = if bench.sip_supported() {
+        InstrumentationPlan::from_profile(&profile, cfg.sip)
+    } else {
+        InstrumentationPlan::none()
+    };
     println!(
         "instrumentation plan at threshold {:.1}%: {} points (TCB ≈ {} LoC)",
         cfg.sip.threshold * 100.0,

@@ -80,8 +80,8 @@ pub use sgx_observer::{
 pub use sgx_preload_core::{
     build_plan, effective_jobs, run_indexed, run_userspace_paging, AppSpec, AppSpecBuilder,
     Campaign, CampaignError, CampaignReport, Cell, CellError, CellReport, CellWork, ElrangeError,
-    EventCounts, LeakageSpec, RunReport, Scheme, SimConfig, SimError, SimRun, SpecError,
-    TenantPolicy, TenantQuota, TenantShare, TraceReplay, UserPagingConfig,
+    EventCounts, LeakageSpec, ProfileMemo, RunReport, Scheme, SimConfig, SimError, SimRun,
+    SpecError, TenantPolicy, TenantQuota, TenantShare, TraceReplay, UserPagingConfig,
     DEFAULT_TIMELINE_SERIES_INTERVAL, MAX_TENANTS,
 };
 pub use sgx_sim::{Cycles, Histogram, HistogramSummary};
